@@ -76,13 +76,20 @@ ResultTable
 SweepEngine::run(const SweepGrid &grid) const
 {
     const RunOptions o = runOpts;
-    return run(grid, [o](const RunSpec &spec) {
+    return execute(grid, [o](const RunSpec &spec) {
         return simulateSpec(spec, o);
-    });
+    }, /*share=*/true);
 }
 
 ResultTable
 SweepEngine::run(const SweepGrid &grid, const RunFn &fn) const
+{
+    return execute(grid, fn, /*share=*/false);
+}
+
+ResultTable
+SweepEngine::execute(const SweepGrid &grid, const RunFn &fn,
+                     bool share) const
 {
     const std::vector<RunSpec> specs = grid.expand();
     std::vector<ResultRow> rows(specs.size());
@@ -112,8 +119,23 @@ SweepEngine::run(const SweepGrid &grid, const RunFn &fn) const
         }
     }
 
+    // Group the to-run specs by simulated machine. Sharing, each
+    // group is the specs of one machineKey and its lowest ordinal
+    // (front) is simulated once for all of them; otherwise every
+    // spec is its own group. Workers claim groups in leader order.
+    std::vector<std::vector<std::size_t>> groups;
+    std::unordered_map<std::string, std::size_t> groupOf;
+    for (const std::size_t i : torun) {
+        const auto [it, fresh] = groupOf.emplace(
+            share ? machineKey(specs[i]) : std::to_string(i),
+            groups.size());
+        if (fresh)
+            groups.emplace_back();
+        groups[it->second].push_back(i);
+    }
+
     std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> done{0};
+    std::size_t done = 0; // guarded by progress_mutex
     std::mutex progress_mutex;
 
     // Abort-policy state: the first contained failure stops workers
@@ -129,17 +151,16 @@ SweepEngine::run(const SweepGrid &grid, const RunFn &fn) const
                 return;
             const std::size_t j =
                 next.fetch_add(1, std::memory_order_relaxed);
-            if (j >= torun.size())
+            if (j >= groups.size())
                 return;
-            const std::size_t i = torun[j];
+            const std::vector<std::size_t> &members = groups[j];
+            const std::size_t lead = members.front();
 
-            // Row sandbox: every attempt runs under the row's
-            // identity scope (so a SimError raised anywhere inside
-            // names this row) and its exception is contained here.
-            const std::string identity = specIdentityKey(specs[i]);
+            // Row sandbox: every attempt runs under the simulated
+            // row's identity scope (so a SimError raised anywhere
+            // inside names it) and its exception is contained here.
+            const std::string identity = specIdentityKey(specs[lead]);
             RowFailure fail;
-            fail.index = i;
-            fail.identity = identity;
             std::exception_ptr raised;
             RunResult metrics;
             bool ok = false;
@@ -150,7 +171,7 @@ SweepEngine::run(const SweepGrid &grid, const RunFn &fn) const
                 try {
                     ErrorIdentityScope scope(identity.c_str());
                     metrics = (a == 0 || !retryFn)
-                        ? fn(specs[i]) : retryFn(specs[i]);
+                        ? fn(specs[lead]) : retryFn(specs[lead]);
                     ok = true;
                     if (a > 0) {
                         fail.recovered = true;
@@ -173,22 +194,29 @@ SweepEngine::run(const SweepGrid &grid, const RunFn &fn) const
             }
 
             if (ok) {
-                rows[i] = makeRow(specs[i], metrics);
-                present[i] = 1;
+                for (const std::size_t i : members) {
+                    rows[i] = makeRow(specs[i], metrics);
+                    present[i] = 1;
+                }
             }
-            const std::size_t finished =
-                done.fetch_add(1, std::memory_order_relaxed) + 1;
             if (progress || rowSink || failureSink) {
                 std::lock_guard<std::mutex> lock(progress_mutex);
-                // Failure first: a journal then reads as failure-
-                // then-success for recovered rows (audit trail; the
-                // success supersedes on parse).
-                if (failureSink && (!ok || fail.recovered))
-                    failureSink(fail);
-                if (ok && rowSink)
-                    rowSink(specs[i], rows[i]);
-                if (progress)
-                    progress(specs[i], finished, torun.size());
+                // Every member is reported as its own row: its own
+                // ordinal and identity, failure first (a journal
+                // then reads as failure-then-success for recovered
+                // rows; the success supersedes on parse).
+                for (const std::size_t i : members) {
+                    ++done;
+                    if (failureSink && (!ok || fail.recovered)) {
+                        fail.index = i;
+                        fail.identity = specIdentityKey(specs[i]);
+                        failureSink(fail);
+                    }
+                    if (ok && rowSink)
+                        rowSink(specs[i], rows[i]);
+                    if (progress)
+                        progress(specs[i], done, torun.size(), lead);
+                }
             }
             if (!ok && failPolicy == FailPolicy::Abort) {
                 {
@@ -203,7 +231,7 @@ SweepEngine::run(const SweepGrid &grid, const RunFn &fn) const
     };
 
     const unsigned pool = static_cast<unsigned>(
-        std::min<std::size_t>(workerCount, torun.size()));
+        std::min<std::size_t>(workerCount, groups.size()));
     if (pool <= 1) {
         worker();
     } else {

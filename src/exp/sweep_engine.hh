@@ -10,9 +10,16 @@
  * order, so the result table is identical whatever the worker count:
  * `--jobs 8` and `--jobs 1` emit byte-for-byte equal JSON/CSV.
  *
+ * Grid points that differ only on axes their machine ignores (see
+ * machineKey) share one simulation under run(grid): the lowest
+ * ordinal of each group runs, and its metrics are labeled with every
+ * member's identity. Each member is still reported as its own row.
+ *
  * Studies that do not run the timing simulator (e.g. the functional
  * capacity analyses behind Fig. 3) supply a custom run function and
- * still get the pool, the ordering guarantee, and the emitters.
+ * still get the pool, the ordering guarantee, and the emitters. A
+ * custom function runs once per grid point: it may read anything in
+ * the spec, including its ordinal.
  *
  * For distributed and resumable sweeps the engine additionally
  * supports a shard filter (run only specs with index % N == K),
@@ -93,12 +100,14 @@ class SweepEngine
 
     /**
      * Progress callback, invoked serially (under an internal lock)
-     * after each run completes: (spec, done_count, total_count).
-     * The counts cover the specs this engine actually executes
-     * (after shard filtering and prefill skips).
+     * after each row completes: (spec, done_count, total_count,
+     * source). The counts cover the specs this engine actually
+     * executes (after shard filtering and prefill skips); source is
+     * the ordinal whose simulation produced the row -- spec.index
+     * unless the row shares another grid point's simulation.
      */
     using ProgressFn = std::function<void(
-        const RunSpec &, std::size_t, std::size_t)>;
+        const RunSpec &, std::size_t, std::size_t, std::size_t)>;
 
     /**
      * Row sink, invoked serially (under the same lock as the
@@ -182,23 +191,28 @@ class SweepEngine
     }
 
     /**
-     * Cooperative interruption: checked before each spec is
+     * Cooperative interruption: checked before each simulation is
      * claimed. Once it returns true, workers stop claiming; runs
-     * already in flight complete (and still reach the row sink),
-     * and run() returns the partial table.
+     * already in flight complete (and every row they feed still
+     * reaches the row sink), and run() returns the partial table.
      */
     void setStopRequest(std::function<bool()> fn)
     {
         stopRequested = std::move(fn);
     }
 
-    /** Run every grid point through the timing simulator. */
+    /**
+     * Run every grid point through the timing simulator, simulating
+     * each distinct machine of this shard's to-run specs once
+     * (machineKey). A shared simulation's failure is reported for
+     * every grid point that shares it.
+     */
     ResultTable run(const SweepGrid &grid) const;
 
     /**
-     * Run every grid point through @p fn. Under FailPolicy::Abort a
-     * contained failure is rethrown (as the original exception,
-     * typically SimError) after the pool joins.
+     * Run every grid point through @p fn, once per point. Under
+     * FailPolicy::Abort a contained failure is rethrown (as the
+     * original exception, typically SimError) after the pool joins.
      */
     ResultTable run(const SweepGrid &grid, const RunFn &fn) const;
 
@@ -217,6 +231,10 @@ class SweepEngine
                              const RunResult &metrics);
 
   private:
+    /** Both run()s: @p share groups specs by machineKey. */
+    ResultTable execute(const SweepGrid &grid, const RunFn &fn,
+                        bool share) const;
+
     unsigned workerCount;
     unsigned shardIdx = 0;
     unsigned shardCnt = 1;

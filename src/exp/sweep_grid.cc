@@ -23,6 +23,37 @@ specIdentityKey(const RunSpec &spec)
                          spec.measureOps, spec.profile.seed);
 }
 
+bool
+protocolAxisRelevant(const SystemConfig &cfg)
+{
+    return cfg.design == Design::Snoopy;
+}
+
+bool
+dramCacheAxesRelevant(const SystemConfig &cfg)
+{
+    return cfg.designUsesDramCache();
+}
+
+std::string
+machineKey(const RunSpec &spec)
+{
+    const bool dram = dramCacheAxesRelevant(spec.cfg);
+    return std::to_string(spec.workloadIdx) + '|' +
+        std::to_string(spec.variantIdx) + '|' +
+        identityKeyOf(spec.profile.name, spec.variantName,
+                      designName(spec.cfg.design),
+                      protocolAxisRelevant(spec.cfg)
+                          ? protocolName(spec.cfg.protocol) : "*",
+                      dram ? predictorKindName(spec.cfg.predictorKind)
+                           : "*",
+                      mappingPolicyName(spec.cfg.mapping),
+                      spec.cfg.numSockets, spec.cfg.coresPerSocket,
+                      spec.scale, dram ? spec.dramCacheMb : 0,
+                      spec.warmupOps, spec.measureOps,
+                      spec.profile.seed);
+}
+
 std::string
 gridFingerprint(const std::vector<RunSpec> &specs)
 {

@@ -114,6 +114,30 @@ struct SweepGrid
 std::string specIdentityKey(const RunSpec &spec);
 
 /**
+ * Relevance predicate of the `protocol` axis: only the snoopy engine
+ * dispatches on cfg.protocol (makeSnoopVariant); the directory
+ * designs run their fixed engines whatever it names.
+ */
+bool protocolAxisRelevant(const SystemConfig &cfg);
+
+/**
+ * Relevance predicate of the `predictor` and `dramCacheMb` axes: the
+ * DramCache is their only consumer, and Socket builds one only when
+ * cfg.designUsesDramCache().
+ */
+bool dramCacheAxesRelevant(const SystemConfig &cfg);
+
+/**
+ * Identity of the machine a spec simulates: specIdentityKey with each
+ * axis its relevance predicate rejects collapsed to `*`, plus the
+ * workload and variant ordinals (so two axis entries that merely
+ * share a name never share a simulation). Specs with equal keys
+ * produce identical RunResults; SweepEngine::run(grid) simulates
+ * each key once (docs/sweeps.md "Grid axes").
+ */
+std::string machineKey(const RunSpec &spec);
+
+/**
  * FNV-1a 64 digest (16 hex digits) over every spec's identity key,
  * in expansion order. Two grids share a fingerprint iff they expand
  * to the same run specs, so shard journals can refuse to merge with

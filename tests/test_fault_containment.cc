@@ -10,7 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -318,6 +320,85 @@ TEST(SweepFailPolicy, RetryRecoversViaSequentialFallback)
     ASSERT_EQ(table.rows().size(), 2u);
     for (std::size_t i = 0; i < 2; ++i)
         EXPECT_TRUE(table.rows()[i].sameAs(clean.rows()[i]));
+}
+
+/**
+ * containmentGrid over two protocols: four grid points, two
+ * simulations under run(grid). Neither baseline nor c3d reads the
+ * protocol, so rows 0-1 share one run and rows 2-3 the other.
+ */
+exp::SweepGrid
+sharedGrid()
+{
+    exp::SweepGrid grid = containmentGrid();
+    grid.protocols = {Protocol::Mesi, Protocol::Moesi};
+    return grid;
+}
+
+TEST(SweepFailPolicy, SharedFailureIsReportedForEveryRow)
+{
+    const exp::SweepGrid grid = sharedGrid();
+    const std::vector<exp::RunSpec> specs = grid.expand();
+    ASSERT_EQ(specs.size(), 4u);
+
+    // A tiny event budget makes both shared simulations fail.
+    RunOptions starved;
+    starved.watchdog.maxEvents = 2048;
+    exp::SweepEngine engine(2);
+    engine.setRunOptions(starved);
+    engine.setFailPolicy(exp::FailPolicy::Skip);
+    std::vector<exp::RowFailure> failures;
+    engine.setFailureSink([&](const exp::RowFailure &f) {
+        failures.push_back(f);
+    });
+    const exp::ResultTable table = engine.run(grid);
+
+    // One failure per row, each under its own ordinal and identity.
+    EXPECT_TRUE(table.empty());
+    ASSERT_EQ(failures.size(), specs.size());
+    std::sort(failures.begin(), failures.end(),
+              [](const exp::RowFailure &a, const exp::RowFailure &b) {
+                  return a.index < b.index;
+              });
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        EXPECT_EQ(failures[i].index, i);
+        EXPECT_EQ(failures[i].identity, exp::specIdentityKey(specs[i]));
+        EXPECT_FALSE(failures[i].recovered);
+        EXPECT_NE(failures[i].error.find("executed-event budget"),
+                  std::string::npos)
+            << failures[i].error;
+    }
+}
+
+TEST(SweepFailPolicy, SharedRetryRecoversEveryRow)
+{
+    const exp::SweepGrid grid = sharedGrid();
+    const exp::ResultTable clean = exp::SweepEngine(1).run(grid);
+
+    RunOptions starved;
+    starved.watchdog.maxEvents = 2048;
+    exp::SweepEngine engine(2);
+    engine.setRunOptions(starved);
+    engine.setFailPolicy(exp::FailPolicy::Retry, 1);
+    engine.setRetryFn([](const exp::RunSpec &spec) {
+        return exp::SweepEngine::simulateSpec(spec, RunOptions{});
+    });
+    std::vector<exp::RowFailure> failures;
+    engine.setFailureSink([&](const exp::RowFailure &f) {
+        failures.push_back(f);
+    });
+    const exp::ResultTable table = engine.run(grid);
+
+    ASSERT_EQ(failures.size(), 4u);
+    std::set<std::size_t> indices;
+    for (const exp::RowFailure &f : failures) {
+        EXPECT_TRUE(f.recovered);
+        EXPECT_TRUE(f.degraded);
+        EXPECT_EQ(f.attempts, 2u);
+        indices.insert(f.index);
+    }
+    EXPECT_EQ(indices.size(), 4u);
+    EXPECT_EQ(table.toJson(), clean.toJson());
 }
 
 /** Unpark the injected Block and join the abandoned thread. */

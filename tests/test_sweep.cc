@@ -2,13 +2,16 @@
  * @file
  * Tests for the experiment subsystem: grid expansion (count,
  * ordering, config resolution), thread-pool determinism (the same
- * grid yields identical result rows whatever the worker count), and
- * JSON/CSV round-trips.
+ * grid yields identical result rows whatever the worker count),
+ * shared simulation of grid points on inert axes (byte-identical to
+ * per-row runs), and JSON/CSV round-trips.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
+#include <set>
 
 #include "common/log.hh"
 #include "exp/json.hh"
@@ -175,14 +178,120 @@ TEST(SweepEngine, ProgressReportsEveryRun)
     const auto fake = [](const exp::RunSpec &) { return RunResult{}; };
     exp::SweepEngine engine(4);
     std::size_t calls = 0, last_total = 0;
-    engine.setProgress([&](const exp::RunSpec &, std::size_t,
-                           std::size_t total) {
+    engine.setProgress([&](const exp::RunSpec &spec, std::size_t,
+                           std::size_t total, std::size_t source) {
         ++calls;
         last_total = total;
+        EXPECT_EQ(source, spec.index); // a custom fn never shares
     });
     engine.run(grid, fake);
     EXPECT_EQ(calls, grid.size());
     EXPECT_EQ(last_total, grid.size());
+}
+
+/**
+ * Every axis the relevance predicates know, at the quick preset: all
+ * five designs x four protocols x both predictors x two DRAM-cache
+ * sizes, with and without a DRAM cache (variant patch).
+ */
+exp::SweepGrid
+predicateGrid()
+{
+    exp::SweepGrid grid;
+    grid.workloads = {profileByName("facesim")};
+    grid.designs = {Design::Baseline, Design::Snoopy, Design::FullDir,
+                    Design::C3D, Design::C3DFullDir};
+    grid.protocols = {Protocol::Mesi, Protocol::Mesif, Protocol::Moesi,
+                      Protocol::Dragon};
+    grid.predictors = {PredictorKind::Region, PredictorKind::Perceptron};
+    grid.dramCacheMb = {0, 256};
+    grid.variants = {{"", nullptr},
+                     {"no-dram-cache",
+                      [](SystemConfig &c) { c.hasDramCache = false; }}};
+    return exp::quickPreset(grid);
+}
+
+/** A row's bytes with the protocol/predictor/dramCacheMb labels
+ * blanked, so rows can be compared across those axes. */
+std::string
+unlabeled(exp::ResultRow row)
+{
+    row.protocol = row.predictor = "";
+    row.dramCacheMb = 0;
+    return exp::ResultTable::rowToJson(row);
+}
+
+TEST(SweepEngine, SharedSimulationMatchesPerRowRuns)
+{
+    setQuiet(true);
+    const exp::SweepGrid grid = predicateGrid();
+    const std::vector<exp::RunSpec> specs = grid.expand();
+    std::set<std::string> machines;
+    for (const exp::RunSpec &spec : specs)
+        machines.insert(exp::machineKey(spec));
+    // Per variant: baseline 1, snoopy 4 protocols x 2 predictors x 2
+    // sizes (16) or 4 protocols (no DRAM cache), and each other
+    // design 2 x 2 (4) or 1 (no DRAM cache).
+    EXPECT_EQ(specs.size(), 160u);
+    EXPECT_EQ(machines.size(), (1u + 16 + 3 * 4) + (1u + 4 + 3 * 1));
+
+    const exp::ResultTable shared = exp::SweepEngine(4).run(grid);
+    const exp::ResultTable per_row = exp::SweepEngine(4).run(
+        grid, [](const exp::RunSpec &spec) {
+            return exp::SweepEngine::simulateSpec(spec);
+        });
+    ASSERT_EQ(per_row.size(), specs.size());
+    EXPECT_EQ(shared.toJson(), per_row.toJson());
+    EXPECT_EQ(shared.toCsv(), per_row.toCsv());
+
+    // The differential has teeth: every relevant axis moves the
+    // per-row results, so collapsing one in machineKey would break
+    // the byte identity above.
+    std::map<std::string, std::set<std::string>> across;
+    for (const exp::ResultRow &row : per_row.rows()) {
+        if (!row.variant.empty())
+            continue;
+        if (row.design == "snoopy" && row.predictor == "region" &&
+            row.dramCacheMb == 0)
+            across["protocol"].insert(unlabeled(row));
+        if (row.design == "c3d" && row.dramCacheMb == 0)
+            across["predictor"].insert(unlabeled(row));
+        if (row.design == "c3d" && row.predictor == "region")
+            across["dramCacheMb"].insert(unlabeled(row));
+    }
+    EXPECT_EQ(across["protocol"].size(), 4u);
+    EXPECT_EQ(across["predictor"].size(), 2u);
+    EXPECT_EQ(across["dramCacheMb"].size(), 2u);
+}
+
+TEST(SweepGrid, MachineKeyCollapsesInertAxes)
+{
+    // The benchmark's grid-mix shape: 40 rows, 22 distinct machines
+    // (baseline 1, snoopy 2 x 2, three DRAM-cache designs 2 each,
+    // per workload).
+    exp::SweepGrid grid;
+    grid.workloads = {profileByName("canneal"),
+                      profileByName("streamcluster")};
+    grid.designs = {Design::Baseline, Design::Snoopy, Design::FullDir,
+                    Design::C3D, Design::C3DFullDir};
+    grid.protocols = {Protocol::Mesi, Protocol::Moesi};
+    grid.predictors = {PredictorKind::Region, PredictorKind::Perceptron};
+    const std::vector<exp::RunSpec> specs = grid.expand();
+    std::set<std::string> machines;
+    for (const exp::RunSpec &spec : specs)
+        machines.insert(exp::machineKey(spec));
+    EXPECT_EQ(specs.size(), 40u);
+    EXPECT_EQ(machines.size(), 22u);
+
+    // Two axis entries that only share a name never share a machine.
+    exp::SweepGrid twins = smallGrid();
+    twins.workloads = {profileByName("facesim"),
+                       profileByName("facesim")};
+    twins.designs = {Design::Baseline};
+    const std::vector<exp::RunSpec> twin_specs = twins.expand();
+    ASSERT_EQ(twin_specs.size(), 2u);
+    EXPECT_NE(exp::machineKey(twin_specs[0]),
+              exp::machineKey(twin_specs[1]));
 }
 
 TEST(ResultTable, JsonRoundTrip)

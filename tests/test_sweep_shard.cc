@@ -3,12 +3,14 @@
  * Differential determinism tests for distributed sweep execution:
  * sharded, journaled, merged, and interrupted-then-resumed runs must
  * reproduce the single-process sweep byte for byte (JSON and CSV),
- * for any worker count. Also pins the spec-identity contract that
+ * for any worker count, including grids whose rows share
+ * simulations on inert axes. Also pins the spec-identity contract that
  * journals rely on (specIdentityKey == ResultRow::identityKey).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <set>
@@ -36,6 +38,20 @@ shardGrid()
     grid.coresPerSocket = 2;
     grid.warmupOps = 300;
     grid.measureOps = 1200;
+    return grid;
+}
+
+/**
+ * shardGrid plus protocol and predictor axes: baseline ignores both
+ * and c3d ignores the protocol, so run(grid) fans each simulation out
+ * to 4 (baseline) or 2 (c3d) rows -- 32 rows from 12 simulations.
+ */
+exp::SweepGrid
+fanOutGrid()
+{
+    exp::SweepGrid grid = shardGrid();
+    grid.protocols = {Protocol::Mesi, Protocol::Moesi};
+    grid.predictors = {PredictorKind::Region, PredictorKind::Perceptron};
     return grid;
 }
 
@@ -112,7 +128,8 @@ TEST(SweepShard, RejectsBadShardArguments)
 TEST(SweepShard, ShardedMergeMatchesWholeByteForByte)
 {
     setQuiet(true);
-    const exp::SweepGrid grid = shardGrid();
+    // Shards split fan-out groups (sharing is within a shard only).
+    const exp::SweepGrid grid = fanOutGrid();
 
     // Whole run is itself --jobs independent (pinned here so the
     // sharded comparison below is against a trusted baseline).
@@ -143,14 +160,15 @@ TEST(SweepShard, ShardedMergeMatchesWholeByteForByte)
 TEST(SweepShard, InterruptedThenResumedMatchesWhole)
 {
     setQuiet(true);
-    const exp::SweepGrid grid = shardGrid();
+    const exp::SweepGrid grid = fanOutGrid();
     const std::vector<exp::RunSpec> specs = grid.expand();
     const exp::ResultTable whole = exp::SweepEngine(1).run(grid);
     const std::string path = tempPath("resume.jsonl");
 
-    // Phase 1: journal, then "crash" after 3 completed rows (the
-    // stop hook fires before each claim; with one worker the count
-    // is exact).
+    // Phase 1: journal, then stop after the first claimed simulation
+    // (the stop hook fires before each claim). With one worker that
+    // is facesim/baseline/2-socket, whose rows 0, 2, 4, 6 (the
+    // protocol x predictor points) all land.
     {
         exp::JournalWriter writer;
         std::string error;
@@ -165,17 +183,34 @@ TEST(SweepShard, InterruptedThenResumedMatchesWhole)
             ASSERT_TRUE(writer.append(spec.index, row, werr)) << werr;
             ++completed;
         });
-        engine.setStopRequest([&] { return completed >= 3; });
+        engine.setStopRequest([&] { return completed >= 1; });
         const exp::ResultTable partial = engine.run(grid);
-        EXPECT_EQ(partial.size(), 3u);
+        EXPECT_EQ(partial.size(), 4u);
     }
 
-    // Phase 2: resume from the journal; only the remaining five
-    // specs may execute.
+    // Crash mid-fan-out: keep the header and the group's first two
+    // row lines, so the resume must re-simulate the group for its
+    // two missing rows.
+    std::string text, error;
+    ASSERT_EQ(exp::readTextFile(path, text, error), exp::ReadFile::Ok)
+        << error;
+    std::size_t cut = 0;
+    for (int line = 0; line < 3; ++line)
+        cut = text.find('\n', cut) + 1;
+    {
+        std::FILE *f = std::fopen(path.c_str(), "wb");
+        ASSERT_NE(f, nullptr);
+        std::fwrite(text.data(), 1, cut, f);
+        std::fclose(f);
+    }
+
+    // Phase 2: resume from the journal; only the remaining specs
+    // may execute.
     exp::JournalData data;
-    std::string error;
     ASSERT_TRUE(exp::readJournalFile(path, data, error)) << error;
-    ASSERT_EQ(data.entries.size(), 3u);
+    ASSERT_EQ(data.entries.size(), 2u);
+    EXPECT_EQ(data.entries[0].index, 0u);
+    EXPECT_EQ(data.entries[1].index, 2u);
     EXPECT_EQ(data.total, specs.size());
     EXPECT_EQ(data.fingerprint, exp::gridFingerprint(specs));
 
@@ -200,7 +235,7 @@ TEST(SweepShard, InterruptedThenResumedMatchesWhole)
     });
     const exp::ResultTable resumed = engine.run(grid);
     writer.close();
-    EXPECT_EQ(executed, specs.size() - 3);
+    EXPECT_EQ(executed, specs.size() - 2);
 
     // The resumed table and the fully-journaled merge are both
     // byte-identical to the single-process run.
@@ -212,6 +247,18 @@ TEST(SweepShard, InterruptedThenResumedMatchesWhole)
     exp::ResultTable merged;
     ASSERT_TRUE(exp::mergeJournals({full}, merged, error)) << error;
     EXPECT_EQ(whole.toJson(), merged.toJson());
+
+    // One journal line per identity: shared simulations still
+    // journal every row exactly once.
+    ASSERT_EQ(exp::readTextFile(path, text, error), exp::ReadFile::Ok)
+        << error;
+    EXPECT_EQ(static_cast<std::size_t>(
+                  std::count(text.begin(), text.end(), '\n')),
+              1 + specs.size());
+    std::set<std::string> identities;
+    for (const exp::JournalEntry &entry : full.entries)
+        identities.insert(entry.row.identityKey());
+    EXPECT_EQ(identities.size(), specs.size());
     std::remove(path.c_str());
 }
 

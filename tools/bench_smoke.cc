@@ -15,7 +15,10 @@
  *              distributed-execution CLI end to end (whole run vs
  *              --shard x3 + merge vs partial --journal + --resume)
  *              and assert the JSON and CSV artifacts are
- *              byte-identical.
+ *              byte-identical. With a trailing `shared-vs-per-row`
+ *              argument it instead checks that a grid whose rows
+ *              share simulations on inert axes emits the same bytes
+ *              as the per-row path an injected sweep takes.
  *   trace-cli  <c3d-sweep> <c3d-trace>: record a trace, sweep it
  *              via --workloads=trace: (whole vs sharded+merged vs
  *              resumed, byte-identical), and assert that resuming a
@@ -255,6 +258,67 @@ sweepCliCheck(const std::string &sweep_binary)
 }
 
 /**
+ * Shared simulation vs per-row runs: c3d-sweep simulates each
+ * distinct machine once unless --inject-fault is given, so a
+ * never-firing fault (par: without --parallel-kernel) forces the
+ * per-row path on the same grid. JSON and CSV must match byte for
+ * byte, and --progress must mark the rows that reused a simulation.
+ */
+int
+sharedVsPerRowCheck(const std::string &sweep_binary)
+{
+    SmokeDir tmp;
+    if (!tmp.init("c3d_shared_smoke_XXXXXX"))
+        return 1;
+    const std::string sweep = shellQuote(sweep_binary);
+    const std::string grid =
+        " --quick --designs=baseline,snoopy,c3d"
+        " --protocols=mesi,moesi --predictors=region,perceptron"
+        " --jobs=2";
+    const std::string per_row = " --inject-fault=par:panic@0";
+    const std::string progress = tmp.path("progress.txt");
+
+    std::string out;
+    for (const char *format : {"json", "csv"}) {
+        const std::string shared_out =
+            tmp.path(std::string("shared.") + format);
+        const std::string per_row_out =
+            tmp.path(std::string("per_row.") + format);
+        const std::string fmt = std::string(" --format=") + format;
+        if (!runCommand(sweep + grid + fmt + " --progress --out=" +
+                            shellQuote(shared_out) + " 2>" +
+                            shellQuote(progress),
+                        out) ||
+            !runCommand(sweep + grid + fmt + per_row + " --out=" +
+                            shellQuote(per_row_out),
+                        out))
+            return 1;
+        std::string shared, separate;
+        if (!readFile(shared_out, shared) ||
+            !readFile(per_row_out, separate) || shared.empty() ||
+            shared != separate) {
+            std::fprintf(stderr,
+                         "bench-smoke: shared-simulation %s differs "
+                         "from the per-row artifact\n",
+                         format);
+            return 1;
+        }
+    }
+    std::string log;
+    if (!readFile(progress, log) ||
+        log.find("(shared with #") == std::string::npos) {
+        std::fprintf(stderr,
+                     "bench-smoke: --progress does not mark shared "
+                     "rows:\n%s\n",
+                     log.c_str());
+        return 1;
+    }
+    std::printf("ok: shared-simulation and per-row artifacts are "
+                "byte-identical\n");
+    return 0;
+}
+
+/**
  * Run a command that is EXPECTED to fail (nonzero exit) with a
  * diagnostic containing @p needle -- "failed for the right reason",
  * so a refusal path that breaks differently cannot keep passing.
@@ -488,8 +552,11 @@ main(int argc, char **argv)
         return 2;
     }
     const std::string mode = argv[1];
-    if (mode == "sweep-cli")
+    if (mode == "sweep-cli") {
+        if (argc > 3 && std::strcmp(argv[3], "shared-vs-per-row") == 0)
+            return sharedVsPerRowCheck(argv[2]);
         return sweepCliCheck(argv[2]);
+    }
     if (mode == "trace-cli" || mode == "compose-cli") {
         if (argc < 4) {
             std::fprintf(stderr,

@@ -60,14 +60,15 @@ const char *const Usage =
     "c3d-full-dir (default c3d)\n"
     "  --protocols=A,B        mesi|mesif|moesi|dragon (default mesi);\n"
     "                         snoopy-family protocol variants --\n"
-    "                         directory designs keep their fixed\n"
-    "                         engines but still name the protocol in\n"
-    "                         the row identity\n"
+    "                         directory designs ignore it: their rows\n"
+    "                         name the protocol but share one\n"
+    "                         simulation\n"
     "  --predictors=A,B       region|perceptron (default region);\n"
     "                         DRAM-cache admission predictors\n"
     "                         (docs/predictors.md) -- presence\n"
     "                         filtering stays exact-or-conservative\n"
-    "                         for every kind\n"
+    "                         for every kind; rows without a DRAM\n"
+    "                         cache share one simulation\n"
     "  --workloads=A,B|all    paper profile names (default facesim);\n"
     "                         'all' = the nine parallel profiles;\n"
     "                         'trace:FILE' = replay a c3dsim trace\n"
@@ -102,7 +103,9 @@ const char *const Usage =
     "                         sequential kernel\n"
     "  --format=json|csv|table   (default json)\n"
     "  --out=FILE             write to FILE instead of stdout\n"
-    "  --progress             report per-run progress on stderr\n"
+    "  --progress             report per-row progress on stderr;\n"
+    "                         a row reusing another grid point's\n"
+    "                         simulation is marked (shared with #N)\n"
     "  --help\n"
     "\n"
     "distribution and checkpointing:\n"
@@ -139,7 +142,9 @@ const char *const Usage =
     "                         | [par:]stall-msg@N, with an optional\n"
     "                         trailing :K/M hitting only grid points\n"
     "                         with index%M == K; 'par:' arms only\n"
-    "                         when --parallel-kernel drives the run\n"
+    "                         when --parallel-kernel drives the run.\n"
+    "                         An injected sweep simulates every grid\n"
+    "                         point separately\n"
     "\n"
     "merge subcommand:\n"
     "  c3d-sweep merge [--format=json|csv|table] [--out=FILE] \\\n"
@@ -799,10 +804,15 @@ main(int argc, char **argv)
     engine.setShard(cli.shardIdx, cli.shardCnt);
     if (cli.progress) {
         engine.setProgress([](const exp::RunSpec &spec,
-                              std::size_t done, std::size_t total) {
-            std::fprintf(stderr, "[%zu/%zu] %s %s\n", done, total,
+                              std::size_t done, std::size_t total,
+                              std::size_t source) {
+            char shared[48] = "";
+            if (source != spec.index)
+                std::snprintf(shared, sizeof(shared),
+                              " (shared with #%zu)", source);
+            std::fprintf(stderr, "[%zu/%zu] %s %s%s\n", done, total,
                          spec.profile.name.c_str(),
-                         designName(spec.cfg.design));
+                         designName(spec.cfg.design), shared);
         });
     }
 
@@ -1004,10 +1014,12 @@ main(int argc, char **argv)
         }
     });
 
-    // Every run goes through an explicit run function so each grid
-    // point gets its own fault plan; the retry function degrades to
-    // the sequential MultiQueue-1 oracle with the same plan (so
-    // par:-gated faults vanish and deterministic ones reproduce).
+    // Fault injection addresses grid ordinals, so an injected sweep
+    // runs every grid point through an explicit run function with its
+    // own fault plan; otherwise the engine simulates each distinct
+    // machine once. The retry function degrades to the sequential
+    // MultiQueue-1 oracle with the same plan (so par:-gated faults
+    // vanish and deterministic ones reproduce).
     const auto planFor = [&cli](std::size_t index) -> FaultPlan {
         for (const FaultSel &sel : cli.faults) {
             if (index % sel.mod == sel.rem)
@@ -1029,7 +1041,8 @@ main(int argc, char **argv)
 
     exp::ResultTable table;
     try {
-        table = engine.run(cli.grid, runSpec);
+        table = cli.faults.empty() ? engine.run(cli.grid)
+                                   : engine.run(cli.grid, runSpec);
     } catch (const std::exception &e) {
         // FailPolicy::Abort rethrows the first contained failure
         // after the pool joins; completed rows are already safe in
