@@ -47,9 +47,13 @@ ablateCleanVsDirty(const BenchRun &br, exp::ResultTable &all)
     std::printf("%-16s %14s %14s %14s\n", "workload", "dirty(x)",
                 "clean(x)", "clean adv.");
     for (std::size_t w = 0; w < grid.workloads.size(); ++w) {
-        const double base = ticksAt(table, w, 0, 0);
-        const double sd = base / ticksAt(table, w, 0, 1);
-        const double sc = base / ticksAt(table, w, 0, 2);
+        const exp::AxisPattern at =
+            exp::AxisPattern().workload(w).variant(0);
+        const double base = ticksAt(table, exp::AxisPattern(at).design(0));
+        const double sd =
+            base / ticksAt(table, exp::AxisPattern(at).design(1));
+        const double sc =
+            base / ticksAt(table, exp::AxisPattern(at).design(2));
         std::printf("%-16s %14.3f %14.3f %13.1f%%\n",
                     grid.workloads[w].name.c_str(), sd, sc,
                     100.0 * (sc / sd - 1.0));
@@ -91,12 +95,14 @@ ablateMissPredictor(const BenchRun &br, exp::ResultTable &all)
     std::printf("%-16s %14s %14s %14s\n", "workload", "missmap(x)",
                 "counting(x)", "disabled(x)");
     for (std::size_t w = 0; w < grid.workloads.size(); ++w) {
-        const double base = ticksAt(base_table, w, 0, 0);
+        const exp::AxisPattern at = exp::AxisPattern().workload(w).design(0);
+        const double base =
+            ticksAt(base_table, exp::AxisPattern(at).variant(0));
         std::printf("%-16s %14.3f %14.3f %14.3f\n",
                     grid.workloads[w].name.c_str(),
-                    base / ticksAt(table, w, 0, 0),
-                    base / ticksAt(table, w, 1, 0),
-                    base / ticksAt(table, w, 2, 0));
+                    base / ticksAt(table, exp::AxisPattern(at).variant(0)),
+                    base / ticksAt(table, exp::AxisPattern(at).variant(1)),
+                    base / ticksAt(table, exp::AxisPattern(at).variant(2)));
     }
 }
 
@@ -125,8 +131,7 @@ ablateMappingPolicy(const BenchRun &br, exp::ResultTable &all)
         std::vector<double> ticks;
         for (std::size_t m = 0; m < grid.mappings.size(); ++m) {
             const exp::ResultRow *row =
-                table.find(w, SIZE_MAX, SIZE_MAX, SIZE_MAX, SIZE_MAX,
-                           m);
+                table.find(exp::AxisPattern().workload(w).mapping(m));
             if (!row)
                 c3d_fatal("sweep table is missing an expected row");
             ticks.push_back(
@@ -179,8 +184,11 @@ ablateSharedVsPrivate(const BenchRun &br, exp::ResultTable &all)
     std::printf("%-16s %16s %16s %18s\n", "workload",
                 "private miss%", "shared miss%", "private remote%");
     for (std::size_t w = 0; w < grid.workloads.size(); ++w) {
-        const exp::ResultRow *priv = table.find(w, 0);
-        const exp::ResultRow *shared = table.find(w, 1);
+        const exp::AxisPattern at = exp::AxisPattern().workload(w);
+        const exp::ResultRow *priv =
+            table.find(exp::AxisPattern(at).variant(0));
+        const exp::ResultRow *shared =
+            table.find(exp::AxisPattern(at).variant(1));
         if (!priv || !shared)
             c3d_fatal("sweep table is missing an expected row");
         const auto miss_rate = [](const exp::ResultRow *r) {

@@ -55,8 +55,11 @@ main(int argc, char **argv)
         for (std::size_t d = 1; d < grid.designs.size(); ++d) {
             std::vector<double> speedups;
             for (std::size_t w = 0; w < grid.workloads.size(); ++w) {
-                speedups.push_back(ticksAt(table, w, v, 0) /
-                                   ticksAt(table, w, v, d));
+                const exp::AxisPattern at =
+                    exp::AxisPattern().workload(w).variant(v);
+                speedups.push_back(
+                    ticksAt(table, exp::AxisPattern(at).design(0)) /
+                    ticksAt(table, exp::AxisPattern(at).design(d)));
             }
             series[d - 1].values.push_back(geomean(speedups));
         }

@@ -56,9 +56,11 @@ main(int argc, char **argv)
         series.push_back({grid.variants[v].name, {}});
     for (std::size_t w = 0; w < grid.workloads.size(); ++w) {
         names.push_back(grid.workloads[w].name);
-        const double base = ticksAt(table, w, 0);
+        const exp::AxisPattern at = exp::AxisPattern().workload(w);
+        const double base = ticksAt(table, exp::AxisPattern(at).variant(0));
         for (std::size_t v = 1; v < grid.variants.size(); ++v)
-            series[v - 1].values.push_back(base / ticksAt(table, w, v));
+            series[v - 1].values.push_back(
+                base / ticksAt(table, exp::AxisPattern(at).variant(v)));
     }
     printTable(names, series);
     std::printf("\npaper shape: 0_qpi_lat in 1.14-1.60x; bandwidth "

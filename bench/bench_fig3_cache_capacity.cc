@@ -77,11 +77,14 @@ main(int argc, char **argv)
         series.push_back({v.name, {}});
     for (std::size_t w = 0; w < grid.workloads.size(); ++w) {
         names.push_back(grid.workloads[w].name);
-        const exp::ResultRow *base = table.find(w, 0);
+        const exp::AxisPattern at = exp::AxisPattern().workload(w);
+        const exp::ResultRow *base =
+            table.find(exp::AxisPattern(at).variant(0));
         const double base_misses = base
             ? static_cast<double>(base->metrics.llcMisses) : 0.0;
         for (std::size_t v = 0; v < grid.variants.size(); ++v) {
-            const exp::ResultRow *row = table.find(w, v);
+            const exp::ResultRow *row =
+                table.find(exp::AxisPattern(at).variant(v));
             series[v].values.push_back(
                 row && base_misses > 0
                     ? static_cast<double>(row->metrics.llcMisses) /

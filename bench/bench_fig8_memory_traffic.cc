@@ -47,8 +47,12 @@ main(int argc, char **argv)
     };
     for (std::size_t w = 0; w < grid.workloads.size(); ++w) {
         names.push_back(grid.workloads[w].name);
-        const exp::ResultRow *base = table.find(w, 0, 0);
-        const exp::ResultRow *c3d = table.find(w, 0, 1);
+        const exp::AxisPattern at =
+            exp::AxisPattern().workload(w).variant(0);
+        const exp::ResultRow *base =
+            table.find(exp::AxisPattern(at).design(0));
+        const exp::ResultRow *c3d =
+            table.find(exp::AxisPattern(at).design(1));
         if (!base || !c3d)
             c3d_fatal("sweep table is missing an expected row");
         reads.values.push_back(

@@ -44,11 +44,15 @@ main(int argc, char **argv)
         series.push_back({designName(grid.designs[d]), {}});
     for (std::size_t w = 0; w < grid.workloads.size(); ++w) {
         names.push_back(grid.workloads[w].name);
-        const exp::ResultRow *base = table.find(w, 0, 0);
+        const exp::AxisPattern at =
+            exp::AxisPattern().workload(w).variant(0);
+        const exp::ResultRow *base =
+            table.find(exp::AxisPattern(at).design(0));
         if (!base)
             c3d_fatal("sweep table is missing an expected row");
         for (std::size_t d = 1; d < grid.designs.size(); ++d) {
-            const exp::ResultRow *row = table.find(w, 0, d);
+            const exp::ResultRow *row =
+                table.find(exp::AxisPattern(at).design(d));
             if (!row)
                 c3d_fatal("sweep table is missing an expected row");
             series[d - 1].values.push_back(

@@ -149,15 +149,11 @@ class BenchRun
     std::string error;
 };
 
-/** Ticks of the row found by table.find(...); fatal when absent. */
+/** Ticks of the row table.find(@p at) returns; fatal when absent. */
 inline double
-ticksAt(const exp::ResultTable &table, std::size_t workload_idx,
-        std::size_t variant_idx = SIZE_MAX,
-        std::size_t design_idx = SIZE_MAX,
-        std::size_t socket_idx = SIZE_MAX)
+ticksAt(const exp::ResultTable &table, const exp::AxisIndices &at)
 {
-    const exp::ResultRow *row =
-        table.find(workload_idx, variant_idx, design_idx, socket_idx);
+    const exp::ResultRow *row = table.find(at);
     if (!row)
         c3d_fatal("sweep table is missing an expected row");
     return static_cast<double>(row->metrics.measuredTicks);

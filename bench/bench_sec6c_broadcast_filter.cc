@@ -51,8 +51,11 @@ main(int argc, char **argv)
     std::printf("%-16s %12s %12s %10s %12s\n", "workload",
                 "bcast base", "bcast +tlb", "elided%", "noc delta%");
     for (std::size_t w = 0; w < grid.workloads.size(); ++w) {
-        const exp::ResultRow *base = table.find(w, 0);
-        const exp::ResultRow *tlb = table.find(w, 1);
+        const exp::AxisPattern at = exp::AxisPattern().workload(w);
+        const exp::ResultRow *base =
+            table.find(exp::AxisPattern(at).variant(0));
+        const exp::ResultRow *tlb =
+            table.find(exp::AxisPattern(at).variant(1));
         if (!base || !tlb)
             c3d_fatal("sweep table is missing an expected row");
 

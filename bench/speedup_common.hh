@@ -41,10 +41,12 @@ runSpeedupComparison(int argc, char **argv, const char *experiment,
         series.push_back({designName(grid.designs[d]), {}});
     for (std::size_t w = 0; w < grid.workloads.size(); ++w) {
         names.push_back(grid.workloads[w].name);
-        const double base = ticksAt(table, w, 0, 0);
+        const exp::AxisPattern at =
+            exp::AxisPattern().workload(w).variant(0);
+        const double base = ticksAt(table, exp::AxisPattern(at).design(0));
         for (std::size_t d = 1; d < grid.designs.size(); ++d)
-            series[d - 1].values.push_back(base /
-                                           ticksAt(table, w, 0, d));
+            series[d - 1].values.push_back(
+                base / ticksAt(table, exp::AxisPattern(at).design(d)));
     }
     printTable(names, series);
     return 0;

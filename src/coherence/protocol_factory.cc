@@ -30,16 +30,15 @@ using ProtocolFactory =
 struct DesignEntry
 {
     Design design;
-    const char *name;
     ProtocolFactory make;
 };
 
 const DesignEntry kDesignRegistry[] = {
-    {Design::Baseline, "baseline", makeBaselineProtocol},
-    {Design::Snoopy, "snoopy", makeSnoopyProtocol},
-    {Design::FullDir, "full-dir", makeFullDirProtocol},
-    {Design::C3D, "c3d", makeC3DProtocol},
-    {Design::C3DFullDir, "c3d-full-dir", makeC3DFullDirProtocol},
+    {Design::Baseline, makeBaselineProtocol},
+    {Design::Snoopy, makeSnoopyProtocol},
+    {Design::FullDir, makeFullDirProtocol},
+    {Design::C3D, makeC3DProtocol},
+    {Design::C3DFullDir, makeC3DFullDirProtocol},
 };
 
 /** "baseline, snoopy, full-dir, ..." for diagnostics. */
@@ -49,7 +48,8 @@ validDesignSet(char *buf, std::size_t cap)
     std::size_t off = 0;
     for (const DesignEntry &e : kDesignRegistry) {
         const int n = std::snprintf(buf + off, cap - off, "%s%s",
-                                    off ? ", " : "", e.name);
+                                    off ? ", " : "",
+                                    designName(e.design));
         if (n < 0 || static_cast<std::size_t>(n) >= cap - off)
             break;
         off += static_cast<std::size_t>(n);

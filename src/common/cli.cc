@@ -2,6 +2,8 @@
 
 #include <cstdlib>
 
+#include "exp/sweep_grid.hh"
+
 namespace c3d
 {
 
@@ -33,54 +35,19 @@ parseU64(const std::string &s, std::uint64_t &out)
 }
 
 bool
-parseDesign(const std::string &s, Design &out)
+parseUnsignedFlag(const std::vector<UnsignedFlag> &flags,
+                  const std::string &key, const std::string &value,
+                  std::string &error)
 {
-    for (Design d : {Design::Baseline, Design::Snoopy, Design::FullDir,
-                     Design::C3D, Design::C3DFullDir}) {
-        if (s == designName(d)) {
-            out = d;
-            return true;
-        }
-    }
-    return false;
-}
-
-bool
-parseMapping(const std::string &s, MappingPolicy &out)
-{
-    for (MappingPolicy p : {MappingPolicy::Interleave,
-                            MappingPolicy::FirstTouch1,
-                            MappingPolicy::FirstTouch2}) {
-        if (s == mappingPolicyName(p)) {
-            out = p;
-            return true;
-        }
-    }
-    return false;
-}
-
-bool
-parseProtocol(const std::string &s, Protocol &out)
-{
-    for (Protocol p : {Protocol::Mesi, Protocol::Mesif, Protocol::Moesi,
-                       Protocol::Dragon}) {
-        if (s == protocolName(p)) {
-            out = p;
-            return true;
-        }
-    }
-    return false;
-}
-
-bool
-parsePredictorKind(const std::string &s, PredictorKind &out)
-{
-    for (PredictorKind k :
-         {PredictorKind::Region, PredictorKind::Perceptron}) {
-        if (s == predictorKindName(k)) {
-            out = k;
-            return true;
-        }
+    for (const UnsignedFlag &f : flags) {
+        if (key != f.name)
+            continue;
+        std::uint64_t n = 0;
+        if (parseU64(value, n) && n >= f.lo && n <= f.hi)
+            *f.out = n;
+        else
+            error = "bad --" + key + " value '" + value + "'";
+        return true;
     }
     return false;
 }
@@ -106,21 +73,12 @@ splitList(const std::string &s)
 std::string
 cliUsage()
 {
-    return
-        "c3dsim options:\n"
-        "  --design=NAME          baseline|snoopy|full-dir|c3d|"
-        "c3d-full-dir (default c3d)\n"
-        "  --sockets=N            2 or 4 (default 4)\n"
+    return "c3dsim options:\n" + exp::axisUsage(/*lists=*/false) +
         "  --cores-per-socket=N   (default 8)\n"
         "  --scale=N              shrink capacities & workload by N "
         "(default 32)\n"
-        "  --mapping=P            INT|FT1|FT2 (default FT2)\n"
-        "  --protocol=NAME        mesi|mesif|moesi|dragon snoopy "
-        "variant (default mesi)\n"
         "  --store-buffer=N       snoopy store write buffer depth "
         "(default 0 = off)\n"
-        "  --predictor=NAME       region|perceptron DRAM-cache "
-        "admission predictor (default region)\n"
         "  --workload=NAME        paper profile name (default "
         "facesim)\n"
         "  --warmup=N --measure=N references per core\n"
@@ -137,7 +95,21 @@ parseCli(const std::vector<std::string> &args)
     CliOptions opt;
     SystemConfig raw; // unscaled; scaled at the end
 
+    exp::SweepGrid point; // the axis flags, applied once all are read
     std::uint64_t dram_ns = 0, hop_ns = 0, mem_ns = 0;
+    std::uint64_t store_buffer = raw.storeWriteBufferDepth;
+    std::uint64_t cores = raw.coresPerSocket, scale = opt.scale;
+    const std::vector<UnsignedFlag> numbers = {
+        {"store-buffer", 0, 4096, &store_buffer},
+        {"cores-per-socket", 1, 64, &cores},
+        {"scale", 1, UINT64_MAX, &scale},
+        {"warmup", 0, UINT64_MAX, &opt.warmupOps},
+        {"measure", 0, UINT64_MAX, &opt.measureOps},
+        {"dram-cache-ns", 0, UINT64_MAX, &dram_ns},
+        {"hop-ns", 0, UINT64_MAX, &hop_ns},
+        {"mem-ns", 0, UINT64_MAX, &mem_ns},
+        {"seed", 0, UINT64_MAX, &opt.seed},
+    };
 
     for (const std::string &arg : args) {
         std::string key, value;
@@ -145,95 +117,31 @@ parseCli(const std::vector<std::string> &args)
             opt.error = "unexpected argument '" + arg + "'";
             return opt;
         }
-        std::uint64_t n = 0;
-        if (key == "help") {
+        if (key == "help")
             opt.showHelp = true;
-        } else if (key == "design") {
-            if (!parseDesign(value, raw.design)) {
-                opt.error = "unknown design '" + value + "'";
-                return opt;
-            }
-        } else if (key == "mapping") {
-            if (!parseMapping(value, raw.mapping)) {
-                opt.error = "unknown mapping '" + value + "'";
-                return opt;
-            }
-        } else if (key == "protocol") {
-            if (!parseProtocol(value, raw.protocol)) {
-                opt.error = "unknown protocol '" + value + "'";
-                return opt;
-            }
-        } else if (key == "predictor") {
-            if (!parsePredictorKind(value, raw.predictorKind)) {
-                opt.error = "unknown predictor '" + value + "'";
-                return opt;
-            }
-        } else if (key == "store-buffer") {
-            if (!parseU64(value, n) || n > 4096) {
-                opt.error = "bad store-buffer depth";
-                return opt;
-            }
-            raw.storeWriteBufferDepth = static_cast<std::uint32_t>(n);
-        } else if (key == "sockets") {
-            if (!parseU64(value, n) || n < 1 || n > 8) {
-                opt.error = "bad socket count";
-                return opt;
-            }
-            raw.numSockets = static_cast<std::uint32_t>(n);
-        } else if (key == "cores-per-socket") {
-            if (!parseU64(value, n) || n < 1 || n > 64) {
-                opt.error = "bad cores-per-socket";
-                return opt;
-            }
-            raw.coresPerSocket = static_cast<std::uint32_t>(n);
-        } else if (key == "scale") {
-            if (!parseU64(value, n) || n < 1) {
-                opt.error = "bad scale";
-                return opt;
-            }
-            opt.scale = static_cast<std::uint32_t>(n);
-        } else if (key == "workload") {
+        else if (key == "workload")
             opt.workload = value;
-        } else if (key == "warmup") {
-            if (!parseU64(value, opt.warmupOps)) {
-                opt.error = "bad warmup";
-                return opt;
-            }
-        } else if (key == "measure") {
-            if (!parseU64(value, opt.measureOps)) {
-                opt.error = "bad measure";
-                return opt;
-            }
-        } else if (key == "dram-cache-ns") {
-            if (!parseU64(value, dram_ns)) {
-                opt.error = "bad dram-cache-ns";
-                return opt;
-            }
-        } else if (key == "hop-ns") {
-            if (!parseU64(value, hop_ns)) {
-                opt.error = "bad hop-ns";
-                return opt;
-            }
-        } else if (key == "mem-ns") {
-            if (!parseU64(value, mem_ns)) {
-                opt.error = "bad mem-ns";
-                return opt;
-            }
-        } else if (key == "no-dram-cache") {
+        else if (key == "no-dram-cache")
             raw.hasDramCache = false;
-        } else if (key == "tlb-classification") {
+        else if (key == "tlb-classification")
             raw.tlbPageClassification = true;
-        } else if (key == "seed") {
-            if (!parseU64(value, opt.seed)) {
-                opt.error = "bad seed";
-                return opt;
-            }
-        } else {
+        else if (!exp::parseAxisFlag(key, false, value, point, opt.error) &&
+                 !parseUnsignedFlag(numbers, key, value, opt.error))
             opt.error = "unknown flag '--" + key + "'";
+        if (!opt.error.empty())
             return opt;
-        }
     }
 
+    raw.storeWriteBufferDepth = static_cast<std::uint32_t>(store_buffer);
+    raw.coresPerSocket = static_cast<std::uint32_t>(cores);
+    opt.scale = static_cast<std::uint32_t>(scale);
+    // A one-point sweep; the sockets axis keeps --cores-per-socket.
+    point.coresPerSocket = raw.coresPerSocket;
+    exp::RunSpec unused;
+    for (const exp::GridAxis &axis : exp::gridAxes()) {
+        if (axis.has(exp::SingleFlag))
+            axis.apply(point, 0, unused, raw);
+    }
     if (dram_ns)
         raw.dramCacheLatency = nsToTicks(dram_ns);
     if (hop_ns)

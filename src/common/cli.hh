@@ -5,12 +5,12 @@
  * Examples and user binaries accept a common set of flags to build a
  * SystemConfig and pick workloads without recompiling:
  *
- *   --design=c3d|baseline|snoopy|full-dir|c3d-full-dir
- *   --sockets=N --cores-per-socket=N
+ *   --design --protocol --predictor --sockets --mapping
+ *                             (one value of each sweep axis that has
+ *                             a single-value flag; exp::gridAxes())
+ *   --cores-per-socket=N
  *   --scale=N                 (capacities /N; pair with workload scale)
- *   --mapping=INT|FT1|FT2
- *   --protocol=mesi|mesif|moesi|dragon --store-buffer=N
- *   --predictor=region|perceptron
+ *   --store-buffer=N
  *   --workload=<profile name> --warmup=N --measure=N
  *   --dram-cache-ns=N --hop-ns=N --mem-ns=N
  *   --no-dram-cache --tlb-classification
@@ -63,17 +63,21 @@ bool parseU64(const std::string &s, std::uint64_t &out);
 /** Split "a,b,c" on commas; empty input yields an empty list. */
 std::vector<std::string> splitList(const std::string &s);
 
-/** Map a design name (designName() spelling) back to the enum. */
-bool parseDesign(const std::string &s, Design &out);
+/** An unsigned flag: its name, accepted range and destination. */
+struct UnsignedFlag
+{
+    const char *name;
+    std::uint64_t lo, hi;
+    std::uint64_t *out;
+};
 
-/** Map a mapping-policy name back to the enum. */
-bool parseMapping(const std::string &s, MappingPolicy &out);
-
-/** Map a protocol name (protocolName() spelling) back to the enum. */
-bool parseProtocol(const std::string &s, Protocol &out);
-
-/** Map a predictor name (predictorKindName() spelling) back. */
-bool parsePredictorKind(const std::string &s, PredictorKind &out);
+/**
+ * If @p key is one of @p flags, parse @p value into it and return
+ * true; a value outside its range sets @p error. False otherwise.
+ */
+bool parseUnsignedFlag(const std::vector<UnsignedFlag> &flags,
+                       const std::string &key, const std::string &value,
+                       std::string &error);
 
 /** Convenience overload for main(argc, argv). */
 CliOptions parseCli(int argc, char **argv);

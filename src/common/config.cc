@@ -3,64 +3,50 @@
 namespace c3d
 {
 
-const char *
-designName(Design d)
+const std::vector<EnumName<Design>> &
+enumNames(Design)
 {
-    switch (d) {
-      case Design::Baseline:
-        return "baseline";
-      case Design::Snoopy:
-        return "snoopy";
-      case Design::FullDir:
-        return "full-dir";
-      case Design::C3D:
-        return "c3d";
-      case Design::C3DFullDir:
-        return "c3d-full-dir";
-    }
-    return "?";
+    static const std::vector<EnumName<Design>> names = {
+        {Design::Baseline, "baseline"},
+        {Design::Snoopy, "snoopy"},
+        {Design::FullDir, "full-dir"},
+        {Design::C3D, "c3d"},
+        {Design::C3DFullDir, "c3d-full-dir"},
+    };
+    return names;
 }
 
-const char *
-mappingPolicyName(MappingPolicy p)
+const std::vector<EnumName<MappingPolicy>> &
+enumNames(MappingPolicy)
 {
-    switch (p) {
-      case MappingPolicy::Interleave:
-        return "INT";
-      case MappingPolicy::FirstTouch1:
-        return "FT1";
-      case MappingPolicy::FirstTouch2:
-        return "FT2";
-    }
-    return "?";
+    static const std::vector<EnumName<MappingPolicy>> names = {
+        {MappingPolicy::Interleave, "INT"},
+        {MappingPolicy::FirstTouch1, "FT1"},
+        {MappingPolicy::FirstTouch2, "FT2"},
+    };
+    return names;
 }
 
-const char *
-protocolName(Protocol p)
+const std::vector<EnumName<Protocol>> &
+enumNames(Protocol)
 {
-    switch (p) {
-      case Protocol::Mesi:
-        return "mesi";
-      case Protocol::Mesif:
-        return "mesif";
-      case Protocol::Moesi:
-        return "moesi";
-      case Protocol::Dragon:
-        return "dragon";
-    }
-    return "?";
+    static const std::vector<EnumName<Protocol>> names = {
+        {Protocol::Mesi, "mesi"},
+        {Protocol::Mesif, "mesif"},
+        {Protocol::Moesi, "moesi"},
+        {Protocol::Dragon, "dragon"},
+    };
+    return names;
 }
 
-const char *
-predictorKindName(PredictorKind k)
+const std::vector<EnumName<PredictorKind>> &
+enumNames(PredictorKind)
 {
-    switch (k) {
-      case PredictorKind::Region:
-        return "region";
-      case PredictorKind::Perceptron:
-        return "perceptron";
-    }
-    return "?";
+    static const std::vector<EnumName<PredictorKind>> names = {
+        {PredictorKind::Region, "region"},
+        {PredictorKind::Perceptron, "perceptron"},
+    };
+    return names;
 }
 
 } // namespace c3d

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "common/types.hh"
 
@@ -66,10 +67,54 @@ enum class PredictorKind
     Perceptron, //!< hashed-perceptron cache/bypass gate + ghost buffer
 };
 
-const char *designName(Design d);
-const char *mappingPolicyName(MappingPolicy p);
-const char *protocolName(Protocol p);
-const char *predictorKindName(PredictorKind k);
+/** An enumerator and its spelling in flags, rows and diagnostics. */
+template <class E>
+struct EnumName
+{
+    E value;
+    const char *name;
+};
+
+/**
+ * The spelling table of each named enum (config.cc), in declaration
+ * order; the argument only selects the overload. enumName(),
+ * parseEnum() and the sweep axes' help all read them.
+ */
+const std::vector<EnumName<Design>> &enumNames(Design);
+const std::vector<EnumName<MappingPolicy>> &enumNames(MappingPolicy);
+const std::vector<EnumName<Protocol>> &enumNames(Protocol);
+const std::vector<EnumName<PredictorKind>> &enumNames(PredictorKind);
+
+/** Spelling of @p v; "?" for a value outside the table. */
+template <class E>
+const char *
+enumName(E v)
+{
+    for (const EnumName<E> &e : enumNames(E{})) {
+        if (e.value == v)
+            return e.name;
+    }
+    return "?";
+}
+
+/** Map a spelling back to its enumerator; false when unknown. */
+template <class E>
+bool
+parseEnum(const std::string &s, E &out)
+{
+    for (const EnumName<E> &e : enumNames(E{})) {
+        if (s == e.name) {
+            out = e.value;
+            return true;
+        }
+    }
+    return false;
+}
+
+inline const char *designName(Design d) { return enumName(d); }
+inline const char *mappingPolicyName(MappingPolicy p) { return enumName(p); }
+inline const char *protocolName(Protocol p) { return enumName(p); }
+inline const char *predictorKindName(PredictorKind k) { return enumName(k); }
 
 /** Inter-socket interconnect topology. */
 enum class Topology

@@ -1,110 +1,16 @@
 #include "exp/result_table.hh"
 
-#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/log.hh"
 #include "exp/json.hh"
-#include "exp/sweep_grid.hh"
 
 namespace c3d::exp
 {
 
 namespace
 {
-
-/** Serialized columns, in order. Keep in sync with docs/sweeps.md. */
-const char *const StringCols[] = {"workload", "variant", "design",
-                                  "protocol", "predictor", "mapping"};
-const char *const IntCols[] = {
-    "sockets",          "cores_per_socket",  "scale",
-    "dram_cache_mb",    "warmup_ops",        "measure_ops",
-    "seed",             "measured_ticks",    "instructions",
-    "mem_reads",        "mem_writes",        "remote_mem_reads",
-    "remote_mem_writes", "dram_cache_hits",  "dram_cache_misses",
-    "llc_misses",       "inter_socket_bytes", "broadcasts",
-    "broadcasts_elided", "predictor_trains", "predictor_bypasses",
-    "predictor_ghost_hits", "predictor_false_present"};
-
-std::string *
-stringField(ResultRow &r, std::size_t i)
-{
-    std::string *fields[] = {&r.workload, &r.variant, &r.design,
-                             &r.protocol, &r.predictor, &r.mapping};
-    return fields[i];
-}
-
-const std::string *
-stringField(const ResultRow &r, std::size_t i)
-{
-    return stringField(const_cast<ResultRow &>(r), i);
-}
-
-std::uint64_t
-intFieldValue(const ResultRow &r, std::size_t i)
-{
-    const std::uint64_t values[] = {
-        r.sockets,
-        r.coresPerSocket,
-        r.scale,
-        r.dramCacheMb,
-        r.warmupOps,
-        r.measureOps,
-        r.seed,
-        r.metrics.measuredTicks,
-        r.metrics.instructions,
-        r.metrics.memReads,
-        r.metrics.memWrites,
-        r.metrics.remoteMemReads,
-        r.metrics.remoteMemWrites,
-        r.metrics.dramCacheHits,
-        r.metrics.dramCacheMisses,
-        r.metrics.llcMisses,
-        r.metrics.interSocketBytes,
-        r.metrics.broadcasts,
-        r.metrics.broadcastsElided,
-        r.metrics.predictorTrains,
-        r.metrics.predictorBypasses,
-        r.metrics.predictorGhostHits,
-        r.metrics.predictorFalsePresent};
-    return values[i];
-}
-
-void
-setIntField(ResultRow &r, std::size_t i, std::uint64_t v)
-{
-    switch (i) {
-      case 0: r.sockets = static_cast<std::uint32_t>(v); break;
-      case 1: r.coresPerSocket = static_cast<std::uint32_t>(v); break;
-      case 2: r.scale = static_cast<std::uint32_t>(v); break;
-      case 3: r.dramCacheMb = v; break;
-      case 4: r.warmupOps = v; break;
-      case 5: r.measureOps = v; break;
-      case 6: r.seed = v; break;
-      case 7: r.metrics.measuredTicks = v; break;
-      case 8: r.metrics.instructions = v; break;
-      case 9: r.metrics.memReads = v; break;
-      case 10: r.metrics.memWrites = v; break;
-      case 11: r.metrics.remoteMemReads = v; break;
-      case 12: r.metrics.remoteMemWrites = v; break;
-      case 13: r.metrics.dramCacheHits = v; break;
-      case 14: r.metrics.dramCacheMisses = v; break;
-      case 15: r.metrics.llcMisses = v; break;
-      case 16: r.metrics.interSocketBytes = v; break;
-      case 17: r.metrics.broadcasts = v; break;
-      case 18: r.metrics.broadcastsElided = v; break;
-      case 19: r.metrics.predictorTrains = v; break;
-      case 20: r.metrics.predictorBypasses = v; break;
-      case 21: r.metrics.predictorGhostHits = v; break;
-      case 22: r.metrics.predictorFalsePresent = v; break;
-      default: break;
-    }
-}
-
-constexpr std::size_t NumStringCols =
-    sizeof(StringCols) / sizeof(StringCols[0]);
-constexpr std::size_t NumIntCols =
-    sizeof(IntCols) / sizeof(IntCols[0]);
 
 /** Deterministic formatting for the derived IPC column. */
 std::string
@@ -130,6 +36,23 @@ validIpcToken(const std::string &s)
     return end && *end == '\0';
 }
 
+/** A tenant's numeric QoS columns, in serialized order. */
+const struct
+{
+    const char *key;
+    std::uint64_t TenantMetrics::*field;
+} TenantCols[] = {
+    {"instructions", &TenantMetrics::instructions},
+    {"loads", &TenantMetrics::loads},
+    {"stores", &TenantMetrics::stores},
+    {"dram_cache_hits", &TenantMetrics::dramCacheHits},
+    {"dram_cache_misses", &TenantMetrics::dramCacheMisses},
+    {"dram_cache_occupancy", &TenantMetrics::dramCacheOccupancy},
+    {"lat_p50", &TenantMetrics::latP50},
+    {"lat_p95", &TenantMetrics::latP95},
+    {"lat_p99", &TenantMetrics::latP99},
+};
+
 /**
  * One tenant's QoS metrics as a JSON object. Tenant ipc is derived
  * (like the row's) from the tenant's instructions and the row's
@@ -139,22 +62,9 @@ std::string
 tenantToJson(const TenantMetrics &tm, Tick measured_ticks)
 {
     std::string out = "{\"name\": \"" + jsonEscape(tm.name) + "\"";
-    char buf[64];
-    const struct { const char *key; std::uint64_t value; } ints[] = {
-        {"instructions", tm.instructions},
-        {"loads", tm.loads},
-        {"stores", tm.stores},
-        {"dram_cache_hits", tm.dramCacheHits},
-        {"dram_cache_misses", tm.dramCacheMisses},
-        {"dram_cache_occupancy", tm.dramCacheOccupancy},
-        {"lat_p50", tm.latP50},
-        {"lat_p95", tm.latP95},
-        {"lat_p99", tm.latP99}};
-    for (const auto &f : ints) {
-        std::snprintf(buf, sizeof(buf), ", \"%s\": %" PRIu64, f.key,
-                      f.value);
-        out += buf;
-    }
+    for (const auto &c : TenantCols)
+        out += ", \"" + std::string(c.key) + "\": " +
+            std::to_string(tm.*c.field);
     out += ", \"ipc\": " + formatIpc(tm.ipc(measured_ticks));
     out += "}";
     return out;
@@ -190,24 +100,14 @@ tenantFromJson(const JsonValue &tv, TenantMetrics &out,
         return false;
     }
     tm.name = name->string();
-    const struct { const char *key; std::uint64_t *slot; } ints[] = {
-        {"instructions", &tm.instructions},
-        {"loads", &tm.loads},
-        {"stores", &tm.stores},
-        {"dram_cache_hits", &tm.dramCacheHits},
-        {"dram_cache_misses", &tm.dramCacheMisses},
-        {"dram_cache_occupancy", &tm.dramCacheOccupancy},
-        {"lat_p50", &tm.latP50},
-        {"lat_p95", &tm.latP95},
-        {"lat_p99", &tm.latP99}};
-    for (const auto &f : ints) {
-        const JsonValue *v = tv.member(f.key);
+    for (const auto &c : TenantCols) {
+        const JsonValue *v = tv.member(c.key);
         if (!v || !v->isNumber()) {
             error = std::string("tenant missing numeric field '") +
-                f.key + "'";
+                c.key + "'";
             return false;
         }
-        *f.slot = v->u64();
+        tm.*c.field = v->u64();
     }
     // Tenant ipc is recomputed on emit, as the row's is.
     const JsonValue *ipc = tv.member("ipc");
@@ -245,15 +145,12 @@ sameTenants(const std::vector<TenantMetrics> &a,
     if (a.size() != b.size())
         return false;
     for (std::size_t i = 0; i < a.size(); ++i) {
-        const TenantMetrics &x = a[i], &y = b[i];
-        if (x.name != y.name || x.instructions != y.instructions ||
-            x.loads != y.loads || x.stores != y.stores ||
-            x.dramCacheHits != y.dramCacheHits ||
-            x.dramCacheMisses != y.dramCacheMisses ||
-            x.dramCacheOccupancy != y.dramCacheOccupancy ||
-            x.latP50 != y.latP50 || x.latP95 != y.latP95 ||
-            x.latP99 != y.latP99)
+        if (a[i].name != b[i].name)
             return false;
+        for (const auto &c : TenantCols) {
+            if (a[i].*c.field != b[i].*c.field)
+                return false;
+        }
     }
     return true;
 }
@@ -273,6 +170,18 @@ csvField(const std::string &s)
     }
     out += '"';
     return out;
+}
+
+/** CSV header: every column, then the derived ipc and tenants. */
+std::vector<std::string>
+csvHeader()
+{
+    std::vector<std::string> names;
+    for (const RowColumn &c : rowColumns())
+        names.push_back(c.name);
+    names.push_back("ipc");
+    names.push_back("tenants");
+    return names;
 }
 
 /**
@@ -341,46 +250,99 @@ splitCsvLine(const std::string &line, std::vector<std::string> &out)
 
 } // namespace
 
+const std::vector<RowColumn> &
+rowColumns()
+{
+    static const std::vector<RowColumn> columns = {
+        {"workload", &ResultRow::workload},
+        {"variant", &ResultRow::variant},
+        {"design", &ResultRow::design},
+        {"protocol", &ResultRow::protocol},
+        {"predictor", &ResultRow::predictor},
+        {"mapping", &ResultRow::mapping},
+        {"sockets", &ResultRow::sockets},
+        {"cores_per_socket", &ResultRow::coresPerSocket},
+        {"scale", &ResultRow::scale},
+        {"dram_cache_mb", &ResultRow::dramCacheMb},
+        {"warmup_ops", &ResultRow::warmupOps},
+        {"measure_ops", &ResultRow::measureOps},
+        {"seed", &ResultRow::seed},
+        {"measured_ticks", &RunResult::measuredTicks},
+        {"instructions", &RunResult::instructions},
+        {"mem_reads", &RunResult::memReads},
+        {"mem_writes", &RunResult::memWrites},
+        {"remote_mem_reads", &RunResult::remoteMemReads},
+        {"remote_mem_writes", &RunResult::remoteMemWrites},
+        {"dram_cache_hits", &RunResult::dramCacheHits},
+        {"dram_cache_misses", &RunResult::dramCacheMisses},
+        {"llc_misses", &RunResult::llcMisses},
+        {"inter_socket_bytes", &RunResult::interSocketBytes},
+        {"broadcasts", &RunResult::broadcasts},
+        {"broadcasts_elided", &RunResult::broadcastsElided},
+        {"predictor_trains", &RunResult::predictorTrains},
+        {"predictor_bypasses", &RunResult::predictorBypasses},
+        {"predictor_ghost_hits", &RunResult::predictorGhostHits},
+        {"predictor_false_present", &RunResult::predictorFalsePresent},
+    };
+    return columns;
+}
+
+const RowColumn &
+rowColumn(const std::string &name)
+{
+    for (const RowColumn &c : rowColumns()) {
+        if (name == c.name)
+            return c;
+    }
+    c3d_panic("no result column '%s'", name.c_str());
+}
+
+std::uint64_t
+RowColumn::number(const ResultRow &row) const
+{
+    return u32 ? row.*u32 : u64 ? row.*u64 : row.metrics.*metric;
+}
+
+void
+RowColumn::setNumber(ResultRow &row, std::uint64_t v) const
+{
+    if (u32)
+        row.*u32 = static_cast<std::uint32_t>(v);
+    else if (u64)
+        row.*u64 = v;
+    else
+        row.metrics.*metric = v;
+}
+
+std::string
+RowColumn::text(const ResultRow &row) const
+{
+    return str ? row.*str : std::to_string(number(row));
+}
+
 bool
 ResultRow::sameAs(const ResultRow &o) const
 {
-    for (std::size_t i = 0; i < NumStringCols; ++i) {
-        if (*stringField(*this, i) != *stringField(o, i))
-            return false;
-    }
-    for (std::size_t i = 0; i < NumIntCols; ++i) {
-        if (intFieldValue(*this, i) != intFieldValue(o, i))
+    for (const RowColumn &c : rowColumns()) {
+        if (c.str ? this->*c.str != o.*c.str
+                  : c.number(*this) != c.number(o))
             return false;
     }
     return sameTenants(metrics.tenants, o.metrics.tenants);
 }
 
 std::string
-identityKeyOf(const std::string &workload, const std::string &variant,
-              const std::string &design, const std::string &protocol,
-              const std::string &predictor, const std::string &mapping,
-              std::uint32_t sockets,
-              std::uint32_t cores_per_socket, std::uint32_t scale,
-              std::uint64_t dram_cache_mb, std::uint64_t warmup_ops,
-              std::uint64_t measure_ops, std::uint64_t seed)
-{
-    char nums[192];
-    std::snprintf(nums, sizeof(nums),
-                  "|%" PRIu32 "|%" PRIu32 "|%" PRIu32 "|%" PRIu64
-                  "|%" PRIu64 "|%" PRIu64 "|%" PRIu64,
-                  sockets, cores_per_socket, scale, dram_cache_mb,
-                  warmup_ops, measure_ops, seed);
-    return workload + '|' + variant + '|' + design + '|' + protocol +
-        '|' + predictor + '|' + mapping + nums;
-}
-
-std::string
 ResultRow::identityKey() const
 {
-    return identityKeyOf(workload, variant, design, protocol,
-                         predictor, mapping, sockets, coresPerSocket,
-                         scale, dramCacheMb, warmupOps, measureOps,
-                         seed);
+    std::string key;
+    for (const RowColumn &c : rowColumns()) {
+        if (!c.identity)
+            continue;
+        if (&c != &rowColumns().front())
+            key += '|';
+        key += c.text(*this);
+    }
+    return key;
 }
 
 void
@@ -391,31 +353,16 @@ ResultTable::append(const ResultTable &other)
 }
 
 const ResultRow *
-ResultTable::find(std::size_t workload_idx, std::size_t variant_idx,
-                  std::size_t design_idx, std::size_t socket_idx,
-                  std::size_t dram_idx, std::size_t mapping_idx,
-                  std::size_t protocol_idx,
-                  std::size_t predictor_idx) const
+ResultTable::find(const AxisIndices &at) const
 {
     for (const ResultRow &r : tableRows) {
-        if (workload_idx != SIZE_MAX && r.workloadIdx != workload_idx)
-            continue;
-        if (variant_idx != SIZE_MAX && r.variantIdx != variant_idx)
-            continue;
-        if (design_idx != SIZE_MAX && r.designIdx != design_idx)
-            continue;
-        if (socket_idx != SIZE_MAX && r.socketIdx != socket_idx)
-            continue;
-        if (dram_idx != SIZE_MAX && r.dramIdx != dram_idx)
-            continue;
-        if (mapping_idx != SIZE_MAX && r.mappingIdx != mapping_idx)
-            continue;
-        if (protocol_idx != SIZE_MAX && r.protocolIdx != protocol_idx)
-            continue;
-        if (predictor_idx != SIZE_MAX &&
-            r.predictorIdx != predictor_idx)
-            continue;
-        return &r;
+        bool match = true;
+        for (const GridAxis &axis : gridAxes()) {
+            const std::size_t want = at.*axis.index;
+            match = match && (want == SIZE_MAX || r.*axis.index == want);
+        }
+        if (match)
+            return &r;
     }
     return nullptr;
 }
@@ -442,18 +389,11 @@ std::string
 ResultTable::rowToJson(const ResultRow &r)
 {
     std::string out = "{";
-    for (std::size_t c = 0; c < NumStringCols; ++c) {
-        out += c ? ", \"" : "\"";
-        out += StringCols[c];
-        out += "\": \"";
-        out += jsonEscape(*stringField(r, c));
-        out += "\"";
-    }
-    for (std::size_t c = 0; c < NumIntCols; ++c) {
-        char buf[48];
-        std::snprintf(buf, sizeof(buf), ", \"%s\": %" PRIu64,
-                      IntCols[c], intFieldValue(r, c));
-        out += buf;
+    for (const RowColumn &c : rowColumns()) {
+        out += out.size() > 1 ? ", \"" : "\"";
+        out += c.name;
+        out += c.str ? "\": \"" + jsonEscape(r.*c.str) + "\""
+                     : "\": " + c.text(r);
     }
     out += ", \"ipc\": " + formatIpc(r.metrics.ipc());
     // Composed rows carry a per-tenant QoS breakdown; plain rows
@@ -474,23 +414,18 @@ ResultTable::rowFromJson(const JsonValue &rv, ResultRow &out,
         return false;
     }
     ResultRow row;
-    for (std::size_t c = 0; c < NumStringCols; ++c) {
-        const JsonValue *v = rv.member(StringCols[c]);
-        if (!v || !v->isString()) {
-            error = std::string("row missing string field '") +
-                StringCols[c] + "'";
+    for (const RowColumn &c : rowColumns()) {
+        const JsonValue *v = rv.member(c.name);
+        if (!v || !(c.str ? v->isString() : v->isNumber())) {
+            error = std::string("row missing ") +
+                (c.str ? "string" : "numeric") + " field '" + c.name +
+                "'";
             return false;
         }
-        *stringField(row, c) = v->string();
-    }
-    for (std::size_t c = 0; c < NumIntCols; ++c) {
-        const JsonValue *v = rv.member(IntCols[c]);
-        if (!v || !v->isNumber()) {
-            error = std::string("row missing numeric field '") +
-                IntCols[c] + "'";
-            return false;
-        }
-        setIntField(row, c, v->u64());
+        if (c.str)
+            row.*c.str = v->string();
+        else
+            c.setNumber(row, v->u64());
     }
     // ipc is recomputed on emit, but its absence means the object
     // is not a schema row.
@@ -527,27 +462,14 @@ std::string
 ResultTable::toCsv() const
 {
     std::string out;
-    for (std::size_t c = 0; c < NumStringCols; ++c) {
-        if (c)
-            out += ',';
-        out += StringCols[c];
-    }
-    for (std::size_t c = 0; c < NumIntCols; ++c) {
-        out += ',';
-        out += IntCols[c];
-    }
-    out += ",ipc,tenants\n";
+    for (const std::string &name : csvHeader())
+        out += (out.empty() ? "" : ",") + name;
+    out += '\n';
     for (const ResultRow &r : tableRows) {
-        for (std::size_t c = 0; c < NumStringCols; ++c) {
-            if (c)
+        for (const RowColumn &c : rowColumns()) {
+            if (&c != &rowColumns().front())
                 out += ',';
-            out += csvField(*stringField(r, c));
-        }
-        for (std::size_t c = 0; c < NumIntCols; ++c) {
-            char buf[32];
-            std::snprintf(buf, sizeof(buf), ",%" PRIu64,
-                          intFieldValue(r, c));
-            out += buf;
+            out += csvField(c.text(r));
         }
         out += ',' + formatIpc(r.metrics.ipc());
         // The tenants column holds the same JSON array the JSON
@@ -608,32 +530,17 @@ ResultTable::fromCsv(const std::string &text, ResultTable &out,
         error = "malformed csv header";
         return false;
     }
-    const std::size_t expected_cols = NumStringCols + NumIntCols + 2;
+    const std::vector<std::string> expected = csvHeader();
+    const std::size_t expected_cols = expected.size();
     if (header.size() != expected_cols) {
         error = "unexpected csv column count";
         return false;
     }
-    for (std::size_t c = 0; c < NumStringCols; ++c) {
-        if (header[c] != StringCols[c]) {
+    for (std::size_t c = 0; c < expected_cols; ++c) {
+        if (header[c] != expected[c]) {
             error = "unexpected csv header '" + header[c] + "'";
             return false;
         }
-    }
-    for (std::size_t c = 0; c < NumIntCols; ++c) {
-        if (header[NumStringCols + c] != IntCols[c]) {
-            error = "unexpected csv header '" +
-                header[NumStringCols + c] + "'";
-            return false;
-        }
-    }
-    if (header[expected_cols - 2] != "ipc") {
-        error = "unexpected csv header '" +
-            header[expected_cols - 2] + "'";
-        return false;
-    }
-    if (header.back() != "tenants") {
-        error = "unexpected csv header '" + header.back() + "'";
-        return false;
     }
 
     ResultTable table;
@@ -647,10 +554,13 @@ ResultTable::fromCsv(const std::string &text, ResultTable &out,
             return false;
         }
         ResultRow row;
-        for (std::size_t c = 0; c < NumStringCols; ++c)
-            *stringField(row, c) = fields[c];
-        for (std::size_t c = 0; c < NumIntCols; ++c) {
-            const std::string &field = fields[NumStringCols + c];
+        for (std::size_t c = 0; c < rowColumns().size(); ++c) {
+            const RowColumn &col = rowColumns()[c];
+            const std::string &field = fields[c];
+            if (col.str) {
+                row.*col.str = field;
+                continue;
+            }
             // strtoull alone accepts "" (returns 0) and "-5" (wraps);
             // require a plain non-empty digit string.
             if (field.empty() ||
@@ -659,14 +569,7 @@ ResultTable::fromCsv(const std::string &text, ResultTable &out,
                 error = "bad integer in csv row " + std::to_string(l);
                 return false;
             }
-            char *end = nullptr;
-            const std::uint64_t v =
-                std::strtoull(field.c_str(), &end, 10);
-            if (!end || *end != '\0') {
-                error = "bad integer in csv row " + std::to_string(l);
-                return false;
-            }
-            setIntField(row, c, v);
+            col.setNumber(row, std::strtoull(field.c_str(), nullptr, 10));
         }
         // The ipc column is recomputed on emit, but reject tokens
         // that are not numbers at all.

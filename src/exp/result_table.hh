@@ -17,37 +17,16 @@
 #include <string>
 #include <vector>
 
+#include "exp/sweep_grid.hh"
 #include "sim/runner.hh"
 
 namespace c3d::exp
 {
 
-struct RunSpec;
 class JsonValue;
 
-/**
- * Canonical grid-point identity: the serialized identity columns
- * joined with '|', in schema order. The single implementation
- * behind ResultRow::identityKey() and specIdentityKey() -- the two
- * must stay byte-identical or resume/merge would refuse (or fail to
- * refuse) valid journals.
- */
-std::string identityKeyOf(const std::string &workload,
-                          const std::string &variant,
-                          const std::string &design,
-                          const std::string &protocol,
-                          const std::string &predictor,
-                          const std::string &mapping,
-                          std::uint32_t sockets,
-                          std::uint32_t cores_per_socket,
-                          std::uint32_t scale,
-                          std::uint64_t dram_cache_mb,
-                          std::uint64_t warmup_ops,
-                          std::uint64_t measure_ops,
-                          std::uint64_t seed);
-
 /** Identity + metrics of one completed run. */
-struct ResultRow
+struct ResultRow : AxisIndices
 {
     // ---- identity (the grid point) ------------------------------------
     std::string workload;
@@ -64,15 +43,7 @@ struct ResultRow
     std::uint64_t measureOps = 0;
     std::uint64_t seed = 0;
 
-    // ---- axis indices (in-memory only; not serialized) ----------------
-    std::size_t workloadIdx = 0;
-    std::size_t variantIdx = 0;
-    std::size_t designIdx = 0;
-    std::size_t protocolIdx = 0;
-    std::size_t predictorIdx = 0;
-    std::size_t socketIdx = 0;
-    std::size_t dramIdx = 0;
-    std::size_t mappingIdx = 0;
+    // The axis indices (AxisIndices) are in-memory only.
 
     // ---- measured metrics ---------------------------------------------
     RunResult metrics;
@@ -88,6 +59,46 @@ struct ResultRow
      */
     std::string identityKey() const;
 };
+
+/**
+ * One serialized column of a result row. rowColumns() lists them in
+ * schema order (docs/sweeps.md "Output schema"); the JSON and CSV
+ * emitters and parsers, sameAs() and identityKey() all walk it. A
+ * column is a string or an unsigned integer; the ResultRow fields
+ * are the identity columns, the RunResult fields the metrics.
+ */
+struct RowColumn
+{
+    RowColumn(const char *n, std::string ResultRow::*f)
+        : name(n), identity(true), str(f) {}
+    RowColumn(const char *n, std::uint32_t ResultRow::*f)
+        : name(n), identity(true), u32(f) {}
+    RowColumn(const char *n, std::uint64_t ResultRow::*f)
+        : name(n), identity(true), u64(f) {}
+    RowColumn(const char *n, std::uint64_t RunResult::*f)
+        : name(n), metric(f) {}
+
+    const char *name;
+    bool identity = false; //!< part of the grid point's identity key
+
+    // Exactly one accessor is set.
+    std::string ResultRow::*str = nullptr;
+    std::uint32_t ResultRow::*u32 = nullptr;
+    std::uint64_t ResultRow::*u64 = nullptr;
+    std::uint64_t RunResult::*metric = nullptr;
+
+    std::uint64_t number(const ResultRow &row) const;
+    void setNumber(ResultRow &row, std::uint64_t v) const;
+    /** The value as text: a string column raw, a number in decimal. */
+    std::string text(const ResultRow &row) const;
+};
+
+/** Every serialized column except the derived `ipc` and the
+ * optional `tenants`, in schema order. */
+const std::vector<RowColumn> &rowColumns();
+
+/** The column called @p name; panics when there is none. */
+const RowColumn &rowColumn(const std::string &name);
 
 /** An ordered collection of result rows. */
 class ResultTable
@@ -106,17 +117,10 @@ class ResultTable
     bool empty() const { return tableRows.empty(); }
 
     /**
-     * First row matching the given axis indices; nullptr when
-     * absent. Pass SIZE_MAX for axes to ignore.
+     * First row whose axis indices match @p at; nullptr when absent.
+     * Axes left at SIZE_MAX (AxisPattern's default) match any row.
      */
-    const ResultRow *find(std::size_t workload_idx,
-                          std::size_t variant_idx = SIZE_MAX,
-                          std::size_t design_idx = SIZE_MAX,
-                          std::size_t socket_idx = SIZE_MAX,
-                          std::size_t dram_idx = SIZE_MAX,
-                          std::size_t mapping_idx = SIZE_MAX,
-                          std::size_t protocol_idx = SIZE_MAX,
-                          std::size_t predictor_idx = SIZE_MAX) const;
+    const ResultRow *find(const AxisIndices &at) const;
 
     /** Row-by-row sameAs comparison. */
     bool sameRows(const ResultTable &other) const;

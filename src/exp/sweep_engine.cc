@@ -60,14 +60,7 @@ SweepEngine::makeRow(const RunSpec &spec, const RunResult &metrics)
     row.warmupOps = spec.warmupOps;
     row.measureOps = spec.measureOps;
     row.seed = spec.profile.seed;
-    row.workloadIdx = spec.workloadIdx;
-    row.variantIdx = spec.variantIdx;
-    row.designIdx = spec.designIdx;
-    row.protocolIdx = spec.protocolIdx;
-    row.predictorIdx = spec.predictorIdx;
-    row.socketIdx = spec.socketIdx;
-    row.dramIdx = spec.dramIdx;
-    row.mappingIdx = spec.mappingIdx;
+    row.axes() = spec.axes();
     row.metrics = metrics;
     return row;
 }
@@ -105,14 +98,7 @@ SweepEngine::execute(const SweepGrid &grid, const RunFn &fn,
         const auto pre = prefilled.find(i);
         if (pre != prefilled.end()) {
             rows[i] = pre->second;
-            rows[i].workloadIdx = specs[i].workloadIdx;
-            rows[i].variantIdx = specs[i].variantIdx;
-            rows[i].designIdx = specs[i].designIdx;
-            rows[i].protocolIdx = specs[i].protocolIdx;
-            rows[i].predictorIdx = specs[i].predictorIdx;
-            rows[i].socketIdx = specs[i].socketIdx;
-            rows[i].dramIdx = specs[i].dramIdx;
-            rows[i].mappingIdx = specs[i].mappingIdx;
+            rows[i].axes() = specs[i].axes();
             present[i] = 1;
         } else {
             torun.push_back(i);

@@ -1,57 +1,261 @@
 #include "exp/sweep_grid.hh"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 
+#include "common/cli.hh"
 #include "common/hash.hh"
-#include "exp/result_table.hh"
+#include "exp/sweep_engine.hh"
 
 namespace c3d::exp
 {
 
+namespace
+{
+
+/** Parse an unsigned value in [Lo, Hi]. */
+template <class T, std::uint64_t Lo, std::uint64_t Hi>
+bool
+parseRange(const std::string &s, T &out)
+{
+    std::uint64_t n = 0;
+    if (!parseU64(s, n) || n < Lo || n > Hi)
+        return false;
+    out = static_cast<T>(n);
+    return true;
+}
+
+template <std::uint64_t Lo, std::uint64_t Hi>
+std::string
+rangeText()
+{
+    return std::to_string(Lo) + ".." + std::to_string(Hi);
+}
+
+/** Every spelling of E joined with '|' ("mesi|mesif|..."). */
+template <class E>
+std::string
+enumNameList()
+{
+    std::string out;
+    for (const EnumName<E> &e : enumNames(E{}))
+        out += (out.empty() ? "" : "|") + std::string(e.name);
+    return out;
+}
+
+/** Socket counts the machine model builds. */
+constexpr std::uint64_t MaxSockets = 8;
+/** Largest DRAM-cache MB whose byte count (MB << 20) fits 64 bits. */
+constexpr std::uint64_t MaxDramCacheMb = UINT64_MAX >> 20;
+
+template <class T, std::vector<T> SweepGrid::*List>
+std::size_t
+lengthOf(const SweepGrid &grid)
+{
+    return (grid.*List).size();
+}
+
+template <class T, std::vector<T> SweepGrid::*List,
+          bool (*Parse)(const std::string &, T &) = parseEnum<T>>
+bool
+parseItems(const std::vector<std::string> &items, SweepGrid &grid,
+           std::string &bad)
+{
+    std::vector<T> list(items.size());
+    for (std::size_t i = 0; i < items.size(); ++i) {
+        if (!Parse(items[i], list[i])) {
+            bad = items[i];
+            return false;
+        }
+    }
+    grid.*List = std::move(list);
+    return true;
+}
+
+/** An axis whose list entry is copied into one config field. */
+template <class T, std::vector<T> SweepGrid::*List,
+          T SystemConfig::*Field>
+void
+applyField(const SweepGrid &grid, std::size_t i, RunSpec &,
+           SystemConfig &raw)
+{
+    raw.*Field = (grid.*List)[i];
+}
+
+/** @p axis's c3d-sweep list flag, or its common-CLI flag; or null. */
+const char *
+flagOf(const GridAxis &axis, bool lists)
+{
+    return lists ? axis.listFlag
+                 : axis.has(SingleFlag) ? axis.name : nullptr;
+}
+
+} // namespace
+
+const std::vector<GridAxis> &
+gridAxes()
+{
+    static const std::vector<GridAxis> axes = {
+        {"workload", nullptr, nullptr, nullptr, &AxisIndices::workloadIdx,
+         lengthOf<WorkloadProfile, &SweepGrid::workloads>, nullptr,
+         [](const SweepGrid &grid, std::size_t i, RunSpec &spec,
+            SystemConfig &) {
+             spec.profile = grid.workloads[i];
+             if (grid.seed)
+                 spec.profile.seed = grid.seed;
+         },
+         nullptr, OrdinalKeyed},
+        // An empty variant list is one unnamed identity variant.
+        {"variant", nullptr, nullptr, nullptr, &AxisIndices::variantIdx,
+         [](const SweepGrid &grid) {
+             return std::max<std::size_t>(grid.variants.size(), 1);
+         },
+         nullptr,
+         [](const SweepGrid &grid, std::size_t i, RunSpec &spec,
+            SystemConfig &raw) {
+             if (grid.variants.empty())
+                 return;
+             spec.variantName = grid.variants[i].name;
+             if (grid.variants[i].patch)
+                 grid.variants[i].patch(raw);
+         },
+         nullptr, AppliedLast | OrdinalKeyed},
+        {"design", "designs", enumNameList<Design>,
+         "coherence design (default c3d)", &AxisIndices::designIdx,
+         lengthOf<Design, &SweepGrid::designs>,
+         parseItems<Design, &SweepGrid::designs>,
+         applyField<Design, &SweepGrid::designs, &SystemConfig::design>,
+         nullptr, SingleFlag},
+        // Only the snoopy engine dispatches on cfg.protocol
+        // (makeSnoopVariant); the directory designs run their fixed
+        // engines whatever it names.
+        {"protocol", "protocols", enumNameList<Protocol>,
+         "snoopy protocol variant (default mesi)",
+         &AxisIndices::protocolIdx, lengthOf<Protocol, &SweepGrid::protocols>,
+         parseItems<Protocol, &SweepGrid::protocols>,
+         applyField<Protocol, &SweepGrid::protocols, &SystemConfig::protocol>,
+         [](const SystemConfig &cfg) { return cfg.design == Design::Snoopy; },
+         SingleFlag},
+        // The DramCache is the only reader of the predictor kind and the
+        // capacity, and Socket builds one only when designUsesDramCache().
+        {"predictor", "predictors", enumNameList<PredictorKind>,
+         "DRAM-cache admission predictor (default region)",
+         &AxisIndices::predictorIdx,
+         lengthOf<PredictorKind, &SweepGrid::predictors>,
+         parseItems<PredictorKind, &SweepGrid::predictors>,
+         applyField<PredictorKind, &SweepGrid::predictors,
+                    &SystemConfig::predictorKind>,
+         [](const SystemConfig &cfg) { return cfg.designUsesDramCache(); },
+         SingleFlag},
+        // Also sets the paper's cores-per-socket rule unless the grid
+        // pins coresPerSocket.
+        {"sockets", "sockets", rangeText<1, MaxSockets>,
+         "socket count (default 4)", &AxisIndices::socketIdx,
+         lengthOf<std::uint32_t, &SweepGrid::sockets>,
+         parseItems<std::uint32_t, &SweepGrid::sockets,
+                    parseRange<std::uint32_t, 1, MaxSockets>>,
+         [](const SweepGrid &grid, std::size_t i, RunSpec &,
+            SystemConfig &raw) {
+             raw.numSockets = grid.sockets[i];
+             raw.coresPerSocket = grid.coresPerSocket
+                 ? grid.coresPerSocket
+                 : paperCoresPerSocket(grid.sockets[i]);
+         },
+         nullptr, SingleFlag},
+        {"dram_cache_mb", "dram-cache-mb",
+         rangeText<0, MaxDramCacheMb>,
+         "unscaled DRAM-cache MB (0 = Table II's 1 GB)",
+         &AxisIndices::dramIdx,
+         lengthOf<std::uint64_t, &SweepGrid::dramCacheMb>,
+         parseItems<std::uint64_t, &SweepGrid::dramCacheMb,
+                    parseRange<std::uint64_t, 0, MaxDramCacheMb>>,
+         [](const SweepGrid &grid, std::size_t i, RunSpec &spec,
+            SystemConfig &raw) {
+             spec.dramCacheMb = grid.dramCacheMb[i];
+             if (spec.dramCacheMb)
+                 raw.dramCacheBytes = spec.dramCacheMb << 20;
+         },
+         [](const SystemConfig &cfg) { return cfg.designUsesDramCache(); },
+         0},
+        {"mapping", "mappings", enumNameList<MappingPolicy>,
+         "page placement policy (default FT2)", &AxisIndices::mappingIdx,
+         lengthOf<MappingPolicy, &SweepGrid::mappings>,
+         parseItems<MappingPolicy, &SweepGrid::mappings>,
+         applyField<MappingPolicy, &SweepGrid::mappings,
+                    &SystemConfig::mapping>,
+         nullptr, SingleFlag},
+    };
+    return axes;
+}
+
+AxisPattern::AxisPattern()
+{
+    for (const GridAxis &axis : gridAxes())
+        this->*axis.index = SIZE_MAX;
+}
+
+bool
+parseAxisFlag(const std::string &key, bool lists, const std::string &value,
+              SweepGrid &grid, std::string &error)
+{
+    for (const GridAxis &axis : gridAxes()) {
+        const char *flag = flagOf(axis, lists);
+        if (!flag || key != flag)
+            continue;
+        const std::vector<std::string> items =
+            lists ? splitList(value) : std::vector<std::string>{value};
+        std::string bad;
+        if (items.empty())
+            error = "empty --" + key + " list";
+        else if (!axis.parseList(items, grid, bad))
+            error = "bad --" + key + " value '" + bad + "' (want " +
+                axis.values() + ")";
+        return true;
+    }
+    return false;
+}
+
+std::string
+axisUsage(bool lists)
+{
+    const std::string indent(25, ' ');
+    std::string out;
+    for (const GridAxis &axis : gridAxes()) {
+        const char *flag = flagOf(axis, lists);
+        if (!flag)
+            continue;
+        std::string line =
+            "  --" + std::string(flag) + (lists ? "=A,B" : "=X");
+        line.resize(std::max(line.size() + 1, indent.size()), ' ');
+        out += line + axis.help + '\n' + indent + axis.values() + '\n';
+    }
+    return out;
+}
+
 std::string
 specIdentityKey(const RunSpec &spec)
 {
-    return identityKeyOf(spec.profile.name, spec.variantName,
-                         designName(spec.cfg.design),
-                         protocolName(spec.cfg.protocol),
-                         predictorKindName(spec.cfg.predictorKind),
-                         mappingPolicyName(spec.cfg.mapping),
-                         spec.cfg.numSockets,
-                         spec.cfg.coresPerSocket, spec.scale,
-                         spec.dramCacheMb, spec.warmupOps,
-                         spec.measureOps, spec.profile.seed);
-}
-
-bool
-protocolAxisRelevant(const SystemConfig &cfg)
-{
-    return cfg.design == Design::Snoopy;
-}
-
-bool
-dramCacheAxesRelevant(const SystemConfig &cfg)
-{
-    return cfg.designUsesDramCache();
+    return SweepEngine::makeRow(spec, {}).identityKey();
 }
 
 std::string
 machineKey(const RunSpec &spec)
 {
-    const bool dram = dramCacheAxesRelevant(spec.cfg);
-    return std::to_string(spec.workloadIdx) + '|' +
-        std::to_string(spec.variantIdx) + '|' +
-        identityKeyOf(spec.profile.name, spec.variantName,
-                      designName(spec.cfg.design),
-                      protocolAxisRelevant(spec.cfg)
-                          ? protocolName(spec.cfg.protocol) : "*",
-                      dram ? predictorKindName(spec.cfg.predictorKind)
-                           : "*",
-                      mappingPolicyName(spec.cfg.mapping),
-                      spec.cfg.numSockets, spec.cfg.coresPerSocket,
-                      spec.scale, dram ? spec.dramCacheMb : 0,
-                      spec.warmupOps, spec.measureOps,
-                      spec.profile.seed);
+    ResultRow row = SweepEngine::makeRow(spec, {});
+    std::string ordinals;
+    for (const GridAxis &axis : gridAxes()) {
+        if (axis.has(OrdinalKeyed))
+            ordinals += std::to_string(spec.*axis.index) + '|';
+        if (axis.relevant && !axis.relevant(spec.cfg)) {
+            const RowColumn &c = rowColumn(axis.name);
+            if (c.str)
+                row.*c.str = "*";
+            else
+                c.setNumber(row, 0);
+        }
+    }
+    return ordinals + row.identityKey();
 }
 
 std::string
@@ -119,77 +323,39 @@ quickPreset(SweepGrid grid)
 std::size_t
 SweepGrid::size() const
 {
-    const std::size_t variant_count =
-        variants.empty() ? 1 : variants.size();
-    return workloads.size() * variant_count * designs.size() *
-        protocols.size() * predictors.size() * sockets.size() *
-        dramCacheMb.size() * mappings.size();
+    std::size_t n = 1;
+    for (const GridAxis &axis : gridAxes())
+        n *= axis.size(*this);
+    return n;
 }
 
 std::vector<RunSpec>
 SweepGrid::expand() const
 {
-    static const std::vector<ConfigVariant> identity{{"", nullptr}};
-    const std::vector<ConfigVariant> &vars =
-        variants.empty() ? identity : variants;
-
-    std::vector<RunSpec> specs;
-    specs.reserve(size());
-
-    for (std::size_t w = 0; w < workloads.size(); ++w) {
-        WorkloadProfile profile = workloads[w];
-        if (seed)
-            profile.seed = seed;
-        for (std::size_t v = 0; v < vars.size(); ++v) {
-            for (std::size_t d = 0; d < designs.size(); ++d) {
-              for (std::size_t pr = 0; pr < protocols.size(); ++pr) {
-               for (std::size_t pd = 0; pd < predictors.size(); ++pd) {
-                for (std::size_t s = 0; s < sockets.size(); ++s) {
-                    for (std::size_t m = 0; m < dramCacheMb.size();
-                         ++m) {
-                        for (std::size_t p = 0; p < mappings.size();
-                             ++p) {
-                            RunSpec spec;
-                            spec.index = specs.size();
-                            spec.workloadIdx = w;
-                            spec.variantIdx = v;
-                            spec.designIdx = d;
-                            spec.protocolIdx = pr;
-                            spec.predictorIdx = pd;
-                            spec.socketIdx = s;
-                            spec.dramIdx = m;
-                            spec.mappingIdx = p;
-                            spec.profile = profile;
-                            spec.variantName = vars[v].name;
-                            spec.scale = scale;
-                            spec.dramCacheMb = dramCacheMb[m];
-                            spec.measureOps = measureOps;
-                            spec.warmupOps = warmupOps
-                                ? warmupOps : autoWarmupOps(profile);
-
-                            SystemConfig raw;
-                            raw.numSockets = sockets[s];
-                            raw.coresPerSocket = coresPerSocket
-                                ? coresPerSocket
-                                : paperCoresPerSocket(sockets[s]);
-                            raw.design = designs[d];
-                            raw.protocol = protocols[pr];
-                            raw.predictorKind = predictors[pd];
-                            raw.mapping = mappings[p];
-                            if (dramCacheMb[m])
-                                raw.dramCacheBytes =
-                                    dramCacheMb[m] << 20;
-                            if (vars[v].patch)
-                                vars[v].patch(raw);
-                            spec.cfg = raw.scaled(scale);
-                            specs.push_back(std::move(spec));
-                        }
-                    }
-                }
-               }
-              }
+    const std::vector<GridAxis> &axes = gridAxes();
+    std::vector<RunSpec> specs(size());
+    for (std::size_t n = 0; n < specs.size(); ++n) {
+        RunSpec &spec = specs[n];
+        spec.index = n;
+        // Mixed-radix digits of n, the last axis fastest.
+        std::size_t rest = n;
+        for (auto axis = axes.rbegin(); axis != axes.rend(); ++axis) {
+            const std::size_t len = axis->size(*this);
+            spec.*axis->index = rest % len;
+            rest /= len;
+        }
+        SystemConfig raw;
+        for (const bool last : {false, true}) {
+            for (const GridAxis &axis : axes) {
+                if (axis.has(AppliedLast) == last)
+                    axis.apply(*this, spec.*axis.index, spec, raw);
             }
         }
+        spec.scale = scale;
+        spec.measureOps = measureOps;
+        spec.warmupOps = warmupOps ? warmupOps
+                                   : autoWarmupOps(spec.profile);
+        spec.cfg = raw.scaled(scale);
     }
     return specs;
 }

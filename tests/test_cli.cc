@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include "common/cli.hh"
+#include "exp/sweep_grid.hh"
+#include "trace/workload.hh"
 
 namespace c3d
 {
@@ -18,6 +20,10 @@ TEST(Cli, DefaultsAreSane)
     EXPECT_TRUE(opt.ok());
     EXPECT_EQ(opt.config.design, Design::C3D);
     EXPECT_EQ(opt.config.numSockets, 4u);
+    EXPECT_EQ(opt.config.coresPerSocket, 8u);
+    EXPECT_EQ(opt.config.mapping, MappingPolicy::FirstTouch2);
+    EXPECT_EQ(opt.config.protocol, Protocol::Mesi);
+    EXPECT_EQ(opt.config.predictorKind, PredictorKind::Region);
     EXPECT_EQ(opt.scale, 32u);
     EXPECT_EQ(opt.workload, "facesim");
 }
@@ -109,7 +115,60 @@ TEST(Cli, RejectsMalformedNumbers)
 {
     EXPECT_FALSE(parseCli({"--warmup=abc"}).ok());
     EXPECT_FALSE(parseCli({"--sockets=0"}).ok());
+    EXPECT_FALSE(parseCli({"--sockets=9"}).ok());
+    EXPECT_FALSE(parseCli({"--sockets=2,4"}).ok());
     EXPECT_FALSE(parseCli({"--scale=0"}).ok());
+}
+
+// The common CLI's axis flags go through the sweep axes' parsers, but
+// --sockets keeps the given (or default) cores per socket instead of
+// the sweep's paper rule, whatever the flag order.
+TEST(Cli, SocketsFlagKeepsCoresPerSocket)
+{
+    EXPECT_EQ(parseCli({"--sockets=2"}).config.coresPerSocket, 8u);
+    const CliOptions opt =
+        parseCli({"--cores-per-socket=4", "--sockets=2"});
+    ASSERT_TRUE(opt.ok()) << opt.error;
+    EXPECT_EQ(opt.config.numSockets, 2u);
+    EXPECT_EQ(opt.config.coresPerSocket, 4u);
+}
+
+TEST(Cli, HelpNamesEverySingleValueAxisFlag)
+{
+    for (const char *flag : {"--design=", "--protocol=", "--predictor=",
+                             "--sockets=", "--mapping="})
+        EXPECT_NE(cliUsage().find(flag), std::string::npos) << flag;
+    EXPECT_NE(cliUsage().find("1..8"), std::string::npos);
+}
+
+// c3d-sweep's --dram-cache-mb: a capacity whose byte count overflows
+// 64 bits is refused, naming the flag. 2^44 MB used to wrap to 0
+// bytes, so the row said 17592186044416 MB while the machine got the
+// 1 MB floor.
+TEST(Cli, SweepDramCacheMbRejectsOverflow)
+{
+    exp::SweepGrid grid;
+    for (const char *value : {"17592186044416", "17592186044417",
+                              "256,17592186044416", ""}) {
+        std::string error;
+        EXPECT_TRUE(
+            exp::parseAxisFlag("dram-cache-mb", true, value, grid, error));
+        EXPECT_NE(error.find("--dram-cache-mb"), std::string::npos)
+            << value << ": " << error;
+    }
+    EXPECT_EQ(grid.dramCacheMb, std::vector<std::uint64_t>{0});
+
+    // The largest accepted capacity reaches the machine unwrapped.
+    std::string error;
+    ASSERT_TRUE(exp::parseAxisFlag("dram-cache-mb", true,
+                                   "0,17592186044415", grid, error));
+    ASSERT_EQ(error, "");
+    grid.workloads = {profileByName("facesim")};
+    grid.scale = 1;
+    const std::vector<exp::RunSpec> specs = grid.expand();
+    ASSERT_EQ(specs.size(), 2u);
+    EXPECT_EQ(specs[1].dramCacheMb, 17592186044415ull);
+    EXPECT_EQ(specs[1].cfg.dramCacheBytes, 17592186044415ull << 20);
 }
 
 } // namespace

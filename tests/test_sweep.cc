@@ -78,6 +78,48 @@ TEST(SweepGrid, ExpansionOrderIsNestedLoops)
     }
 }
 
+// find() matches exactly the axes a pattern pins, whichever axis
+// they are: every grid point is found by its full index tuple, and
+// an unpinned axis matches its first entry.
+TEST(ResultTable, FindMatchesThePinnedAxes)
+{
+    exp::SweepGrid grid = smallGrid();
+    grid.protocols = {Protocol::Mesi, Protocol::Moesi};
+    grid.predictors = {PredictorKind::Region, PredictorKind::Perceptron};
+    grid.sockets = {2, 4};
+    grid.dramCacheMb = {0, 256};
+    grid.mappings = {MappingPolicy::Interleave,
+                     MappingPolicy::FirstTouch2};
+    grid.variants = {{"a", nullptr}, {"b", nullptr}};
+    const exp::ResultTable table = exp::SweepEngine(1).run(
+        grid, [](const exp::RunSpec &) { return RunResult{}; });
+    const std::vector<exp::RunSpec> specs = grid.expand();
+    ASSERT_EQ(table.size(), specs.size());
+    for (const exp::RunSpec &spec : specs) {
+        const exp::ResultRow *row = table.find(
+            exp::AxisPattern()
+                .workload(spec.workloadIdx)
+                .variant(spec.variantIdx)
+                .design(spec.designIdx)
+                .protocol(spec.protocolIdx)
+                .predictor(spec.predictorIdx)
+                .socket(spec.socketIdx)
+                .dram(spec.dramIdx)
+                .mapping(spec.mappingIdx));
+        ASSERT_NE(row, nullptr);
+        EXPECT_EQ(row->identityKey(), exp::specIdentityKey(spec));
+    }
+    const exp::ResultRow *row = table.find(
+        exp::AxisPattern().workload(1).mapping(1).predictor(1));
+    ASSERT_NE(row, nullptr);
+    EXPECT_EQ(row->workload, "canneal");
+    EXPECT_EQ(row->mapping, "FT2");
+    EXPECT_EQ(row->predictor, "perceptron");
+    EXPECT_EQ(row->variant, "a");
+    EXPECT_EQ(row->sockets, 2u);
+    EXPECT_EQ(table.find(exp::AxisPattern().dram(2)), nullptr);
+}
+
 TEST(SweepGrid, ResolvesConfigKnobs)
 {
     exp::SweepGrid grid = smallGrid();

@@ -345,5 +345,33 @@ TEST(SweepShard, FingerprintTracksGridShape)
     EXPECT_NE(base, exp::gridFingerprint(fewer.expand()));
 }
 
+// The identity bytes themselves, pinned: journals written by earlier
+// builds must keep resuming and merging. A key derivation that
+// reorders or reformats the identity columns fails here, even though
+// every round-trip test above would still pass.
+TEST(SweepShard, IdentityKeysAndFingerprintArePinned)
+{
+    exp::SweepGrid grid;
+    grid.workloads = {profileByName("facesim"),
+                      profileByName("canneal")};
+    grid.designs = {Design::Baseline, Design::Snoopy, Design::C3D};
+    grid.protocols = {Protocol::Mesi, Protocol::Dragon};
+    grid.predictors = {PredictorKind::Region, PredictorKind::Perceptron};
+    grid.sockets = {2, 4};
+    grid.dramCacheMb = {0, 256};
+    grid.mappings = {MappingPolicy::Interleave,
+                     MappingPolicy::FirstTouch2};
+    const std::vector<exp::RunSpec> specs =
+        exp::quickPreset(grid).expand();
+    ASSERT_EQ(specs.size(), 192u);
+    EXPECT_EQ(exp::specIdentityKey(specs.front()),
+              "facesim||baseline|mesi|region|INT|2|2|256|0|500|2000|"
+              "50128");
+    EXPECT_EQ(exp::specIdentityKey(specs.back()),
+              "canneal||c3d|dragon|perceptron|FT2|4|2|256|256|500|2000|"
+              "50128");
+    EXPECT_EQ(exp::gridFingerprint(specs), "1a5126b15574c685");
+}
+
 } // namespace
 } // namespace c3d

@@ -11,14 +11,17 @@
  *   json       stdout must parse as any non-empty JSON value
  *              (benches with their own schema: google-benchmark,
  *              analytic tables).
- *   sweep-cli  <binary> is the c3d-sweep tool: exercise the
- *              distributed-execution CLI end to end (whole run vs
- *              --shard x3 + merge vs partial --journal + --resume)
- *              and assert the JSON and CSV artifacts are
- *              byte-identical. With a trailing `shared-vs-per-row`
- *              argument it instead checks that a grid whose rows
- *              share simulations on inert axes emits the same bytes
- *              as the per-row path an injected sweep takes.
+ *   sweep-cli  <c3d-sweep> [GRID [EXPECT [REFUSAL_GRID]]]: run the
+ *              determinism contract on GRID (c3d-sweep grid flags;
+ *              default a 2-design x 2-workload x 2-socket quick grid):
+ *              --jobs=1/2/8, --parallel-kernel=4, --shard x3 + merge
+ *              and partial --journal + --resume must give
+ *              byte-identical JSON (and CSV for merge); the JSON must
+ *              contain EXPECT, and resuming a shard journal under
+ *              REFUSAL_GRID must fail as a different grid.
+ *   sweep-cli  <c3d-sweep> shared-vs-per-row: a grid whose rows
+ *              share simulations on inert axes must emit the same
+ *              bytes as the per-row path an injected sweep takes.
  *   trace-cli  <c3d-sweep> <c3d-trace>: record a trace, sweep it
  *              via --workloads=trace: (whole vs sharded+merged vs
  *              resumed, byte-identical), and assert that resuming a
@@ -151,17 +154,41 @@ class SmokeDir
 };
 
 /**
- * The differential both CLI checks share: run `sweep grid` whole,
+ * Run a command that is EXPECTED to fail (nonzero exit) with a
+ * diagnostic containing @p needle -- "failed for the right reason",
+ * so a refusal path that breaks differently cannot keep passing.
+ */
+bool
+runExpectFailure(const std::string &command, const char *needle)
+{
+    std::string out;
+    // `!` inverts the status in-shell, so the expected failure is
+    // quiet and an unexpected success is the loud diagnostic.
+    if (!runCommand("! { " + command + " ; } 2>&1", out))
+        return false;
+    if (out.find(needle) == std::string::npos) {
+        std::fprintf(stderr,
+                     "bench-smoke: expected the failure to mention "
+                     "'%s'; got:\n%s\n",
+                     needle, out.c_str());
+        return false;
+    }
+    return true;
+}
+
+/**
+ * The differential the CLI checks share: run `sweep grid` whole,
  * then @p shards journaled shard runs, merge the journals, and
  * resume shard 0's journal -- the merged and resumed JSON must equal
  * the whole run's byte for byte. Hands back the shard journal paths
- * for format-specific extras and refusal tests.
+ * and the whole JSON artifact for further checks.
  */
 bool
 shardMergeResumeDifferential(const std::string &sweep,
                              const std::string &grid, int shards,
                              SmokeDir &tmp,
-                             std::vector<std::string> &journals)
+                             std::vector<std::string> &journals,
+                             std::string &whole)
 {
     std::string out;
     const std::string whole_json = tmp.path("whole.json");
@@ -193,7 +220,7 @@ shardMergeResumeDifferential(const std::string &sweep,
                     shellQuote(resumed_json), out))
         return false;
 
-    std::string whole, other;
+    std::string other;
     if (!readFile(whole_json, whole) || whole.empty()) {
         std::fprintf(stderr, "bench-smoke: empty sweep artifact\n");
         return false;
@@ -212,48 +239,76 @@ shardMergeResumeDifferential(const std::string &sweep,
 }
 
 /**
- * End-to-end check of c3d-sweep's distribution features: the merged
- * shard journals and an interrupted-then-resumed run must reproduce
- * the single-process artifacts byte for byte (JSON via the shared
- * differential, CSV checked on top).
+ * c3d-sweep's determinism contract on one grid, end to end: the
+ * --jobs=1, --jobs=8 and --jobs=1 --parallel-kernel=4 artifacts, the
+ * merged shard journals and an interrupted-then-resumed run must all
+ * equal the whole run's JSON byte for byte (CSV too for merge). When
+ * given, the JSON must contain @p expect, and resuming a shard's
+ * journal under @p refusal_grid must fail as a different grid. An
+ * overflowing --dram-cache-mb must be refused naming the flag.
  */
 int
-sweepCliCheck(const std::string &sweep_binary)
+sweepCliCheck(const std::string &sweep_binary, const std::string &grid,
+              const std::string &expect, const std::string &refusal_grid)
 {
     SmokeDir tmp;
     if (!tmp.init("c3d_sweep_smoke_XXXXXX"))
         return 1;
     const std::string sweep = shellQuote(sweep_binary);
-    const std::string grid =
-        " --quick --designs=baseline,c3d"
-        " --workloads=facesim,canneal --sockets=2,4 --jobs=2";
+    const std::string sharded = " " + grid + " --jobs=2";
 
     std::vector<std::string> journals;
-    if (!shardMergeResumeDifferential(sweep, grid, 3, tmp, journals))
+    std::string whole;
+    if (!shardMergeResumeDifferential(sweep, sharded, 3, tmp, journals,
+                                      whole))
         return 1;
 
-    // The CSV emitters must agree byte for byte too.
-    std::string out, whole, merged;
-    const std::string whole_csv = tmp.path("whole.csv");
-    const std::string merged_csv = tmp.path("merged.csv");
-    std::string merge_args;
+    // Other worker counts, the parallel kernel, and the CSV of the
+    // merged journals.
+    const auto matches = [&tmp](const std::string &command,
+                                const char *name,
+                                const std::string &expected) {
+        const std::string path = tmp.path(name);
+        std::string out, artifact;
+        if (!runCommand(command + " --out=" + shellQuote(path), out) ||
+            !readFile(path, artifact))
+            return false;
+        if (artifact.empty() || artifact != expected)
+            std::fprintf(stderr, "bench-smoke: %s differs from the "
+                         "--jobs=2 artifact\n", name);
+        return !artifact.empty() && artifact == expected;
+    };
+    const std::string run = sweep + " " + grid;
+    std::string merge = sweep + " merge --format=csv", out, csv;
     for (const std::string &j : journals)
-        merge_args += " " + shellQuote(j);
-    if (!runCommand(sweep + grid + " --format=csv --out=" +
-                    shellQuote(whole_csv), out) ||
-        !runCommand(sweep + " merge --format=csv --out=" +
-                    shellQuote(merged_csv) + merge_args, out))
+        merge += " " + shellQuote(j);
+    const std::string csv_path = tmp.path("whole.csv");
+    if (!matches(run + " --jobs=1", "jobs1.json", whole) ||
+        !matches(run + " --jobs=8", "jobs8.json", whole) ||
+        !matches(run + " --jobs=1 --parallel-kernel=4", "kernel4.json",
+                 whole) ||
+        !runCommand(run + " --jobs=2 --format=csv --out=" +
+                        shellQuote(csv_path), out) ||
+        !readFile(csv_path, csv) || !matches(merge, "merged.csv", csv))
         return 1;
-    if (!readFile(whole_csv, whole) ||
-        !readFile(merged_csv, merged) || whole.empty() ||
-        merged != whole) {
-        std::fprintf(stderr,
-                     "bench-smoke: merged CSV differs from the "
-                     "single-process artifact\n");
+
+    if (whole.find(expect) == std::string::npos) {
+        std::fprintf(stderr, "bench-smoke: the sweep artifact lacks "
+                     "'%s'\n", expect.c_str());
         return 1;
     }
-    std::printf("ok: shard+merge and resume artifacts are "
-                "byte-identical\n");
+    if (!refusal_grid.empty() &&
+        !runExpectFailure(sweep + " " + refusal_grid + " --resume=" +
+                              shellQuote(journals[0]) +
+                              " --out=/dev/null",
+                          "different grid"))
+        return 1;
+    if (!runExpectFailure(sweep + " --quick --dram-cache-mb=17592186044416"
+                                  " --out=/dev/null",
+                          "--dram-cache-mb"))
+        return 1;
+    std::printf("ok: --jobs, --parallel-kernel, shard+merge and resume "
+                "artifacts are byte-identical\n");
     return 0;
 }
 
@@ -319,29 +374,6 @@ sharedVsPerRowCheck(const std::string &sweep_binary)
 }
 
 /**
- * Run a command that is EXPECTED to fail (nonzero exit) with a
- * diagnostic containing @p needle -- "failed for the right reason",
- * so a refusal path that breaks differently cannot keep passing.
- */
-bool
-runExpectFailure(const std::string &command, const char *needle)
-{
-    std::string out;
-    // `!` inverts the status in-shell, so the expected failure is
-    // quiet and an unexpected success is the loud diagnostic.
-    if (!runCommand("! { " + command + " ; } 2>&1", out))
-        return false;
-    if (out.find(needle) == std::string::npos) {
-        std::fprintf(stderr,
-                     "bench-smoke: expected the failure to mention "
-                     "'%s'; got:\n%s\n",
-                     needle, out.c_str());
-        return false;
-    }
-    return true;
-}
-
-/**
  * End-to-end check of trace-driven sweeps: `c3d-trace record` a
  * synthetic profile, run it through the sweep engine as a `trace:`
  * workload -- whole vs sharded+merged vs interrupted+resumed must be
@@ -394,7 +426,9 @@ traceCliCheck(const std::string &sweep_binary,
 
     // Whole vs sharded+merged vs resumed, byte for byte.
     std::vector<std::string> journals;
-    if (!shardMergeResumeDifferential(sweep, grid, 2, tmp, journals))
+    std::string whole;
+    if (!shardMergeResumeDifferential(sweep, grid, 2, tmp, journals,
+                                      whole))
         return 1;
 
     // Flip one address byte (offset 48 = record 1's addr): the
@@ -505,7 +539,9 @@ composeCliCheck(const std::string &sweep_binary,
                              " --sockets=2 --jobs=2 --workloads=" +
                              shellQuote("compose:" + manifest);
     std::vector<std::string> journals;
-    if (!shardMergeResumeDifferential(sweep, grid, 2, tmp, journals))
+    std::string whole;
+    if (!shardMergeResumeDifferential(sweep, grid, 2, tmp, journals,
+                                      whole))
         return 1;
 
     // The CSV artifact must carry the per-tenant QoS breakdown.
@@ -555,7 +591,12 @@ main(int argc, char **argv)
     if (mode == "sweep-cli") {
         if (argc > 3 && std::strcmp(argv[3], "shared-vs-per-row") == 0)
             return sharedVsPerRowCheck(argv[2]);
-        return sweepCliCheck(argv[2]);
+        return sweepCliCheck(
+            argv[2],
+            argc > 3 ? argv[3]
+                     : "--quick --designs=baseline,c3d"
+                       " --workloads=facesim,canneal --sockets=2,4",
+            argc > 4 ? argv[4] : "", argc > 5 ? argv[5] : "");
     }
     if (mode == "trace-cli" || mode == "compose-cli") {
         if (argc < 4) {

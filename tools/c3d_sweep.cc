@@ -52,23 +52,10 @@ namespace
 
 using namespace c3d;
 
-const char *const Usage =
+const char *const UsageHead =
     "c3d-sweep: run a declarative design-space sweep\n"
     "\n"
     "grid axes (comma-separated lists):\n"
-    "  --designs=A,B          baseline|snoopy|full-dir|c3d|"
-    "c3d-full-dir (default c3d)\n"
-    "  --protocols=A,B        mesi|mesif|moesi|dragon (default mesi);\n"
-    "                         snoopy-family protocol variants --\n"
-    "                         directory designs ignore it: their rows\n"
-    "                         name the protocol but share one\n"
-    "                         simulation\n"
-    "  --predictors=A,B       region|perceptron (default region);\n"
-    "                         DRAM-cache admission predictors\n"
-    "                         (docs/predictors.md) -- presence\n"
-    "                         filtering stays exact-or-conservative\n"
-    "                         for every kind; rows without a DRAM\n"
-    "                         cache share one simulation\n"
     "  --workloads=A,B|all    paper profile names (default facesim);\n"
     "                         'all' = the nine parallel profiles;\n"
     "                         'trace:FILE' = replay a c3dsim trace\n"
@@ -78,10 +65,12 @@ const char *const Usage =
     "                         paths resolve against the manifest);\n"
     "                         'compose:M' = a multi-tenant composition\n"
     "                         manifest (c3d-trace compose) -- rows\n"
-    "                         report per-tenant QoS stats\n"
-    "  --sockets=N,M          socket counts (default 4)\n"
-    "  --dram-cache-mb=N,M    unscaled DRAM-cache MB; 0 = default 1 GB\n"
-    "  --mappings=P,Q         INT|FT1|FT2 (default FT2)\n"
+    "                         report per-tenant QoS stats\n";
+
+const char *const UsageTail =
+    "  Grid points that differ only on an axis their design ignores\n"
+    "  (protocols outside snoopy; predictors and dram-cache-mb without\n"
+    "  a DRAM cache) name their own values but share one simulation.\n"
     "\n"
     "run parameters:\n"
     "  --cores-per-socket=N   0 = paper rule: 16 on 2-socket, else 8\n"
@@ -153,6 +142,13 @@ const char *const Usage =
     "  the complete result table in grid order; refuses conflicting\n"
     "  duplicates and missing grid points.\n";
 
+/** --help text; the grid-axis lines come from exp::gridAxes(). */
+std::string
+usage()
+{
+    return UsageHead + exp::axisUsage(/*lists=*/true) + UsageTail;
+}
+
 /** One --inject-fault spec: a fault plan plus a grid-point
  *  selector (applies where index % mod == rem; first match wins). */
 struct FaultSel
@@ -162,17 +158,62 @@ struct FaultSel
     unsigned mod = 1;
 };
 
-struct SweepCli
+/** The output flags and usage checks of both command lines. */
+struct OutputCli
+{
+    std::string format = "json";
+    std::string outFile;
+    bool showHelp = false;
+    std::string error;
+
+    /** Take --help, --format or --out; false for any other flag. */
+    bool
+    outputFlag(const std::string &key, const std::string &value)
+    {
+        if (key == "help")
+            showHelp = true;
+        else if (key == "out")
+            outFile = value;
+        else if (key != "format")
+            return false;
+        else if (value == "json" || value == "csv" || value == "table")
+            format = value;
+        else
+            error = "unknown format '" + value + "'";
+        return true;
+    }
+
+    /** Exit status when the command stops before running (help or a
+     * usage error); -1 to go on. */
+    int
+    earlyExit() const
+    {
+        if (showHelp) {
+            std::fputs(usage().c_str(), stdout);
+            return 0;
+        }
+        if (!error.empty()) {
+            std::fprintf(stderr, "c3d-sweep: %s\n%s", error.c_str(),
+                         usage().c_str());
+            return 2;
+        }
+        if (format == "table" && !outFile.empty()) {
+            std::fprintf(stderr,
+                         "c3d-sweep: --format=table writes to stdout "
+                         "only\n");
+            return 2;
+        }
+        return -1;
+    }
+};
+
+struct SweepCli : OutputCli
 {
     exp::SweepGrid grid;
     unsigned jobs = 1;
     KernelOptions kernel; //!< --parallel-kernel
-    std::string format = "json";
-    std::string outFile;
     bool progress = false;
     bool quick = false;
-    bool showHelp = false;
-    std::string error;
 
     // Distribution and checkpointing.
     unsigned shardIdx = 0;
@@ -192,13 +233,9 @@ struct SweepCli
 };
 
 /** Parsed `c3d-sweep merge` command line. */
-struct MergeCli
+struct MergeCli : OutputCli
 {
     std::vector<std::string> journals;
-    std::string format = "json";
-    std::string outFile;
-    bool showHelp = false;
-    std::string error;
 };
 
 /** "K/N" with K < N and N >= 1. */
@@ -328,6 +365,19 @@ parseSweepCli(int argc, char **argv)
 {
     SweepCli cli;
     cli.grid.workloads = {profileByName("facesim")};
+    std::uint64_t cores = cli.grid.coresPerSocket;
+    std::uint64_t scale = cli.grid.scale, jobs = cli.jobs;
+    const std::vector<UnsignedFlag> numbers = {
+        {"cores-per-socket", 0, 64, &cores},
+        {"scale", 1, UINT64_MAX, &scale},
+        {"warmup", 0, UINT64_MAX, &cli.grid.warmupOps},
+        {"measure", 1, UINT64_MAX, &cli.grid.measureOps},
+        {"seed", 0, UINT64_MAX, &cli.grid.seed},
+        {"jobs", 0, 256, &jobs},
+        {"watchdog-wall-ms", 0, UINT64_MAX, &cli.watchdog.wallMs},
+        {"watchdog-events", 0, UINT64_MAX, &cli.watchdog.maxEvents},
+        {"watchdog-stall", 0, UINT64_MAX, &cli.watchdog.stallEvents},
+    };
 
     for (int i = 1; i < argc; ++i) {
         std::string key, value;
@@ -337,116 +387,9 @@ parseSweepCli(int argc, char **argv)
             return cli;
         }
         std::uint64_t n = 0;
-        if (key == "help") {
-            cli.showHelp = true;
-        } else if (key == "designs") {
-            cli.grid.designs.clear();
-            for (const std::string &name : splitList(value)) {
-                Design d;
-                if (!parseDesign(name, d)) {
-                    cli.error = "unknown design '" + name + "'";
-                    return cli;
-                }
-                cli.grid.designs.push_back(d);
-            }
-            if (cli.grid.designs.empty()) {
-                cli.error = "empty design list";
-                return cli;
-            }
-        } else if (key == "protocols") {
-            cli.grid.protocols.clear();
-            for (const std::string &name : splitList(value)) {
-                Protocol p;
-                if (!parseProtocol(name, p)) {
-                    cli.error = "unknown protocol '" + name + "'";
-                    return cli;
-                }
-                cli.grid.protocols.push_back(p);
-            }
-            if (cli.grid.protocols.empty()) {
-                cli.error = "empty protocol list";
-                return cli;
-            }
-        } else if (key == "predictors") {
-            cli.grid.predictors.clear();
-            for (const std::string &name : splitList(value)) {
-                PredictorKind k;
-                if (!parsePredictorKind(name, k)) {
-                    cli.error = "unknown predictor '" + name + "'";
-                    return cli;
-                }
-                cli.grid.predictors.push_back(k);
-            }
-            if (cli.grid.predictors.empty()) {
-                cli.error = "empty predictor list";
-                return cli;
-            }
-        } else if (key == "workloads") {
+        if (key == "workloads") {
             if (!parseWorkloads(value, cli.grid.workloads, cli.error))
                 return cli;
-        } else if (key == "sockets") {
-            cli.grid.sockets.clear();
-            for (const std::string &item : splitList(value)) {
-                if (!parseU64(item, n) || n < 1 || n > 8) {
-                    cli.error = "bad socket count '" + item + "'";
-                    return cli;
-                }
-                cli.grid.sockets.push_back(
-                    static_cast<std::uint32_t>(n));
-            }
-        } else if (key == "dram-cache-mb") {
-            cli.grid.dramCacheMb.clear();
-            for (const std::string &item : splitList(value)) {
-                if (!parseU64(item, n)) {
-                    cli.error = "bad dram-cache-mb '" + item + "'";
-                    return cli;
-                }
-                cli.grid.dramCacheMb.push_back(n);
-            }
-        } else if (key == "mappings") {
-            cli.grid.mappings.clear();
-            for (const std::string &item : splitList(value)) {
-                MappingPolicy p;
-                if (!parseMapping(item, p)) {
-                    cli.error = "unknown mapping '" + item + "'";
-                    return cli;
-                }
-                cli.grid.mappings.push_back(p);
-            }
-        } else if (key == "cores-per-socket") {
-            if (!parseU64(value, n) || n > 64) {
-                cli.error = "bad cores-per-socket";
-                return cli;
-            }
-            cli.grid.coresPerSocket = static_cast<std::uint32_t>(n);
-        } else if (key == "scale") {
-            if (!parseU64(value, n) || n < 1) {
-                cli.error = "bad scale";
-                return cli;
-            }
-            cli.grid.scale = static_cast<std::uint32_t>(n);
-        } else if (key == "warmup") {
-            if (!parseU64(value, cli.grid.warmupOps)) {
-                cli.error = "bad warmup";
-                return cli;
-            }
-        } else if (key == "measure") {
-            if (!parseU64(value, cli.grid.measureOps) ||
-                cli.grid.measureOps == 0) {
-                cli.error = "bad measure";
-                return cli;
-            }
-        } else if (key == "seed") {
-            if (!parseU64(value, cli.grid.seed)) {
-                cli.error = "bad seed";
-                return cli;
-            }
-        } else if (key == "jobs") {
-            if (!parseU64(value, n) || n > 256) {
-                cli.error = "bad jobs";
-                return cli;
-            }
-            cli.jobs = static_cast<unsigned>(n);
         } else if (key == "parallel-kernel") {
             cli.kernel.parallel = true;
             if (!value.empty()) {
@@ -456,15 +399,6 @@ parseSweepCli(int argc, char **argv)
                 }
                 cli.kernel.threads = static_cast<unsigned>(n);
             }
-        } else if (key == "format") {
-            if (value != "json" && value != "csv" &&
-                value != "table") {
-                cli.error = "unknown format '" + value + "'";
-                return cli;
-            }
-            cli.format = value;
-        } else if (key == "out") {
-            cli.outFile = value;
         } else if (key == "progress") {
             cli.progress = true;
         } else if (key == "quick") {
@@ -506,21 +440,6 @@ parseSweepCli(int argc, char **argv)
                 }
                 cli.retryCount = static_cast<unsigned>(n);
             }
-        } else if (key == "watchdog-wall-ms") {
-            if (!parseU64(value, cli.watchdog.wallMs)) {
-                cli.error = "bad watchdog-wall-ms";
-                return cli;
-            }
-        } else if (key == "watchdog-events") {
-            if (!parseU64(value, cli.watchdog.maxEvents)) {
-                cli.error = "bad watchdog-events";
-                return cli;
-            }
-        } else if (key == "watchdog-stall") {
-            if (!parseU64(value, cli.watchdog.stallEvents)) {
-                cli.error = "bad watchdog-stall";
-                return cli;
-            }
         } else if (key == "inject-fault") {
             for (const std::string &item : splitList(value)) {
                 FaultSel sel;
@@ -545,27 +464,22 @@ parseSweepCli(int argc, char **argv)
                     return cli;
                 cli.faults.push_back(sel);
             }
-        } else {
+        } else if (!cli.outputFlag(key, value) &&
+                   !exp::parseAxisFlag(key, true, value, cli.grid,
+                                       cli.error) &&
+                   !parseUnsignedFlag(numbers, key, value, cli.error)) {
             cli.error = "unknown flag '--" + key + "'";
-            return cli;
         }
+        if (!cli.error.empty())
+            return cli;
     }
+    cli.grid.coresPerSocket = static_cast<std::uint32_t>(cores);
+    cli.grid.scale = static_cast<std::uint32_t>(scale);
+    cli.jobs = static_cast<unsigned>(jobs);
 
     if (!cli.journalFile.empty() && !cli.resumeFile.empty()) {
         cli.error = "--journal and --resume are mutually exclusive "
                     "(--resume already appends to its journal)";
-        return cli;
-    }
-    if (cli.grid.sockets.empty()) {
-        cli.error = "empty socket list";
-        return cli;
-    }
-    if (cli.grid.dramCacheMb.empty()) {
-        cli.error = "empty dram-cache-mb list";
-        return cli;
-    }
-    if (cli.grid.mappings.empty()) {
-        cli.error = "empty mapping list";
         return cli;
     }
     if (cli.quick)
@@ -588,21 +502,10 @@ parseMergeCli(int argc, char **argv)
             cli.error = "unexpected argument '" + arg + "'";
             return cli;
         }
-        if (key == "help") {
-            cli.showHelp = true;
-        } else if (key == "format") {
-            if (value != "json" && value != "csv" &&
-                value != "table") {
-                cli.error = "unknown format '" + value + "'";
-                return cli;
-            }
-            cli.format = value;
-        } else if (key == "out") {
-            cli.outFile = value;
-        } else {
+        if (!cli.outputFlag(key, value))
             cli.error = "unknown flag '--" + key + "'";
+        if (!cli.error.empty())
             return cli;
-        }
     }
     if (cli.journals.empty() && !cli.showHelp)
         cli.error = "merge needs at least one journal file";
@@ -665,21 +568,8 @@ int
 runMerge(int argc, char **argv)
 {
     const MergeCli cli = parseMergeCli(argc, argv);
-    if (cli.showHelp) {
-        std::fputs(Usage, stdout);
-        return 0;
-    }
-    if (!cli.error.empty()) {
-        std::fprintf(stderr, "c3d-sweep: %s\n%s", cli.error.c_str(),
-                     Usage);
-        return 2;
-    }
-    if (cli.format == "table" && !cli.outFile.empty()) {
-        std::fprintf(stderr,
-                     "c3d-sweep: --format=table writes to stdout "
-                     "only\n");
-        return 2;
-    }
+    if (const int rc = cli.earlyExit(); rc >= 0)
+        return rc;
 
     std::vector<exp::JournalData> parts;
     std::string error;
@@ -778,21 +668,8 @@ main(int argc, char **argv)
         return runMerge(argc, argv);
 
     const SweepCli cli = parseSweepCli(argc, argv);
-    if (cli.showHelp) {
-        std::fputs(Usage, stdout);
-        return 0;
-    }
-    if (!cli.error.empty()) {
-        std::fprintf(stderr, "c3d-sweep: %s\n%s", cli.error.c_str(),
-                     Usage);
-        return 2;
-    }
-    if (cli.format == "table" && !cli.outFile.empty()) {
-        std::fprintf(stderr,
-                     "c3d-sweep: --format=table writes to stdout "
-                     "only\n");
-        return 2;
-    }
+    if (const int rc = cli.earlyExit(); rc >= 0)
+        return rc;
 
     setQuiet(true);
     exp::SweepEngine engine(cli.jobs);
