@@ -1,7 +1,15 @@
 #include "dramcache/dram_cache.hh"
 
+#include <algorithm>
+
 namespace c3d
 {
+
+// The slot word stores CacheState's own values in its low two bits.
+static_assert(static_cast<int>(CacheState::Invalid) == 0 &&
+                  static_cast<int>(CacheState::Shared) < 4 &&
+                  static_cast<int>(CacheState::Modified) < 4,
+              "slot word packs CacheState into two bits");
 
 DramCache::DramCache(EventQueue &eq, const SystemConfig &cfg,
                      SocketId socket, StatGroup *stats)
@@ -12,7 +20,11 @@ DramCache::DramCache(EventQueue &eq, const SystemConfig &cfg,
       accessLatency(cfg.dramCacheLatency),
       allowDirty(cfg.dirtyDramCache())
 {
-    tags.init(cfg.dramCacheBytes, /*ways=*/1);
+    const std::uint64_t frames =
+        std::max<std::uint64_t>(cfg.dramCacheBytes / BlockBytes, 1);
+    slots.assign(frames, 0);
+    slotsArePow2 = (frames & (frames - 1)) == 0;
+    slotMask = slotsArePow2 ? frames - 1 : 0;
 
     const std::string prefix =
         "socket" + std::to_string(socket) + ".dram_cache";
@@ -48,6 +60,7 @@ DramCache::enableTenantTracking(std::uint32_t tenants)
 {
     c3d_assert(tenantBlocks.empty(), "tenant tracking enabled twice");
     tenantBlocks.assign(tenants, 0);
+    owners.assign(slots.size(), 0);
     tenantHits = std::vector<Counter>(tenants);
     tenantMisses = std::vector<Counter>(tenants);
     for (std::uint32_t t = 0; t < tenants; ++t) {
@@ -71,25 +84,33 @@ DramCache::countTenant(std::uint32_t tenant, bool hit)
         ++tenantMisses[tenant];
 }
 
-void
-DramCache::setOwner(TagEntry *e, std::uint32_t tenant)
+std::uint64_t
+DramCache::validBlocks() const
 {
-    if (tenant == NoTenant || tenantBlocks.empty())
+    return static_cast<std::uint64_t>(
+        slots.size() - std::count(slots.begin(), slots.end(), 0));
+}
+
+void
+DramCache::setOwner(std::size_t slot, std::uint32_t tenant)
+{
+    if (tenant == NoTenant || owners.empty())
         return;
-    const std::uint64_t tag = static_cast<std::uint64_t>(tenant) + 1;
-    if (e->aux == tag)
+    const std::uint32_t tag = tenant + 1;
+    if (owners[slot] == tag)
         return;
-    dropOwnerAux(e->aux);
-    e->aux = tag;
+    dropOwner(slot);
+    owners[slot] = tag;
     ++tenantBlocks[tenant];
 }
 
 void
-DramCache::dropOwnerAux(std::uint64_t aux)
+DramCache::dropOwner(std::size_t slot)
 {
-    if (!aux || tenantBlocks.empty())
+    if (owners.empty() || !owners[slot])
         return;
-    --tenantBlocks[static_cast<std::size_t>(aux - 1)];
+    --tenantBlocks[owners[slot] - 1];
+    owners[slot] = 0;
 }
 
 Tick
@@ -100,16 +121,35 @@ DramCache::chargeChannel(Addr addr, Tick start)
 }
 
 bool
-DramCache::predictPresent(Addr addr)
+DramCache::predictPresent(Addr addr, bool present)
 {
     if (exactPredictor) {
         // MissMap mode: exact block-grain presence, never wrong in
         // either direction.
-        const bool present = tags.find(addr) != nullptr;
         predictor->recordExactQuery(present);
         return present;
     }
     return predictor->mayBePresent(addr);
+}
+
+DramCacheVictim
+DramCache::fill(std::size_t slot, Addr addr, CacheState state)
+{
+    DramCacheVictim victim;
+    if (const std::uint64_t old = slots[slot]) {
+        victim.valid = true;
+        victim.addr = (old >> 2) << BlockShift;
+        victim.dirty = stateOf(old) == CacheState::Modified;
+        if (victim.dirty)
+            ++evictionsDirty;
+        else
+            ++evictionsClean;
+        predictor->onRemove(victim.addr);
+        dropOwner(slot);
+    }
+    slots[slot] = slotWord(blockNumber(addr), state);
+    predictor->onInsert(addr);
+    return victim;
 }
 
 void
@@ -117,8 +157,13 @@ DramCache::probe(Addr addr, std::function<void(DramCacheProbe)> done,
                  bool always_access, std::uint32_t tenant)
 {
     const Tick now = eventq.now();
+    const Addr blk = blockNumber(addr);
+    const std::size_t slot = slotOf(blk);
+    const std::uint64_t word = slots[slot];
+    const bool present = holds(word, blk);
 
-    if (!always_access && predictorEnabled && !predictPresent(addr)) {
+    if (!always_access && predictorEnabled &&
+        !predictPresent(addr, present)) {
         // Predicted absent: answer without a DRAM access. The
         // counting filter never reports absent for a present block,
         // so this path cannot hide data.
@@ -136,14 +181,12 @@ DramCache::probe(Addr addr, std::function<void(DramCacheProbe)> done,
     const Tick ready = chargeChannel(addr, access_start + accessLatency);
 
     DramCacheProbe res;
-    TagEntry *e = tags.find(addr);
-    if (e) {
+    if (present) {
         ++hits;
         countTenant(tenant, true);
-        setOwner(e, tenant);
-        tags.touch(e);
+        setOwner(slot, tenant);
         res.present = true;
-        res.dirty = e->state == CacheState::Modified;
+        res.dirty = stateOf(word) == CacheState::Modified;
     } else {
         ++misses;
         countTenant(tenant, false);
@@ -153,7 +196,7 @@ DramCache::probe(Addr addr, std::function<void(DramCacheProbe)> done,
     // Demand probes are the admission gate's training stream; remote
     // snoops (always_access) say nothing about local reuse.
     if (!always_access)
-        predictor->trainOnProbe(addr, tenant, e != nullptr);
+        predictor->trainOnProbe(addr, tenant, present);
     res.readyAt = ready;
     eventq.scheduleAt(ready, [done, res] { done(res); });
 }
@@ -165,7 +208,9 @@ DramCache::insert(Addr addr, bool dirty, std::uint32_t tenant)
                "dirty insert into a clean DRAM cache");
 
     DramCacheVictim victim;
-    const bool was_present = tags.find(addr) != nullptr;
+    const Addr blk = blockNumber(addr);
+    const std::size_t slot = slotOf(blk);
+    const bool was_present = holds(slots[slot], blk);
     // Admission gate (docs/predictors.md): a clean fill the predictor
     // rejects never touches DRAM -- no channel traffic, no victim.
     // Dirty victims are always admitted (the dirty designs rely on
@@ -181,23 +226,13 @@ DramCache::insert(Addr addr, bool dirty, std::uint32_t tenant)
     const CacheState new_state =
         dirty ? CacheState::Modified : CacheState::Shared;
 
-    AllocResult ar = tags.allocate(addr, new_state);
-    if (ar.evictedValid) {
-        victim.valid = true;
-        victim.addr = ar.victimAddr;
-        victim.dirty = ar.victimState == CacheState::Modified;
-        if (victim.dirty)
-            ++evictionsDirty;
-        else
-            ++evictionsClean;
-        predictor->onRemove(victim.addr);
-        dropOwnerAux(ar.victimAux);
-    }
-    if (!was_present)
-        predictor->onInsert(addr);
-    // After allocate: a fresh slot starts unowned (aux zeroed), a
-    // reused slot keeps its owner unless the insert names one.
-    setOwner(ar.entry, tenant);
+    if (was_present)
+        slots[slot] = slotWord(blk, new_state);
+    else
+        victim = fill(slot, addr, new_state);
+    // A fresh fill starts unowned; an in-place update keeps its owner
+    // unless the insert names one.
+    setOwner(slot, tenant);
     return victim;
 }
 
@@ -205,8 +240,12 @@ void
 DramCache::invalidate(Addr addr, std::function<void(bool, bool)> done)
 {
     const Tick now = eventq.now();
+    const Addr blk = blockNumber(addr);
+    const std::size_t slot = slotOf(blk);
+    const std::uint64_t word = slots[slot];
+    const bool present = holds(word, blk);
 
-    if (predictorEnabled && !predictPresent(addr)) {
+    if (predictorEnabled && !predictPresent(addr, present)) {
         eventq.scheduleAt(now + predictorLatency,
                           [done] { done(false, false); });
         return;
@@ -215,13 +254,11 @@ DramCache::invalidate(Addr addr, std::function<void(bool, bool)> done)
     const Tick access_start =
         now + (predictorEnabled ? predictorLatency : 0);
 
-    bool present = false;
     bool dirty = false;
-    if (const TagEntry *e = tags.find(addr)) {
-        present = true;
-        dirty = e->state == CacheState::Modified;
-        dropOwnerAux(e->aux);
-        tags.invalidate(addr);
+    if (present) {
+        dirty = stateOf(word) == CacheState::Modified;
+        dropOwner(slot);
+        slots[slot] = 0;
         predictor->onRemove(addr);
         ++invalidations;
     } else if (predictorEnabled && !exactPredictor) {
@@ -237,38 +274,27 @@ DramCache::invalidate(Addr addr, std::function<void(bool, bool)> done)
 DramCacheVictim
 DramCache::updateClean(Addr addr, std::uint32_t tenant)
 {
-    DramCacheVictim victim;
+    const Addr blk = blockNumber(addr);
+    const std::size_t slot = slotOf(blk);
 
-    if (TagEntry *e = tags.find(addr)) {
+    if (holds(slots[slot], blk)) {
         chargeChannel(addr, eventq.now() + accessLatency);
         ++writeUpdates;
-        e->state = CacheState::Shared;
-        setOwner(e, tenant);
-        tags.touch(e);
-        return victim;
+        slots[slot] = slotWord(blk, CacheState::Shared);
+        setOwner(slot, tenant);
+        return {};
     }
 
     // The insert-if-absent branch is a clean fill like any other and
     // passes through the same admission gate.
     if (!predictor->admit(addr, tenant))
-        return victim;
+        return {};
     chargeChannel(addr, eventq.now() + accessLatency);
 
     ++inserts;
-    AllocResult ar = tags.allocate(addr, CacheState::Shared);
-    if (ar.evictedValid) {
-        victim.valid = true;
-        victim.addr = ar.victimAddr;
-        victim.dirty = ar.victimState == CacheState::Modified;
-        if (victim.dirty)
-            ++evictionsDirty;
-        else
-            ++evictionsClean;
-        predictor->onRemove(victim.addr);
-        dropOwnerAux(ar.victimAux);
-    }
-    predictor->onInsert(addr);
-    setOwner(ar.entry, tenant);
+    const DramCacheVictim victim =
+        fill(slot, addr, CacheState::Shared);
+    setOwner(slot, tenant);
     return victim;
 }
 

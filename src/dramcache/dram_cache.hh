@@ -12,6 +12,17 @@
  *
  * Dirty blocks are permitted only in the snoopy/full-dir designs; the
  * C3D designs keep the cache clean (§IV-A).
+ *
+ * Tag store: a direct-mapped cache has no replacement choice, so each
+ * block frame is one 64-bit slot word, `blockNumber(addr) << 2 |
+ * state`, using CacheState's values (Invalid is 0, so a zero word is
+ * an empty frame). 58 block-number bits plus 2 state bits hold every
+ * 64-bit address exactly; the resident address is
+ * `(word >> 2) << BlockShift`. Frames map as a 1-way TagArray would:
+ * `blk & (frames - 1)` for a power-of-two frame count, `blk % frames`
+ * otherwise. Each probe, fill, invalidation and clean update reads
+ * its frame once. Tenant owners live in a parallel array that exists
+ * only while tenant tracking is on.
  */
 
 #ifndef C3DSIM_DRAMCACHE_DRAM_CACHE_HH
@@ -23,7 +34,7 @@
 #include <string>
 #include <vector>
 
-#include "cache/tag_array.hh"
+#include "cache/tag_array.hh" // CacheState
 #include "common/config.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
@@ -116,16 +127,23 @@ class DramCache
                                 std::uint32_t tenant = NoTenant);
 
     /** Structural presence check with no timing (tests/inspection). */
-    bool contains(Addr addr) const { return tags.find(addr) != nullptr; }
+    bool
+    contains(Addr addr) const
+    {
+        const Addr blk = blockNumber(addr);
+        return holds(slots[slotOf(blk)], blk);
+    }
     bool
     isDirty(Addr addr) const
     {
-        const TagEntry *e = tags.find(addr);
-        return e && e->state == CacheState::Modified;
+        const Addr blk = blockNumber(addr);
+        const std::uint64_t w = slots[slotOf(blk)];
+        return holds(w, blk) && stateOf(w) == CacheState::Modified;
     }
 
-    std::uint64_t capacityBlocks() const { return tags.capacityBlocks(); }
-    std::uint64_t validBlocks() const { return tags.validBlocks(); }
+    std::uint64_t capacityBlocks() const { return slots.size(); }
+    /** Count of resident blocks (linear scan; tests/inspection). */
+    std::uint64_t validBlocks() const;
 
     std::uint64_t hitCount() const { return hits.value(); }
     std::uint64_t missCount() const { return misses.value(); }
@@ -166,28 +184,66 @@ class DramCache
     }
 
   private:
+    /** Slot word of @p blk resident in @p state. */
+    static std::uint64_t
+    slotWord(Addr blk, CacheState state)
+    {
+        return blk << 2 | static_cast<std::uint64_t>(state);
+    }
+    static CacheState
+    stateOf(std::uint64_t word)
+    {
+        return static_cast<CacheState>(word & 3);
+    }
+    /** Does slot word @p word hold block @p blk? */
+    static bool
+    holds(std::uint64_t word, Addr blk)
+    {
+        return word != 0 && (word >> 2) == blk;
+    }
+
+    /** Frame index of block @p blk (TagArray's 1-way mapping). */
+    std::size_t
+    slotOf(Addr blk) const
+    {
+        return static_cast<std::size_t>(
+            slotsArePow2 ? (blk & slotMask) : (blk % slots.size()));
+    }
+
     /** Serialize an access burst on the channel for @p addr. */
     Tick chargeChannel(Addr addr, Tick start);
 
-    /** Presence prediction (exact MissMap or counting filter). */
-    bool predictPresent(Addr addr);
+    /**
+     * Presence prediction (exact MissMap or counting filter).
+     * @param present the slot's answer, which exact mode returns.
+     */
+    bool predictPresent(Addr addr, bool present);
 
     /** Tick tenant @p t's hit or miss counter (NoTenant: no-op). */
     void countTenant(std::uint32_t tenant, bool hit);
 
     /**
-     * Transfer ownership of @p e to @p tenant. The owner lives in
-     * TagEntry::aux as tenant+1 (0 = unowned; the LLC uses aux for
-     * its sharer vector, the DRAM cache for this tag), so eviction
-     * paths recover the displaced owner from AllocResult::victimAux.
+     * Fill frame @p slot with the absent block at @p addr, displacing
+     * (and releasing the owner of) whatever it held. The new block
+     * starts unowned.
      */
-    void setOwner(TagEntry *e, std::uint32_t tenant);
+    DramCacheVictim fill(std::size_t slot, Addr addr, CacheState state);
 
-    /** A block with owner tag @p aux left the cache. */
-    void dropOwnerAux(std::uint64_t aux);
+    /**
+     * Transfer ownership of frame @p slot to @p tenant (NoTenant or
+     * tracking off: no-op). Owners are stored as tenant+1, 0 meaning
+     * unowned.
+     */
+    void setOwner(std::size_t slot, std::uint32_t tenant);
+
+    /** Frame @p slot's block left the cache: release its owner. */
+    void dropOwner(std::size_t slot);
 
     EventQueue &eventq;
-    TagArray tags;
+    /** One slot word per block frame (see the file comment). */
+    std::vector<std::uint64_t> slots;
+    bool slotsArePow2 = false;
+    std::uint64_t slotMask = 0;
     std::unique_ptr<PresencePredictor> predictor;
     const bool predictorEnabled;
     const bool exactPredictor;
@@ -217,6 +273,8 @@ class DramCache
     std::vector<Counter> tenantHits;
     std::vector<Counter> tenantMisses;
     std::vector<std::uint64_t> tenantBlocks;
+    /** Per-frame owner, tenant+1 (0 = unowned). */
+    std::vector<std::uint32_t> owners;
 };
 
 } // namespace c3d

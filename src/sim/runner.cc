@@ -346,16 +346,18 @@ runWorkload(const SystemConfig &cfg,
     // Composition profiles reload their manifest (members unscanned:
     // the ComposedWorkload's expected-hash reader opens revalidate
     // them through the scan memo) and re-derive the semantic hash so
-    // a manifest edited after grid expansion fails loudly.
+    // a manifest edited after grid expansion fails loudly. Either
+    // failure is a SimError, contained to the row by the sweep's
+    // fail policy.
     if (scaled_profile.isComposition()) {
         CompositionSpec spec;
         std::string error;
         if (!loadComposition(scaled_profile.compositionPath, spec,
                              error, /*validate_members=*/false))
-            c3d_fatal("%s", error.c_str());
+            c3d_panic("%s", error.c_str());
         if (compositionHashOf(spec) !=
             scaled_profile.compositionHash) {
-            c3d_fatal("'%s' changed since the grid was built "
+            c3d_panic("'%s' changed since the grid was built "
                       "(composition hash %016llx, expected %016llx)",
                       scaled_profile.compositionPath.c_str(),
                       static_cast<unsigned long long>(

@@ -72,7 +72,7 @@ ComposedWorkload::ComposedWorkload(const CompositionSpec &spec,
         std::string error;
         if (!m->reader.open(m->spec.tracePath, error,
                             &m->spec.traceHash))
-            c3d_fatal("composition '%s': %s",
+            c3d_panic("composition '%s': %s",
                       spec.manifestPath.c_str(), error.c_str());
         // "t<idx>:<basename>@<hash8>": reuse the trace naming rule,
         // swapping its "trace:" prefix for the tenant index.

@@ -9,16 +9,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include <unistd.h>
 
 #include "common/log.hh"
+#include "exp/sweep_engine.hh"
 #include "exp/sweep_grid.hh"
 #include "trace/trace_file.hh"
+#include "trace/workload.hh"
 #include "workload/composed_workload.hh"
 #include "workload/composition.hh"
 
@@ -476,6 +481,80 @@ TEST(ComposedWorkloadTest, PhaseMixingSkipsRecordsAtEachBoundary)
     // Phase mixing is deterministic too.
     EXPECT_TRUE(sameOps(mixed, drain(phased, 1, 4, 0, 30)));
 
+    removeTenants(spec);
+}
+
+// ---- golden-file differential ---------------------------------------
+
+/**
+ * Record @p ops records per lane of @p profile's 4-core stream at
+ * scale 256, as `c3d-trace record` does.
+ */
+std::uint64_t
+recordProfile(const std::string &path, const char *profile,
+              std::uint64_t seed, std::uint64_t ops)
+{
+    WorkloadProfile p = profileByName(profile);
+    p.seed = seed;
+    SyntheticWorkload wl(p.scaled(256), 4);
+    const std::uint32_t lanes = wl.activeCores(4);
+    TraceFileWriter w(path, lanes);
+    for (std::uint64_t i = 0; i < ops; ++i) {
+        for (std::uint16_t c = 0; c < lanes; ++c) {
+            const TraceOp op = wl.next(c);
+            w.append({c,
+                      static_cast<std::uint16_t>(
+                          std::min<std::uint32_t>(op.gap, 0xFFFF)),
+                      op.op, op.addr});
+        }
+    }
+    w.close();
+    TraceFileInfo info;
+    std::string error;
+    EXPECT_TRUE(scanTraceFile(path, info, error)) << error;
+    return info.contentHash;
+}
+
+TEST(ComposedGolden, TenantColumnsMatchCommittedBytes)
+{
+    // The per-tenant columns (DRAM-cache occupancy, hits, misses) are
+    // fed by the DRAM cache's owner bookkeeping. Pin a composed grid
+    // -- a clean (c3d), a dirty (snoopy) and a full-directory DRAM
+    // cache on 2 and 4 sockets -- to its committed JSON. Basenames
+    // are fixed: they reach the workload and tenant names.
+    std::ifstream gf(std::string(C3D_TEST_SOURCE_DIR) +
+                     "/golden/composed_tenants.json");
+    ASSERT_TRUE(gf.good()) << "missing tests/golden file";
+    std::stringstream golden;
+    golden << gf.rdbuf();
+
+    CompositionSpec spec;
+    spec.name = "goldmix";
+    spec.seed = 7;
+    spec.assignment = AssignPolicy::Interleave;
+    spec.arrival = ArrivalProcess::Staggered;
+    spec.staggerGap = 64;
+    const std::string path_a = tempPath("golden_a.c3dt");
+    const std::string path_b = tempPath("golden_b.c3dt");
+    spec.tenants.push_back(
+        {path_a, recordProfile(path_a, "nutch", 11, 600), 0, 0});
+    spec.tenants.push_back(
+        {path_b, recordProfile(path_b, "cassandra", 13, 600), 0, 0});
+    const std::string manifest = tempPath("goldmix.json");
+    std::ofstream(manifest, std::ios::trunc) << compositionToJson(spec);
+
+    WorkloadProfile composed;
+    std::string error;
+    ASSERT_TRUE(loadCompositionProfile(manifest, composed, error))
+        << error;
+    exp::SweepGrid grid;
+    grid.workloads = {composed};
+    grid.designs = {Design::C3D, Design::Snoopy, Design::C3DFullDir};
+    grid.sockets = {2, 4};
+    grid = exp::quickPreset(std::move(grid));
+    EXPECT_EQ(exp::SweepEngine(2).run(grid).toJson(), golden.str());
+
+    std::remove(manifest.c_str());
     removeTenants(spec);
 }
 

@@ -150,6 +150,48 @@ TEST(DramCache, DirectMappedConflictEvicts)
     EXPECT_TRUE(v.dirty);
     EXPECT_FALSE(dc.contains(a));
     EXPECT_TRUE(dc.contains(b));
+
+    // A non-power-of-two capacity maps by modulo: 3 MiB is 49152
+    // blocks (--dram-cache-mb=96 at scale 32). Block k conflicts with
+    // k + 49152, not with k + 32768 (where a mask would send it).
+    SystemConfig odd = dcConfig(Design::FullDir);
+    odd.dramCacheBytes = 3 << 20;
+    StatGroup go("t");
+    DramCache dco(eq, odd, 0, &go);
+    ASSERT_EQ(dco.capacityBlocks(), 49152u);
+    const Addr k = 5 * BlockBytes;
+    dco.insert(k, true);
+    EXPECT_FALSE(dco.insert(k + 32768 * BlockBytes, false).valid);
+    EXPECT_TRUE(dco.contains(k));
+    v = dco.insert(k + 49152 * BlockBytes, false);
+    ASSERT_TRUE(v.valid);
+    EXPECT_EQ(v.addr, k);
+    EXPECT_TRUE(v.dirty);
+    EXPECT_EQ(dco.validBlocks(), 2u);
+}
+
+TEST(DramCache, VictimAddressRoundTripsAtTopOfAddressSpace)
+{
+    // The slot word keeps all 58 block-number bits: the highest block
+    // comes back out of an eviction exactly, in both set mappings.
+    EventQueue eq;
+    for (const std::uint64_t bytes : {1ull << 20, 3ull << 20}) {
+        StatGroup g("t");
+        SystemConfig cfg = dcConfig(Design::FullDir);
+        cfg.dramCacheBytes = bytes;
+        DramCache dc(eq, cfg, 0, &g);
+        const Addr top = 0xFFFFFFFFFFFFFFC0ull;
+        dc.insert(top, true);
+        EXPECT_TRUE(dc.contains(top));
+        EXPECT_TRUE(dc.isDirty(top));
+        const Addr conflict = top - dc.capacityBlocks() * BlockBytes;
+        const DramCacheVictim v = dc.insert(conflict, false);
+        ASSERT_TRUE(v.valid) << bytes;
+        EXPECT_EQ(v.addr, top);
+        EXPECT_TRUE(v.dirty);
+        EXPECT_TRUE(dc.contains(conflict));
+        EXPECT_FALSE(dc.contains(top));
+    }
 }
 
 TEST(DramCache, InvalidateRemovesAndReports)
@@ -300,6 +342,29 @@ TEST(DramCache, TenantAttributionAndOccupancy)
     eq.run();
     EXPECT_EQ(dc.tenantOccupancy(0), 0u);
     EXPECT_EQ(dc.tenantOccupancy(1), 0u);
+
+    // A clean refresh of a resident block keeps its owner unless a
+    // tenant is named; a fresh, unnamed fill starts unowned.
+    dc.insert(0x4000, false, 0);
+    dc.updateClean(0x4000);
+    EXPECT_EQ(dc.tenantOccupancy(0), 1u);
+    dc.updateClean(0x4000, 1);
+    EXPECT_EQ(dc.tenantOccupancy(0), 0u);
+    EXPECT_EQ(dc.tenantOccupancy(1), 1u);
+    dc.updateClean(0x8000);
+    EXPECT_TRUE(dc.contains(0x8000));
+    EXPECT_EQ(dc.tenantOccupancy(0) + dc.tenantOccupancy(1), 1u);
+
+    // So does a dirty in-place insert (this design allows dirt).
+    dc.insert(0x4000, true);
+    EXPECT_TRUE(dc.isDirty(0x4000));
+    EXPECT_EQ(dc.tenantOccupancy(1), 1u);
+    dc.insert(0x4000, true, 0);
+    EXPECT_EQ(dc.tenantOccupancy(0), 1u);
+    EXPECT_EQ(dc.tenantOccupancy(1), 0u);
+    dc.insert(0x4000, true, 0);
+    EXPECT_EQ(dc.tenantOccupancy(0), 1u);
+    EXPECT_EQ(dc.validBlocks(), 2u);
 }
 
 } // namespace

@@ -12,6 +12,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
+#include <fstream>
 #include <set>
 #include <string>
 #include <thread>
@@ -23,6 +25,8 @@
 #include "sim/fault_injector.hh"
 #include "sim/runner.hh"
 #include "sim/watchdog.hh"
+#include "trace/trace_file.hh"
+#include "workload/composition.hh"
 
 namespace c3d
 {
@@ -511,6 +515,102 @@ TEST(SweepFailPolicy, RetryExhaustionFallsBackToSkip)
     EXPECT_FALSE(failures[0].recovered);
     EXPECT_EQ(failures[0].attempts, 3u); // 1 try + 2 retries
     EXPECT_EQ(table.rows().size(), 1u);
+}
+
+/** Record a small 2-lane member trace; @p base offsets its blocks. */
+std::uint64_t
+writeMemberTrace(const std::string &path, Addr base)
+{
+    TraceFileWriter w(path, 2);
+    for (std::uint32_t i = 0; i < 400; ++i) {
+        for (std::uint16_t c = 0; c < 2; ++c) {
+            w.append({c, static_cast<std::uint16_t>(i % 3),
+                      i % 6 == 0 ? MemOp::Write : MemOp::Read,
+                      base + (i * 17 + c * 131) % 512 * BlockBytes});
+        }
+    }
+    w.close();
+    TraceFileInfo info;
+    std::string error;
+    EXPECT_TRUE(scanTraceFile(path, info, error)) << error;
+    return info.contentHash;
+}
+
+void
+writeManifest(const std::string &path, const CompositionSpec &spec)
+{
+    std::ofstream(path, std::ios::trunc) << compositionToJson(spec);
+}
+
+TEST(SweepFailPolicy, SkipContainsCompositionChangedAfterExpansion)
+{
+    const std::string dir = testing::TempDir();
+    const std::string manifest = dir + "c3d_fault_mix.json";
+    CompositionSpec spec;
+    spec.name = "faultmix";
+    for (Addr i = 0; i < 2; ++i) {
+        const std::string path =
+            dir + "c3d_fault_member" + std::to_string(i) + ".c3dt";
+        spec.tenants.push_back(
+            {path, writeMemberTrace(path, i << 20), 0, 0});
+    }
+    writeManifest(manifest, spec);
+    WorkloadProfile composed;
+    std::string error;
+    ASSERT_TRUE(loadCompositionProfile(manifest, composed, error))
+        << error;
+
+    exp::SweepGrid plain = containmentGrid();
+    exp::SweepGrid grid = plain;
+    grid.workloads.push_back(composed);
+    const std::vector<exp::RunSpec> specs = grid.expand();
+    const std::string clean_json =
+        exp::SweepEngine(1).run(plain).toJson();
+
+    // Sweep the already-expanded grid under Skip: every composed row
+    // fails naming the manifest and carrying @p needle; the facesim
+    // rows are byte-identical to a sweep without the composition.
+    const auto expect_contained = [&](const char *needle) {
+        exp::SweepEngine engine(2);
+        engine.setFailPolicy(exp::FailPolicy::Skip);
+        std::vector<exp::RowFailure> failures;
+        engine.setFailureSink([&](const exp::RowFailure &f) {
+            failures.push_back(f);
+        });
+        const exp::ResultTable table = engine.run(grid);
+        std::set<std::size_t> failed;
+        for (const exp::RowFailure &f : failures) {
+            ASSERT_LT(f.index, specs.size());
+            EXPECT_TRUE(specs[f.index].profile.isComposition());
+            EXPECT_EQ(f.identity, exp::specIdentityKey(specs[f.index]));
+            EXPECT_FALSE(f.recovered);
+            EXPECT_NE(f.error.find(manifest), std::string::npos)
+                << f.error;
+            EXPECT_NE(f.error.find(needle), std::string::npos)
+                << f.error;
+            failed.insert(f.index);
+        }
+        EXPECT_EQ(failures.size(), failed.size());
+        EXPECT_EQ(failed.size(), specs.size() - plain.size());
+        EXPECT_EQ(table.toJson(), clean_json);
+    };
+
+    // The manifest is edited: its hash no longer matches the grid's.
+    CompositionSpec edited = spec;
+    edited.seed += 1;
+    writeManifest(manifest, edited);
+    expect_contained("changed since the grid was built");
+
+    // The manifest is intact but a member trace is gone.
+    writeManifest(manifest, spec);
+    std::remove(spec.tenants[1].tracePath.c_str());
+    expect_contained("c3d_fault_member1.c3dt");
+
+    // The manifest itself is gone.
+    std::remove(manifest.c_str());
+    expect_contained("cannot open composition manifest");
+
+    std::remove(spec.tenants[0].tracePath.c_str());
 }
 
 } // namespace

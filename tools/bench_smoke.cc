@@ -14,9 +14,10 @@
  *   sweep-cli  <c3d-sweep> [GRID [EXPECT [REFUSAL_GRID]]]: run the
  *              determinism contract on GRID (c3d-sweep grid flags;
  *              default a 2-design x 2-workload x 2-socket quick grid):
- *              --jobs=1/2/8, --parallel-kernel=4, --shard x3 + merge
+ *              --jobs=1/2/8, --parallel-kernel=2/4, --shard x3 + merge
  *              and partial --journal + --resume must give
- *              byte-identical JSON (and CSV for merge); the JSON must
+ *              byte-identical JSON, and the merged journals and the
+ *              default --parallel-kernel byte-identical CSV; the JSON must
  *              contain EXPECT, and resuming a shard journal under
  *              REFUSAL_GRID must fail as a different grid.
  *   sweep-cli  <c3d-sweep> shared-vs-per-row: a grid whose rows
@@ -240,9 +241,10 @@ shardMergeResumeDifferential(const std::string &sweep,
 
 /**
  * c3d-sweep's determinism contract on one grid, end to end: the
- * --jobs=1, --jobs=8 and --jobs=1 --parallel-kernel=4 artifacts, the
- * merged shard journals and an interrupted-then-resumed run must all
- * equal the whole run's JSON byte for byte (CSV too for merge). When
+ * --jobs=1, --jobs=8 and --jobs=1 --parallel-kernel=2/4 artifacts,
+ * the merged shard journals and an interrupted-then-resumed run must
+ * all equal the whole run's JSON byte for byte (CSV too for merge and
+ * for the parallel kernel at its default thread count). When
  * given, the JSON must contain @p expect, and resuming a shard's
  * journal under @p refusal_grid must fail as a different grid. An
  * overflowing --dram-cache-mb must be refused naming the flag.
@@ -264,7 +266,7 @@ sweepCliCheck(const std::string &sweep_binary, const std::string &grid,
         return 1;
 
     // Other worker counts, the parallel kernel, and the CSV of the
-    // merged journals.
+    // merged journals and of the parallel kernel.
     const auto matches = [&tmp](const std::string &command,
                                 const char *name,
                                 const std::string &expected) {
@@ -285,11 +287,15 @@ sweepCliCheck(const std::string &sweep_binary, const std::string &grid,
     const std::string csv_path = tmp.path("whole.csv");
     if (!matches(run + " --jobs=1", "jobs1.json", whole) ||
         !matches(run + " --jobs=8", "jobs8.json", whole) ||
+        !matches(run + " --jobs=1 --parallel-kernel=2", "kernel2.json",
+                 whole) ||
         !matches(run + " --jobs=1 --parallel-kernel=4", "kernel4.json",
                  whole) ||
         !runCommand(run + " --jobs=2 --format=csv --out=" +
                         shellQuote(csv_path), out) ||
-        !readFile(csv_path, csv) || !matches(merge, "merged.csv", csv))
+        !readFile(csv_path, csv) || !matches(merge, "merged.csv", csv) ||
+        !matches(run + " --jobs=1 --parallel-kernel --format=csv",
+                 "kernel.csv", csv))
         return 1;
 
     if (whole.find(expect) == std::string::npos) {
