@@ -13,22 +13,31 @@
 #ifndef C3DSIM_COHERENCE_BLOCKING_HH
 #define C3DSIM_COHERENCE_BLOCKING_HH
 
-#include <deque>
-#include <functional>
-#include <unordered_map>
+#include <vector>
 
 #include "common/log.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
+#include "sim/inline_function.hh"
+#include "sim/slab.hh"
 
 namespace c3d
 {
 
-/** Serializes transactions per block address. */
+/**
+ * Serializes transactions per block address. Allocation-free per
+ * transaction: table nodes come from the slab and an uncontended
+ * block's waiter list stays empty (an empty vector owns no memory).
+ */
 class BlockingTable
 {
   public:
-    using Start = std::function<void()>;
+    /**
+     * A transaction's start. Starts wait in the table, never inside
+     * an event, so the budget fits the largest acquire capture
+     * (DirectoryProtocol::getX, 72 bytes) rather than nesting in 64.
+     */
+    using Start = InlineFunction<void(), 72>;
 
     void
     init(StatGroup *stats, const std::string &name)
@@ -48,7 +57,7 @@ class BlockingTable
     acquire(Addr addr, Start start)
     {
         const Addr blk = blockNumber(addr);
-        auto [it, inserted] = table.emplace(blk, Waiters{});
+        auto [it, inserted] = table.try_emplace(blk);
         ++admitted;
         if (inserted) {
             start();
@@ -73,7 +82,7 @@ class BlockingTable
             return;
         }
         Start next = std::move(it->second.front());
-        it->second.pop_front();
+        it->second.erase(it->second.begin());
         next();
     }
 
@@ -88,8 +97,9 @@ class BlockingTable
     std::uint64_t blockedCount() const { return conflicts.value(); }
 
   private:
-    using Waiters = std::deque<Start>;
-    std::unordered_map<Addr, Waiters> table;
+    /** FIFO of queued starts; rarely longer than one or two. */
+    using Waiters = std::vector<Start, slab::Allocator<Start>>;
+    slab::UnorderedMap<Addr, Waiters> table;
     Counter conflicts;
     Counter admitted;
 };

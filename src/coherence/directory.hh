@@ -19,13 +19,13 @@
 #define C3DSIM_COHERENCE_DIRECTORY_HH
 
 #include <cstdint>
-#include <functional>
 #include <unordered_map>
 #include <vector>
 
 #include "common/log.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
+#include "sim/inline_function.hh"
 
 namespace c3d
 {
@@ -77,7 +77,7 @@ class DirectoryStore
     virtual DirEntry *find(Addr addr) = 0;
 
     /** Filter for recall victims (e.g. "block not locked"). */
-    using Evictable = std::function<bool(Addr)>;
+    using Evictable = Continuation<bool(Addr)>;
 
     /**
      * Allocate (or find) an entry for @p addr. May displace a victim

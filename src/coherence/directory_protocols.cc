@@ -43,7 +43,7 @@ DirectoryProtocol::notBusyAt(SocketId home)
     };
 }
 
-std::function<bool(Addr)>
+Continuation<bool(Addr)>
 DirectoryProtocol::trackedAt(SocketId home)
 {
     return [this, home](Addr a) {
@@ -74,8 +74,7 @@ DirectoryProtocol::getS(SocketId req, Addr addr, ReadDone done)
 
 void
 DirectoryProtocol::serveFromMemory(SocketId req, SocketId home,
-                                   Addr addr,
-                                   std::function<void()> deliver)
+                                   Addr addr, ReadDone deliver)
 {
     // The block lock is released when the response *leaves* the home,
     // not when it lands at the requester: the home is the ordering
@@ -320,7 +319,7 @@ DirectoryProtocol::handleGetX(SocketId req, SocketId home, Addr addr,
 
     if (e && e->state == DirState::Shared) {
         const bool req_tracked = e->isSharer(req);
-        const std::vector<SocketId> targets = sharersOf(*e, req);
+        const SocketMask targets = sharersOf(*e, req);
         e->state = DirState::Modified;
         e->owner = req;
         e->sharers = 0;
@@ -363,25 +362,16 @@ DirectoryProtocol::handleGetX(SocketId req, SocketId home, Addr addr,
             // write completion at the home with zero flight time
             // when the acks were the laggard.
             ++broadcasts;
-            auto join = std::make_shared<WriteJoin>();
-            join->finish = [this, req, home, addr, with_data,
-                            done = std::move(done)]() mutable {
-                if (with_data) {
-                    sendData(home, req, std::move(done));
-                } else {
-                    sendCtrl(home, req, std::move(done));
-                }
-                homeLocks[home].release(addr);
-            };
-            join->memPending = with_data;
-            join->acksPending = true;
-
+            auto join = slab::Shared<WriteJoin>::make(
+                req, home, addr, with_data, /*memPending=*/with_data,
+                /*acksPending=*/true, std::move(done));
             if (with_data) {
                 ++readsFromMemory;
                 m.socket(home).memory().read(
-                    addr, req != home, [join] {
+                    addr, req != home, [this, join] {
                     join->memPending = false;
-                    join->tryFinish();
+                    if (!join->acksPending)
+                        finishBroadcastWrite(*join);
                 });
             }
             invalidateSockets(home, othersThan(req), addr,
@@ -393,13 +383,24 @@ DirectoryProtocol::handleGetX(SocketId req, SocketId home, Addr addr,
                     ++fwdRaces;
                 }
                 join->acksPending = false;
-                join->tryFinish();
+                if (!join->memPending)
+                    finishBroadcastWrite(*join);
             });
             return;
         }
         ++broadcastsElided;
     }
     respondWrite(req, home, addr, with_data, std::move(done));
+}
+
+void
+DirectoryProtocol::finishBroadcastWrite(WriteJoin &join)
+{
+    if (join.withData)
+        sendData(join.home, join.req, std::move(join.done));
+    else
+        sendCtrl(join.home, join.req, std::move(join.done));
+    homeLocks[join.home].release(join.addr);
 }
 
 // --------------------------------------------------------------------

@@ -73,35 +73,35 @@ class DirectoryProtocol : public ProtocolBase
 
     /** Read memory at home and deliver data to the requester. */
     void serveFromMemory(SocketId req, SocketId home, Addr addr,
-                         std::function<void()> deliver);
+                         ReadDone deliver);
 
     /** Send the write response (data or upgrade-ack) to @p req. */
     void respondWrite(SocketId req, SocketId home, Addr addr,
                       bool with_data, WriteDone done);
 
-    /** Join for the parallel memory-read + broadcast write path. */
+    /**
+     * Join for the parallel memory-read + broadcast write path: the
+     * response leaves once both halves are in (finishBroadcastWrite).
+     */
     struct WriteJoin
     {
-        bool memPending = false;
-        bool acksPending = false;
-        bool fired = false;
-        std::function<void()> finish;
-
-        void
-        tryFinish()
-        {
-            if (!fired && !memPending && !acksPending) {
-                fired = true;
-                finish();
-            }
-        }
+        SocketId req;
+        SocketId home;
+        Addr addr;
+        bool withData;
+        bool memPending;
+        bool acksPending;
+        WriteDone done;
     };
+
+    /** Send a broadcast write's response once its join is complete. */
+    void finishBroadcastWrite(WriteJoin &join);
 
     /** Recall-victim filter: blocks mid-transaction are pinned. */
     DirectoryStore::Evictable notBusyAt(SocketId home);
 
     /** Recall-mootness check: entry re-established under the lock. */
-    std::function<bool(Addr)> trackedAt(SocketId home);
+    Continuation<bool(Addr)> trackedAt(SocketId home);
 
     const char *designName;
     const DirPolicy policy;

@@ -13,13 +13,13 @@
 #define C3DSIM_COHERENCE_PROTOCOL_HH
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 
 #include "cache/tag_array.hh"
 #include "common/config.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
+#include "sim/inline_function.hh"
 
 namespace c3d
 {
@@ -27,10 +27,10 @@ namespace c3d
 class Machine;
 
 /** Completion callback for a read request: state granted is Shared. */
-using ReadDone = std::function<void()>;
+using ReadDone = Continuation<void()>;
 
 /** Completion callback for a write/upgrade request. */
-using WriteDone = std::function<void()>;
+using WriteDone = Continuation<void()>;
 
 /** The socket-boundary coherence interface. */
 class GlobalProtocol

@@ -8,15 +8,15 @@
 #ifndef C3DSIM_COHERENCE_PROTOCOL_BASE_HH
 #define C3DSIM_COHERENCE_PROTOCOL_BASE_HH
 
-#include <functional>
-#include <memory>
 #include <vector>
 
 #include "coherence/blocking.hh"
 #include "coherence/directory.hh"
 #include "coherence/protocol.hh"
 #include "common/stats.hh"
+#include "sim/inline_function.hh"
 #include "sim/machine.hh"
+#include "sim/slab.hh"
 
 namespace c3d
 {
@@ -68,8 +68,7 @@ class ProtocolBase : public GlobalProtocol
     /**
      * Packet helpers. @p cb runs at @p dst as the arrival event —
      * it must only touch dst-side state. Forwarding templates so the
-     * callable lands directly in the event's inline storage instead
-     * of a std::function heap node.
+     * callable lands directly in the event's inline storage.
      */
     template <typename F>
     void
@@ -89,73 +88,73 @@ class ProtocolBase : public GlobalProtocol
 
     /**
      * Fan out invalidation probes to @p targets; @p done runs at the
-     * home socket once every ack has returned. Dirty finds are
-     * reported through @p on_dirty (at most one in a correct run).
+     * home socket once every ack has returned, with whether any
+     * probe found a dirty copy (at most one in a correct run).
      */
     void
-    invalidateSockets(SocketId home, const std::vector<SocketId> &targets,
-                      Addr addr, std::function<void(bool)> done)
+    invalidateSockets(SocketId home, SocketMask targets, Addr addr,
+                      Continuation<void(bool)> done)
     {
-        if (targets.empty()) {
+        if (!targets) {
             queueAt(home).schedule(0,
                                    [done = std::move(done)] {
                                        done(false);
                                    });
             return;
         }
-        auto state = std::make_shared<FanIn>();
-        state->remaining = targets.size();
-        const Tick phase_start = queueAt(home).now();
-        state->done = [this, home, phase_start,
-                       done = std::move(done)](bool dirty) {
-            invPhaseTime.sample(queueAt(home).now() - phase_start);
-            done(dirty);
-        };
-        for (SocketId t : targets) {
+        auto state = slab::Shared<FanIn>::make(
+            static_cast<std::uint32_t>(__builtin_popcountll(targets)),
+            false, queueAt(home).now(), std::move(done));
+        forEachSocket(targets, [&](SocketId t) {
             ++invsSent;
-            sendCtrl(home, t, [this, t, addr, home, state] {
+            sendCtrl(home, t, [this, t, addr, home, state]() mutable {
                 m.socket(t).probeInvalidate(addr,
-                                            [this, t, home, state]
-                                            (bool dirty) {
+                                            [this, t, home,
+                                             state = std::move(state)]
+                                            (bool dirty) mutable {
                     // Ack back to the home.
-                    sendCtrl(t, home, [state, dirty] {
+                    sendCtrl(t, home, [this, home,
+                                       state = std::move(state),
+                                       dirty] {
                         if (dirty)
                             state->sawDirty = true;
-                        if (--state->remaining == 0)
+                        if (--state->remaining == 0) {
+                            invPhaseTime.sample(queueAt(home).now() -
+                                                state->phaseStart);
                             state->done(state->sawDirty);
+                        }
                     });
                 });
             });
-        }
+        });
+    }
+
+    /** Call @p f for each socket in @p set, in ascending order. */
+    template <typename F>
+    static void
+    forEachSocket(SocketMask set, F &&f)
+    {
+        for (; set; set &= set - 1)
+            f(static_cast<SocketId>(__builtin_ctzll(set)));
     }
 
     /** All sockets except @p exclude. */
-    std::vector<SocketId>
+    SocketMask
     othersThan(SocketId exclude) const
     {
-        std::vector<SocketId> v;
-        for (SocketId s = 0; s < m.numSockets(); ++s)
-            if (s != exclude)
-                v.push_back(s);
-        return v;
+        const SocketMask all = m.numSockets() >= 64
+            ? ~SocketMask{0}
+            : (SocketMask{1} << m.numSockets()) - 1;
+        return exclude < 64 ? all & ~(SocketMask{1} << exclude) : all;
     }
 
     /** Sharer-vector sockets except @p exclude. */
-    std::vector<SocketId>
+    SocketMask
     sharersOf(const DirEntry &e, SocketId exclude) const
     {
-        std::vector<SocketId> v;
-        for (SocketId s = 0; s < m.numSockets(); ++s)
-            if (s != exclude && e.isSharer(s))
-                v.push_back(s);
-        return v;
+        return e.sharers & othersThan(exclude);
     }
 
-    /**
-     * Resolve a directory recall: invalidate the victim entry's
-     * holders and write dirty data back to memory. Runs entirely off
-     * the requester's critical path.
-     */
     /**
      * Resolve a directory recall: invalidate the victim entry's
      * holders and write dirty data back to memory. Runs under the
@@ -166,17 +165,15 @@ class ProtocolBase : public GlobalProtocol
      */
     void
     resolveRecall(SocketId home, const DirRecall &recall,
-                  std::function<bool(Addr)> reallocated = {})
+                  Continuation<bool(Addr)> reallocated = {})
     {
         if (!recall.valid)
             return;
-        std::vector<SocketId> targets;
-        if (recall.entry.state == DirState::Modified) {
-            targets.push_back(recall.entry.owner);
-        } else {
-            targets = sharersOf(recall.entry, InvalidSocket);
-        }
-        recallInvs += targets.size();
+        const SocketMask targets =
+            recall.entry.state == DirState::Modified
+            ? SocketMask{1} << recall.entry.owner
+            : sharersOf(recall.entry, InvalidSocket);
+        recallInvs += __builtin_popcountll(targets);
         const Addr addr = recall.addr;
         // Serialize against any transaction in flight for the
         // recalled block (we hold a different block's lock, so this
@@ -213,11 +210,13 @@ class ProtocolBase : public GlobalProtocol
     Histogram lockWaitTime;
 
   private:
+    /** Ack fan-in of one invalidateSockets call. */
     struct FanIn
     {
-        std::size_t remaining = 0;
-        bool sawDirty = false;
-        std::function<void(bool)> done;
+        std::uint32_t remaining;
+        bool sawDirty;
+        Tick phaseStart;
+        Continuation<void(bool)> done;
     };
 };
 

@@ -37,34 +37,20 @@ SnoopyProtocol::SnoopyProtocol(Machine &machine, StatGroup *stats,
     }
 }
 
-namespace
+/** Join state for a broadcast transaction (requester side). */
+struct SnoopyProtocol::SnoopJoin
 {
-
-/** Join state for a broadcast transaction. */
-struct SnoopJoin
-{
-    std::size_t pendingProbes = 0;
-    bool memPending = false;
+    SocketId req;
+    SocketId home;
+    Addr addr;
+    bool isWrite;
+    bool updateCopies;
+    bool memPending;
+    std::uint32_t pendingProbes;
+    ReadDone done;
     bool dataArrived = false;
     bool completed = false;
-    std::function<void()> done;
-
-    void
-    tryComplete()
-    {
-        if (completed)
-            return;
-        // Complete as soon as supplied data arrives (a dirty owner
-        // or clean forwarder sent the block), or when every ack and
-        // the memory data are in.
-        if (dataArrived || (pendingProbes == 0 && !memPending)) {
-            completed = true;
-            done();
-        }
-    }
 };
-
-} // namespace
 
 HomeLineState &
 SnoopyProtocol::lineAt(SocketId home, Addr addr)
@@ -81,8 +67,7 @@ SnoopyProtocol::memWrite(SocketId home, Addr addr, bool remote)
 void
 SnoopyProtocol::requestTransaction(SocketId req, Addr addr,
                                    bool is_write,
-                                   bool has_shared_copy,
-                                   std::function<void()> done)
+                                   bool has_shared_copy, ReadDone done)
 {
     // The home socket is the ordering point (home-snoop flavour, as
     // in QPI): same-block transactions serialize there, which keeps
@@ -99,35 +84,45 @@ SnoopyProtocol::requestTransaction(SocketId req, Addr addr,
                 const SnoopPlan plan = variant->plan(
                     lineAt(home, addr), req, is_write,
                     has_shared_copy);
-                // The join completes at the requester (every ack and
-                // data packet lands there), so the completion wrapper
-                // runs req-side. The home lock and line state are
-                // home state: releasing or committing from the
-                // requester both races under the parallel kernel and
-                // lets a later transaction's probes depart the
-                // ordering point before this transaction's fill has
-                // landed. Send an explicit completion notice back to
-                // the home and commit+release on its arrival — the
-                // one extra control packet is the price of a real
-                // ordering point.
-                const bool update = plan.updateCopies;
-                runBroadcast(req, home, addr, plan,
-                             [this, req, home, addr, is_write,
-                              update, done = std::move(done)] {
-                    done();
-                    if (req == home) {
-                        commitAndRelease(home, req, addr, is_write,
-                                         update);
-                    } else {
-                        sendCtrl(req, home, [this, req, home, addr,
-                                             is_write, update] {
-                            commitAndRelease(home, req, addr,
-                                             is_write, update);
-                        });
-                    }
-                });
+                runBroadcast(req, home, addr, is_write, plan,
+                             std::move(done));
             });
     });
+}
+
+void
+SnoopyProtocol::tryComplete(SnoopJoin &join)
+{
+    if (join.completed)
+        return;
+    // Complete as soon as supplied data arrives (a dirty owner or
+    // clean forwarder sent the block), or when every ack and the
+    // memory data are in.
+    if (!join.dataArrived && (join.pendingProbes != 0 || join.memPending))
+        return;
+    join.completed = true;
+    // The join completes at the requester (every ack and data packet
+    // lands there), so the completion runs req-side. The home lock
+    // and line state are home state: releasing or committing from
+    // the requester both races under the parallel kernel and lets a
+    // later transaction's probes depart the ordering point before
+    // this transaction's fill has landed. Send an explicit completion
+    // notice back to the home and commit+release on its arrival --
+    // the one extra control packet is the price of a real ordering
+    // point.
+    join.done();
+    const SocketId req = join.req;
+    const SocketId home = join.home;
+    const Addr addr = join.addr;
+    const bool is_write = join.isWrite;
+    const bool update = join.updateCopies;
+    if (req == home) {
+        commitAndRelease(home, req, addr, is_write, update);
+    } else {
+        sendCtrl(req, home, [this, req, home, addr, is_write, update] {
+            commitAndRelease(home, req, addr, is_write, update);
+        });
+    }
 }
 
 void
@@ -154,24 +149,24 @@ SnoopyProtocol::commitAndRelease(SocketId home, SocketId req,
 
 void
 SnoopyProtocol::runBroadcast(SocketId req, SocketId home, Addr addr,
-                             const SnoopPlan &plan,
-                             std::function<void()> done)
+                             bool is_write, const SnoopPlan &plan,
+                             ReadDone done)
 {
-    auto join = std::make_shared<SnoopJoin>();
-    join->done = std::move(done);
-
-    const std::vector<SocketId> targets = othersThan(req);
-    join->pendingProbes = targets.size();
-    join->memPending = plan.withMemoryRead;
+    const SocketMask targets = othersThan(req);
+    auto join = slab::Shared<SnoopJoin>::make(SnoopJoin{
+        req, home, addr, is_write, plan.updateCopies,
+        plan.withMemoryRead,
+        static_cast<std::uint32_t>(__builtin_popcountll(targets)),
+        std::move(done)});
 
     // Parallel memory access at the home socket (§V-A: "we access
     // the memory in parallel with probing remote caches").
     if (plan.withMemoryRead) {
         m.socket(home).memory().read(addr, req != home,
-                                     [this, req, home, join] {
-            sendData(home, req, [join] {
+                                     [this, req, home, join]() mutable {
+            sendData(home, req, [this, join = std::move(join)] {
                 join->memPending = false;
-                join->tryComplete();
+                tryComplete(*join);
             });
         });
     }
@@ -179,18 +174,34 @@ SnoopyProtocol::runBroadcast(SocketId req, SocketId home, Addr addr,
     const bool probe_invalidate = plan.invalidateOthers;
     const bool retain = plan.supplierRetainsDirty;
     const bool reflective = plan.reflectiveWrite;
-    for (SocketId t : targets) {
+    forEachSocket(targets, [&](SocketId t) {
         ++snoops;
         const bool is_supplier =
             plan.supplier == static_cast<std::int32_t>(t);
         // Probes fan out from the ordering point; the home "probing
         // itself" is a local action (no interconnect traffic).
         sendCtrl(home, t, [this, req, home, t, addr, probe_invalidate,
-                           retain, reflective, is_supplier, join] {
+                           retain, reflective, is_supplier,
+                           join]() mutable {
+            // The join's request fields are immutable, so reading
+            // them here keeps this continuation within its budget.
             m.socket(t).snoopProbe(addr, probe_invalidate,
-                                   [this, req, home, t, addr,
-                                    reflective, is_supplier, join]
-                                   (SnoopResult res) {
+                                   [this, t, reflective, is_supplier,
+                                    join = std::move(join)]
+                                   (SnoopResult res) mutable {
+                const SocketId req = join->req;
+                const SocketId home = join->home;
+                const Addr addr = join->addr;
+                // Every probe answers the requester once, with data
+                // (a supplier) or with a bare ack.
+                auto answer = [this, &join](bool with_data) {
+                    return [this, with_data, join = std::move(join)] {
+                        --join->pendingProbes;
+                        if (with_data)
+                            join->dataArrived = true;
+                        tryComplete(*join);
+                    };
+                };
                 if (res.suppliedDirty) {
                     ++snoopHitsDirty;
                     ++dirtyFwds;
@@ -202,54 +213,41 @@ SnoopyProtocol::runBroadcast(SocketId req, SocketId home, Addr addr,
                             memWrite(hm, addr, false);
                         });
                     }
-                    sendData(t, req, [join] {
-                        --join->pendingProbes;
-                        join->dataArrived = true;
-                        join->tryComplete();
-                    });
+                    sendData(t, req, answer(true));
                 } else if (is_supplier && res.present) {
                     // MESIF-style clean forward: the designated
                     // supplier still holds the block and sends it in
                     // memory's stead.
                     ++cleanForwards;
-                    sendData(t, req, [join] {
-                        --join->pendingProbes;
-                        join->dataArrived = true;
-                        join->tryComplete();
-                    });
+                    sendData(t, req, answer(true));
                 } else if (is_supplier) {
                     // The believed supplier silently lost its copy:
                     // recover with a fallback memory read at the
                     // home. Deterministic — the stale home state
                     // costs latency, never correctness.
                     ++supplierFallbacks;
-                    sendCtrl(t, home, [this, req, home, addr, join] {
+                    sendCtrl(t, home, [this, req, home, addr,
+                                       ack = answer(true)]() mutable {
                         ++snoopMemoryServed;
                         m.socket(home).memory().read(
                             addr, req != home,
-                            [this, req, home, join] {
-                            sendData(home, req, [join] {
-                                --join->pendingProbes;
-                                join->dataArrived = true;
-                                join->tryComplete();
-                            });
+                            [this, req, home,
+                             ack = std::move(ack)]() mutable {
+                            sendData(home, req, std::move(ack));
                         });
                     });
                 } else {
-                    sendCtrl(t, req, [join] {
-                        --join->pendingProbes;
-                        join->tryComplete();
-                    });
+                    sendCtrl(t, req, answer(false));
                 }
             }, retain);
         });
-    }
+    });
 
-    if (targets.empty() && !plan.withMemoryRead) {
+    if (!targets && !plan.withMemoryRead) {
         // Single-socket machines only (othersThan(req) is never
         // empty otherwise), so this stays on the sequential kernel;
         // still pin to the home queue for uniformity.
-        queueAt(home).schedule(0, [join] { join->tryComplete(); });
+        queueAt(home).schedule(0, [this, join] { tryComplete(*join); });
     }
 }
 

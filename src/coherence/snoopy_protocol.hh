@@ -47,13 +47,18 @@ class SnoopyProtocol : public ProtocolBase
   private:
     /** Route to the home ordering point, plan, then broadcast. */
     void requestTransaction(SocketId req, Addr addr, bool is_write,
-                            bool has_shared_copy,
-                            std::function<void()> done);
+                            bool has_shared_copy, ReadDone done);
+
+    struct SnoopJoin;
 
     /** The broadcast itself, run with the home block lock held. */
     void runBroadcast(SocketId req, SocketId home, Addr addr,
-                      const SnoopPlan &plan,
-                      std::function<void()> done);
+                      bool is_write, const SnoopPlan &plan,
+                      ReadDone done);
+
+    /** Finish @p join at the requester once its data or every ack
+     * and the memory data are in; later calls are no-ops. */
+    void tryComplete(SnoopJoin &join);
 
     /**
      * Commit the transaction's home-side line state (sending Dragon

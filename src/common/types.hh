@@ -28,6 +28,10 @@ using CoreId = std::uint32_t;
 /** Socket identifier. */
 using SocketId = std::uint32_t;
 
+/** A set of sockets, bit s = socket s (64 sockets at most, the width
+ * of a directory sharer vector). */
+using SocketMask = std::uint64_t;
+
 /** Sentinel for "no tick scheduled". */
 constexpr Tick MaxTick = std::numeric_limits<Tick>::max();
 

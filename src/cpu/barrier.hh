@@ -27,7 +27,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <utility>
 #include <vector>
@@ -35,6 +34,7 @@
 #include "common/log.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
+#include "sim/inline_function.hh"
 
 namespace c3d
 {
@@ -82,7 +82,7 @@ class Barrier
      * quantRelease() that finds the episode complete.
      */
     void
-    arrive(CoreId core, std::function<void()> resume)
+    arrive(CoreId core, Continuation<void()> resume)
     {
         if (quantized) {
             std::lock_guard<std::mutex> g(mu);
@@ -138,7 +138,7 @@ class Barrier
     {
         ++episodes;
         arrived = 0;
-        std::vector<std::function<void()>> ready;
+        std::vector<Continuation<void()>> ready;
         ready.swap(waiting);
         for (auto &fn : ready)
             fn();
@@ -147,10 +147,10 @@ class Barrier
     std::uint32_t numParties = 0;
     bool quantized = false;
     std::uint32_t arrived = 0;
-    std::vector<std::function<void()>> waiting;
+    std::vector<Continuation<void()>> waiting;
     /** Quantized-mode state; mu orders cross-thread arrivals. */
     mutable std::mutex mu;
-    std::vector<std::pair<CoreId, std::function<void()>>> qWaiting;
+    std::vector<std::pair<CoreId, Continuation<void()>>> qWaiting;
     Counter episodes;
 };
 

@@ -38,8 +38,8 @@ TraceCpu::TraceCpu(Machine &machine, CoreId global_core,
 
 void
 TraceCpu::start(std::uint64_t warmup_ops, std::uint64_t measure_ops,
-                std::function<void()> on_warm,
-                std::function<void()> on_done)
+                Continuation<void()> on_warm,
+                Continuation<void()> on_done)
 {
     warmupOps = warmup_ops;
     totalOps = warmup_ops + measure_ops;

@@ -16,12 +16,12 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "cpu/barrier.hh"
 #include "sim/event_queue.hh"
+#include "sim/inline_function.hh"
 #include "trace/workload.hh"
 
 namespace c3d
@@ -49,8 +49,8 @@ class TraceCpu
      * @p measure_ops references and fires @p on_done.
      */
     void start(std::uint64_t warmup_ops, std::uint64_t measure_ops,
-               std::function<void()> on_warm,
-               std::function<void()> on_done);
+               Continuation<void()> on_warm,
+               Continuation<void()> on_done);
 
     /** Attach a barrier reached every @p interval references. */
     void
@@ -98,8 +98,8 @@ class TraceCpu
     Barrier *barrier = nullptr;
     std::uint64_t barrierInterval = 0;
     std::uint64_t nextBarrierAt = 0;
-    std::function<void()> onWarm;
-    std::function<void()> onDone;
+    Continuation<void()> onWarm;
+    Continuation<void()> onDone;
 
     // Store queue (block addresses), drained in order.
     std::deque<Addr> storeQueue;

@@ -153,7 +153,7 @@ DramCache::fill(std::size_t slot, Addr addr, CacheState state)
 }
 
 void
-DramCache::probe(Addr addr, std::function<void(DramCacheProbe)> done,
+DramCache::probe(Addr addr, Continuation<void(DramCacheProbe)> done,
                  bool always_access, std::uint32_t tenant)
 {
     const Tick now = eventq.now();
@@ -172,7 +172,8 @@ DramCache::probe(Addr addr, std::function<void(DramCacheProbe)> done,
         predictor->trainOnProbe(addr, tenant, false);
         DramCacheProbe res;
         res.readyAt = now + predictorLatency;
-        eventq.scheduleAt(res.readyAt, [done, res] { done(res); });
+        eventq.scheduleAt(res.readyAt,
+                          [done = std::move(done), res] { done(res); });
         return;
     }
 
@@ -198,7 +199,7 @@ DramCache::probe(Addr addr, std::function<void(DramCacheProbe)> done,
     if (!always_access)
         predictor->trainOnProbe(addr, tenant, present);
     res.readyAt = ready;
-    eventq.scheduleAt(ready, [done, res] { done(res); });
+    eventq.scheduleAt(ready, [done = std::move(done), res] { done(res); });
 }
 
 DramCacheVictim
@@ -237,7 +238,7 @@ DramCache::insert(Addr addr, bool dirty, std::uint32_t tenant)
 }
 
 void
-DramCache::invalidate(Addr addr, std::function<void(bool, bool)> done)
+DramCache::invalidate(Addr addr, InvalidateDone done)
 {
     const Tick now = eventq.now();
     const Addr blk = blockNumber(addr);
@@ -247,7 +248,7 @@ DramCache::invalidate(Addr addr, std::function<void(bool, bool)> done)
 
     if (predictorEnabled && !predictPresent(addr, present)) {
         eventq.scheduleAt(now + predictorLatency,
-                          [done] { done(false, false); });
+                          [done = std::move(done)] { done(false, false); });
         return;
     }
 
@@ -268,7 +269,9 @@ DramCache::invalidate(Addr addr, std::function<void(bool, bool)> done)
     // DRAM access -- to check dirtiness and clear the tag.
     const Tick ready = chargeChannel(addr, access_start + accessLatency);
     eventq.scheduleAt(ready,
-                      [done, present, dirty] { done(present, dirty); });
+                      [done = std::move(done), present, dirty] {
+                          done(present, dirty);
+                      });
 }
 
 DramCacheVictim

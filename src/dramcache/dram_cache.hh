@@ -29,7 +29,6 @@
 #define C3DSIM_DRAMCACHE_DRAM_CACHE_HH
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -41,6 +40,7 @@
 #include "dramcache/presence_predictor.hh"
 #include "interconnect/channel.hh"
 #include "sim/event_queue.hh"
+#include "sim/inline_function.hh"
 
 namespace c3d
 {
@@ -94,7 +94,7 @@ class DramCache
      *        where the cache's own hit/miss counters tick, and a hit
      *        transfers block ownership to the tenant.
      */
-    void probe(Addr addr, std::function<void(DramCacheProbe)> done,
+    void probe(Addr addr, Continuation<void(DramCacheProbe)> done,
                bool always_access = false,
                std::uint32_t tenant = NoTenant);
 
@@ -111,12 +111,19 @@ class DramCache
                            std::uint32_t tenant = NoTenant);
 
     /**
+     * Completion of invalidate(): (wasPresent, wasDirty). Its budget
+     * holds a socket's probe continuation (`this`, the block and the
+     * caller's own 32-byte continuation) inline, and 56 bytes plus
+     * the two flags still fit the completion event's 64.
+     */
+    using InvalidateDone = InlineFunction<void(bool, bool), 48>;
+
+    /**
      * Invalidate @p addr if present. @p done receives
      * (wasPresent, wasDirty) when the invalidation has completed;
      * predicted-absent blocks complete in predictor latency.
      */
-    void invalidate(Addr addr,
-                    std::function<void(bool, bool)> done);
+    void invalidate(Addr addr, InvalidateDone done);
 
     /**
      * Refresh the cached copy of @p addr with clean data (downgrade /

@@ -9,20 +9,6 @@ namespace
 {
 
 /**
- * Holds a packet's arrival continuation across intermediate hops.
- * Nesting the Callback inside the hop event directly would overflow
- * the inline-capture budget (a Callback is larger than InlineBytes),
- * so multi-hop packets park it in a slab node and the hop event
- * carries only the node pointer. The node may be freed by a
- * different kernel thread than the one that allocated it (the packet
- * moved sockets); the slab is built for that.
- */
-struct HopNode
-{
-    EventQueue::Callback cb;
-};
-
-/**
  * Injected livelock: a zero-delay event that reschedules itself, so
  * the queue executes forever at one tick. The watchdog's no-progress
  * detector is what stops it (sim/watchdog.hh); without a watchdog
@@ -190,16 +176,16 @@ Interconnect::forwardHop(SocketId at, SocketId dst, std::uint32_t bytes,
         router.inject(at, dst, done, std::move(onArrival));
         return;
     }
-    // Intermediate hop: park the continuation in a slab node so the
-    // hop event itself stays within the inline-capture budget.
-    auto *node = static_cast<HopNode *>(slab::alloc(sizeof(HopNode)));
-    ::new (node) HopNode{std::move(onArrival)};
+    // Intermediate hop: a Callback does not fit inside another
+    // event's capture, so park it in a slab node that the hop event
+    // owns. The node may be freed by a different kernel thread than
+    // the one that allocated it (the packet moved sockets), or by
+    // the queue's teardown if the row dies with the packet in flight.
     router.inject(at, next, done,
-                  [this, next, dst, bytes, node] {
-                      EventQueue::Callback cb = std::move(node->cb);
-                      node->~HopNode();
-                      slab::free(node, sizeof(HopNode));
-                      forwardHop(next, dst, bytes, std::move(cb));
+                  [this, next, dst, bytes,
+                   parked = slab::makeUnique<EventQueue::Callback>(
+                       std::move(onArrival))] {
+                      forwardHop(next, dst, bytes, std::move(*parked));
                   });
 }
 

@@ -14,7 +14,6 @@
 #define C3DSIM_MEM_MEMORY_CONTROLLER_HH
 
 #include <cstdint>
-#include <functional>
 #include <string>
 
 #include "common/config.hh"
@@ -37,7 +36,7 @@ class MemoryController
      * Issue a read of the block at @p addr; @p done fires when the
      * data is available at the controller. The continuation goes
      * straight into the event queue, so passing a lambda here stores
-     * its capture inline in the event (no std::function detour).
+     * its capture inline in the event.
      * @param remote whether the requester is on another socket
      *               (for local/remote accounting only).
      */

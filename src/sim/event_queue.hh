@@ -10,9 +10,9 @@
  * access and interconnect hop is one event -- so it is built for
  * throughput:
  *
- *  - Callbacks are InlineFunction, not std::function: the capture is
- *    stored inside the event (64-byte budget), so the common schedule
- *    path performs no heap allocation.
+ *  - Callbacks are InlineFunction<void()>: the capture is stored
+ *    inside the event (64-byte budget), so the common schedule path
+ *    performs no heap allocation.
  *
  *  - The queue is a hierarchical timing wheel: a ring of WheelBuckets
  *    one-tick buckets covers the near future [base, base + span), and
@@ -57,7 +57,7 @@ namespace c3d
 class EventQueue
 {
   public:
-    using Callback = InlineFunction;
+    using Callback = InlineFunction<void()>;
 
     /** Wheel size: one-tick buckets covering [base, base + span). */
     static constexpr std::size_t WheelBuckets = 4096;

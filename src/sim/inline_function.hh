@@ -1,25 +1,31 @@
 /**
  * @file
- * Move-only callable with fixed-size inline storage.
+ * Move-only callable with fixed-size inline storage, templated on its
+ * call signature and capture budget.
  *
- * The event queue schedules millions of continuations per sweep row;
- * wrapping each one in a std::function costs a heap allocation the
- * moment the capture outgrows the library's small-object buffer
- * (16 bytes on libstdc++). InlineFunction raises that budget to
- * InlineBytes so every continuation the simulator actually schedules
- * (socket, CPU, memory-controller and interconnect hops) is stored
- * in-place inside the event itself.
+ * One type carries every continuation the simulator runs. An event
+ * (EventQueue::Callback = InlineFunction<void()>, 64-byte budget)
+ * and every request-path continuation a protocol hop hands to the
+ * next (Continuation<Sig> = InlineFunction<Sig, 24>, 32 bytes in
+ * all) store their capture in place. A Continuation is sized so that
+ * one fits inside an event capture beside a `this` pointer, a block
+ * address and a few scalars: the request path nests continuation in
+ * event in continuation without touching the allocator.
  *
- * Callables larger than InlineBytes (or over-aligned, or with a
- * throwing move) still work -- they fall back to a single heap
- * allocation, flagged via onHeap() so benchmarks and tests can assert
- * that the hot paths never pay for one.
+ * A callable larger than its budget (or over-aligned, or with a
+ * throwing move) spills to one node of the event-path slab
+ * (sim/slab.hh), which recycles it without calling malloc once warm;
+ * only callables above the slab's largest size class or with
+ * extended alignment reach operator new. onHeap() flags a spill so
+ * benchmarks and tests can assert that events never pay for one.
+ * docs/perf.md lists the budget of each signature.
  */
 
 #ifndef C3DSIM_SIM_INLINE_FUNCTION_HH
 #define C3DSIM_SIM_INLINE_FUNCTION_HH
 
 #include <cstddef>
+#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -30,62 +36,48 @@
 namespace c3d
 {
 
-/** Move-only `void()` callable with inline small-buffer storage. */
-class InlineFunction
+template <typename Sig, std::size_t Bytes = 64>
+class InlineFunction;
+
+/** Move-only callable of signature `R(Args...)`, @p Bytes inline. */
+template <typename R, typename... Args, std::size_t Bytes>
+class InlineFunction<R(Args...), Bytes>
 {
   public:
-    /**
-     * Inline capture budget, in bytes. Sized for the largest capture
-     * the simulator schedules: a `this` pointer, a block address, a
-     * handful of scalars, and one nested std::function continuation
-     * (32 bytes on libstdc++). See docs/perf.md before growing a
-     * capture past this.
-     */
-    static constexpr std::size_t InlineBytes = 64;
-    static constexpr std::size_t InlineAlign = 16;
+    /** Inline capture budget, in bytes. See docs/perf.md before
+     * growing a capture past it. */
+    static constexpr std::size_t InlineBytes = Bytes;
+    static constexpr std::size_t InlineAlign = alignof(void *);
+    static_assert(Bytes >= sizeof(void *) && Bytes % InlineAlign == 0,
+                  "budget must hold a spill pointer and keep alignment");
 
     InlineFunction() noexcept = default;
+    InlineFunction(std::nullptr_t) noexcept {} // NOLINT: implicit
 
-    template <typename F,
+    template <typename F, typename Fn = std::decay_t<F>,
               typename = std::enable_if_t<
-                  !std::is_same_v<std::decay_t<F>, InlineFunction> &&
-                  std::is_invocable_r_v<void, std::decay_t<F> &>>>
+                  !std::is_same_v<Fn, InlineFunction> &&
+                  std::is_invocable_r_v<R, Fn &, Args...>>>
     InlineFunction(F &&f) // NOLINT: implicit by design
     {
-        using Fn = std::decay_t<F>;
-        if constexpr (sizeof(Fn) <= InlineBytes &&
-                      alignof(Fn) <= InlineAlign &&
-                      std::is_nothrow_move_constructible_v<Fn>) {
+        if constexpr (isInlineFunction<Fn>::value) {
+            // Wrapping an empty callable yields an empty one.
+            if (!f)
+                return;
+        }
+        if constexpr (fitsInline<Fn>) {
             ::new (static_cast<void *>(storage)) Fn(std::forward<F>(f));
             ops = &InlineModel<Fn>::ops;
         } else {
-            // Spilled captures recycle through the event-path slab
-            // (fixed small sizes, freed at event rates, possibly on
-            // a different kernel thread than the allocating one).
-            // Over-aligned callables keep plain new, which honors
-            // extended alignment.
-            Fn *p;
-            if constexpr (HeapModel<Fn>::slabBacked) {
-                void *mem = slab::alloc(sizeof(Fn));
-                try {
-                    p = ::new (mem) Fn(std::forward<F>(f));
-                } catch (...) {
-                    slab::free(mem, sizeof(Fn));
-                    throw;
-                }
-            } else {
-                p = new Fn(std::forward<F>(f));
-            }
-            ::new (static_cast<void *>(storage)) (Fn *)(p);
+            ::new (static_cast<void *>(storage))
+                (Fn *)(HeapModel<Fn>::make(std::forward<F>(f)));
             ops = &HeapModel<Fn>::ops;
         }
     }
 
     InlineFunction(InlineFunction &&other) noexcept : ops(other.ops)
     {
-        if (ops)
-            ops->relocate(storage, other.storage);
-        other.ops = nullptr;
+        relocateFrom(other);
     }
 
     InlineFunction &
@@ -93,42 +85,49 @@ class InlineFunction
     {
         if (this == &other)
             return *this;
-        if (ops)
-            ops->destroy(storage);
+        reset();
         ops = other.ops;
-        if (ops)
-            ops->relocate(storage, other.storage);
-        other.ops = nullptr;
+        relocateFrom(other);
         return *this;
     }
 
     InlineFunction(const InlineFunction &) = delete;
     InlineFunction &operator=(const InlineFunction &) = delete;
 
-    ~InlineFunction()
-    {
-        if (ops)
-            ops->destroy(storage);
-    }
+    ~InlineFunction() { reset(); }
 
-    void
-    operator()()
+    /** Invoke. Const, as for the standard library's type-erased
+     * function: the callable may still mutate its own capture. */
+    R
+    operator()(Args... args) const
     {
         c3d_assert(ops, "invoking an empty InlineFunction");
-        ops->invoke(storage);
+        return ops->invoke(storage, std::forward<Args>(args)...);
     }
 
     explicit operator bool() const noexcept { return ops != nullptr; }
 
-    /** True when the callable spilled to a heap allocation. */
+    /** True when the callable spilled out of the inline buffer. */
     bool onHeap() const noexcept { return ops && ops->heap; }
 
   private:
+    template <typename T>
+    struct isInlineFunction : std::false_type {};
+    template <typename S, std::size_t B>
+    struct isInlineFunction<InlineFunction<S, B>> : std::true_type {};
+
+    template <typename Fn>
+    static constexpr bool fitsInline =
+        sizeof(Fn) <= Bytes && alignof(Fn) <= InlineAlign &&
+        std::is_nothrow_move_constructible_v<Fn>;
+
     struct Ops
     {
-        void (*invoke)(void *);
-        /** Move-construct dst from src, then destroy src. */
+        R (*invoke)(void *, Args &&...);
+        /** Move-construct dst from src, then destroy src; nullptr
+         * when a byte copy does both (trivial captures, spills). */
         void (*relocate)(void *dst, void *src) noexcept;
+        /** nullptr when destruction is a no-op. */
         void (*destroy)(void *) noexcept;
         bool heap;
     };
@@ -138,7 +137,10 @@ class InlineFunction
     {
         static Fn *at(void *s) { return std::launder(
             reinterpret_cast<Fn *>(s)); }
-        static void invoke(void *s) { (*at(s))(); }
+        static R invoke(void *s, Args &&...args)
+        {
+            return (*at(s))(std::forward<Args>(args)...);
+        }
         static void
         relocate(void *dst, void *src) noexcept
         {
@@ -146,39 +148,97 @@ class InlineFunction
             at(src)->~Fn();
         }
         static void destroy(void *s) noexcept { at(s)->~Fn(); }
-        static constexpr Ops ops{&invoke, &relocate, &destroy, false};
+        static constexpr bool trivial =
+            std::is_trivially_copyable_v<Fn>;
+        static constexpr Ops ops{
+            &invoke, trivial ? nullptr : &relocate,
+            std::is_trivially_destructible_v<Fn> ? nullptr : &destroy,
+            false};
     };
 
     template <typename Fn>
     struct HeapModel
     {
+        // Spilled captures recycle through the event-path slab
+        // (small fixed sizes, freed at event rates, possibly on a
+        // different kernel thread than the allocating one).
+        // Over-aligned callables keep plain new, which honors
+        // extended alignment.
         static constexpr bool slabBacked =
             alignof(Fn) <= alignof(std::max_align_t);
-        static Fn *&at(void *s) { return *std::launder(
-            reinterpret_cast<Fn **>(s)); }
-        static void invoke(void *s) { (*at(s))(); }
-        static void
-        relocate(void *dst, void *src) noexcept
+
+        template <typename F>
+        static Fn *
+        make(F &&f)
         {
-            ::new (dst) (Fn *)(at(src));
+            if constexpr (slabBacked)
+                return slab::create<Fn>(std::forward<F>(f));
+            else
+                return new Fn(std::forward<F>(f));
+        }
+
+        static Fn *at(void *s) { return *std::launder(
+            reinterpret_cast<Fn **>(s)); }
+        static R invoke(void *s, Args &&...args)
+        {
+            return (*at(s))(std::forward<Args>(args)...);
         }
         static void
         destroy(void *s) noexcept
         {
-            Fn *p = at(s);
-            if constexpr (slabBacked) {
-                p->~Fn();
-                slab::free(p, sizeof(Fn));
-            } else {
-                delete p;
-            }
+            if constexpr (slabBacked)
+                slab::Delete{}(at(s));
+            else
+                delete at(s);
         }
-        static constexpr Ops ops{&invoke, &relocate, &destroy, true};
+        static constexpr Ops ops{&invoke, nullptr, &destroy, true};
     };
 
+    /** Take over @p other's callable (ops already copied). */
+    void
+    relocateFrom(InlineFunction &other) noexcept
+    {
+        if (!ops)
+            return;
+        if (ops->relocate) {
+            ops->relocate(storage, other.storage);
+        } else {
+            // A fixed-size copy of the whole buffer beats an indirect
+            // call; the bytes past the callable are copied unread.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
+            std::memcpy(storage, other.storage, Bytes);
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
+        }
+        other.ops = nullptr;
+    }
+
+    void
+    reset() noexcept
+    {
+        if (ops && ops->destroy)
+            ops->destroy(storage);
+        ops = nullptr;
+    }
+
     const Ops *ops = nullptr;
-    alignas(InlineAlign) unsigned char storage[InlineBytes];
+    alignas(InlineAlign) mutable unsigned char storage[Bytes];
 };
+
+/**
+ * Request-path continuation budget: 24 bytes inline, 32 in all, so a
+ * continuation nests inside a 64-byte event capture.
+ */
+constexpr std::size_t ContinuationBytes = 24;
+
+/** A continuation handed from one request-path hop to the next. */
+template <typename Sig>
+using Continuation = InlineFunction<Sig, ContinuationBytes>;
 
 } // namespace c3d
 

@@ -10,8 +10,8 @@ namespace slab
 namespace
 {
 
-constexpr std::size_t kClassSizes[] = {128, 256};
-constexpr std::size_t kNumClasses = 2;
+constexpr std::size_t kClassSizes[] = {64, 128, 256};
+constexpr std::size_t kNumClasses = 3;
 
 // Donate half the high-water mark per trip so a produce-on-A /
 // free-on-B pattern settles into batched handoffs instead of
@@ -38,8 +38,8 @@ classOf(std::size_t size)
 struct GlobalPool
 {
     std::mutex mtx;
-    FreeNode *head[kNumClasses] = {nullptr, nullptr};
-    std::size_t count[kNumClasses] = {0, 0};
+    FreeNode *head[kNumClasses] = {};
+    std::size_t count[kNumClasses] = {};
 
     ~GlobalPool()
     {
@@ -62,8 +62,8 @@ globalPool()
 
 struct ThreadCache
 {
-    FreeNode *head[kNumClasses] = {nullptr, nullptr};
-    std::size_t count[kNumClasses] = {0, 0};
+    FreeNode *head[kNumClasses] = {};
+    std::size_t count[kNumClasses] = {};
 
     ~ThreadCache()
     {

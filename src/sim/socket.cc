@@ -41,25 +41,29 @@ Socket::Socket(EventQueue &eq, const SystemConfig &cfg, SocketId id,
 // --------------------------------------------------------------------
 
 void
-Socket::sampleLoadLatency(std::uint32_t core, Tick start)
+Socket::finishLoad(std::uint32_t core, Tick start,
+                   const Continuation<void()> &done)
 {
     const Tick lat = eventq.now() - start;
     loadLatency.sample(lat);
     if (TenantStatSet *t = tenantFor(core))
         t->memLatency.sample(lat);
+    done();
 }
 
 void
-Socket::sampleStoreLatency(std::uint32_t core, Tick start)
+Socket::finishStore(std::uint32_t core, Tick start,
+                    const Continuation<void()> &done)
 {
     const Tick lat = eventq.now() - start;
     storeLatency.sample(lat);
     if (TenantStatSet *t = tenantFor(core))
         t->memLatency.sample(lat);
+    done();
 }
 
 void
-Socket::load(std::uint32_t core, Addr addr, std::function<void()> done)
+Socket::load(std::uint32_t core, Addr addr, Continuation<void()> done)
 {
     ++loads;
     if (TenantStatSet *t = tenantFor(core))
@@ -73,28 +77,20 @@ Socket::load(std::uint32_t core, Addr addr, std::function<void()> done)
         l1.touch(e);
         eventq.schedule(cfg.l1Latency,
                         [this, core, start, done = std::move(done)] {
-            sampleLoadLatency(core, start);
-            done();
+            finishLoad(core, start, done);
         });
         return;
     }
     ++l1MissCount;
-    // Capture the raw pieces, not a pre-built latency-sampling
-    // closure: nesting a lambda inside a lambda would push the
-    // capture past the event's inline-storage budget.
     eventq.schedule(cfg.l1Latency, [this, core, blk, start,
                                     done = std::move(done)]() mutable {
-        accessLlcForRead(core, blk,
-                         [this, core, start, done = std::move(done)] {
-            sampleLoadLatency(core, start);
-            done();
-        });
+        accessLlcForRead(core, blk, start, std::move(done));
     });
 }
 
 void
-Socket::accessLlcForRead(std::uint32_t core, Addr blk,
-                         std::function<void()> done)
+Socket::accessLlcForRead(std::uint32_t core, Addr blk, Tick start,
+                         Continuation<void()> done)
 {
     if (TagEntry *e = llc.find(blk)) {
         ++llcHitCount;
@@ -105,27 +101,27 @@ Socket::accessLlcForRead(std::uint32_t core, Addr blk,
             ? CacheState::Modified : CacheState::Shared;
         // Data hit: tag + data access.
         eventq.schedule(cfg.llcTagLatency + cfg.llcDataLatency,
-                        [this, core, blk, l1_state,
-                         done = std::move(done)]() mutable {
+                        [this, core, l1_state, blk, start,
+                         done = std::move(done)] {
             // Install into the L1 as Shared unless this core is the
             // sole owner of a Modified block.
             fillL1(core, blk,
                    l1_state == CacheState::Modified
                    ? CacheState::Modified : CacheState::Shared);
-            done();
+            finishLoad(core, start, done);
         });
         return;
     }
 
     ++llcMissCount;
     // Tag miss known after the tag access.
-    eventq.schedule(cfg.llcTagLatency, [this, core, blk,
+    eventq.schedule(cfg.llcTagLatency, [this, core, blk, start,
                                         done = std::move(done)]() mutable {
         if (dcache) {
             // The tenant tag rides into the cache so hits/misses are
             // counted exactly where the cache's own counters tick
             // (exact attribution even under racing invalidations).
-            dcache->probe(blk, [this, core, blk,
+            dcache->probe(blk, [this, core, blk, start,
                                 done = std::move(done)]
                           (DramCacheProbe res) mutable {
                 // Re-validate at fill time: an invalidation may have
@@ -135,55 +131,54 @@ Socket::accessLlcForRead(std::uint32_t core, Addr blk,
                     // Local DRAM-cache hit: the fast path that makes
                     // private DRAM caches attack the NUMA bottleneck.
                     fillRead(core, blk);
-                    done();
+                    finishLoad(core, start, done);
                 } else {
-                    issueGetS(core, blk, std::move(done));
+                    issueGetS(core, blk, start, std::move(done));
                 }
             }, /*always_access=*/false, tenantIdxFor(core));
         } else {
-            issueGetS(core, blk, std::move(done));
+            issueGetS(core, blk, start, std::move(done));
         }
     });
 }
 
 void
-Socket::issueGetS(std::uint32_t core, Addr blk,
-                  std::function<void()> done)
+Socket::issueGetS(std::uint32_t core, Addr blk, Tick start,
+                  Continuation<void()> done)
 {
     auto it = pendingReads.find(blk);
     if (it != pendingReads.end()) {
         // Merge with the outstanding GetS (MSHR hit).
         ++mergedReads;
-        it->second.waiters.push_back(
-            [this, core, blk, done = std::move(done)]() mutable {
-                // The primary requester filled the LLC unless the
-                // fill was squashed by a racing invalidation.
-                if (llc.find(blk))
-                    fillL1(core, blk, CacheState::Shared);
-                done();
-            });
+        it->second.merged.push_back({core, start, std::move(done)});
         return;
     }
 
     ++getSIssued;
-    pendingReads.emplace(blk, PendingRead{});
-    protocol->getS(socketId, blk, [this, core, blk,
-                                   done = std::move(done)]() mutable {
-        PendingRead pending = std::move(pendingReads[blk]);
-        pendingReads.erase(blk);
+    pendingReads[blk].primary = {core, start, std::move(done)};
+    protocol->getS(socketId, blk, [this, blk] {
+        auto entry = pendingReads.find(blk);
+        PendingRead pending = std::move(entry->second);
+        pendingReads.erase(entry);
         // A racing invalidation poisoned the fill: the loads still
         // complete with the pre-write value, but nothing is cached.
+        const PendingRead::Waiter &first = pending.primary;
         if (!pending.poisoned)
-            fillRead(core, blk);
-        done();
-        for (auto &w : pending.waiters)
-            w();
+            fillRead(first.core, blk);
+        finishLoad(first.core, first.start, first.done);
+        for (const PendingRead::Waiter &w : pending.merged) {
+            // The primary requester filled the LLC unless the fill
+            // was squashed by a racing invalidation.
+            if (llc.find(blk))
+                fillL1(w.core, blk, CacheState::Shared);
+            finishLoad(w.core, w.start, w.done);
+        }
     });
 }
 
 void
 Socket::store(std::uint32_t core, Addr addr, bool private_page,
-              std::function<void()> done_raw)
+              Continuation<void()> done)
 {
     ++stores;
     if (TenantStatSet *t = tenantFor(core))
@@ -195,27 +190,18 @@ Socket::store(std::uint32_t core, Addr addr, bool private_page,
     if (TagEntry *e = l1.find(blk);
         e && e->state == CacheState::Modified) {
         l1.touch(e);
-        eventq.schedule(cfg.l1Latency, [this, core, start,
-                                        done_raw = std::move(done_raw)] {
-            sampleStoreLatency(core, start);
-            done_raw();
+        eventq.schedule(cfg.l1Latency,
+                        [this, core, start, done = std::move(done)] {
+            finishStore(core, start, done);
         });
         return;
     }
 
     // Need the LLC's view (local directory, 7-cycle embedded tag).
-    // As in load(), the latency-sampling wrapper is built inside the
-    // continuation so the scheduled capture stays within the event's
-    // inline-storage budget; the capture order packs the bool into
-    // core's padding.
+    // The capture order packs the bool into core's padding.
     eventq.schedule(cfg.l1Latency + cfg.localDirLatency,
                     [this, core, private_page, blk, start,
-                     done_raw = std::move(done_raw)]() mutable {
-        auto done = [this, core, start,
-                     done_raw = std::move(done_raw)] {
-            sampleStoreLatency(core, start);
-            done_raw();
-        };
+                     done = std::move(done)]() mutable {
         TagEntry *e = llc.find(blk);
         if (e && e->state == CacheState::Modified) {
             // Socket already owns the block: invalidate sibling L1
@@ -225,22 +211,22 @@ Socket::store(std::uint32_t core, Addr addr, bool private_page,
                                 static_cast<std::int32_t>(core));
             e->aux = (1ull << core);
             fillL1(core, blk, CacheState::Modified);
-            eventq.schedule(cfg.llcDataLatency, std::move(done));
+            eventq.schedule(cfg.llcDataLatency,
+                            [this, core, start, done = std::move(done)] {
+                finishStore(core, start, done);
+            });
             return;
         }
-        if (e && e->state == CacheState::Shared) {
-            issueGetX(core, blk, /*upgrade=*/true, private_page,
-                      std::move(done));
-            return;
-        }
-        issueGetX(core, blk, /*upgrade=*/false, private_page,
+        const bool upgrade = e && e->state == CacheState::Shared;
+        issueGetX(core, blk, upgrade, private_page, start,
                   std::move(done));
     });
 }
 
 void
 Socket::issueGetX(std::uint32_t core, Addr blk, bool upgrade,
-                  bool private_page, std::function<void()> done)
+                  bool private_page, Tick start,
+                  Continuation<void()> done)
 {
     if (upgrade)
         ++upgradesIssued;
@@ -248,14 +234,14 @@ Socket::issueGetX(std::uint32_t core, Addr blk, bool upgrade,
         ++getXIssued;
 
     protocol->getX(socketId, blk, upgrade, private_page,
-                   [this, core, blk, done = std::move(done)]() mutable {
+                   [this, core, blk, start, done = std::move(done)] {
         fillWrite(core, blk);
         // The local DRAM cache may hold a now-stale clean copy of the
         // block; kill it off the critical path.
         if (dcache && dcache->contains(blk)) {
             dcache->invalidate(blk, [](bool, bool) {});
         }
-        done();
+        finishStore(core, start, done);
     });
 }
 
@@ -413,7 +399,7 @@ Socket::downgradeL1Sharers(Addr blk, std::uint64_t sharers)
 // --------------------------------------------------------------------
 
 void
-Socket::probeInvalidate(Addr addr, std::function<void(bool)> done)
+Socket::probeInvalidate(Addr addr, Continuation<void(bool)> done)
 {
     const Addr blk = blockAlign(addr);
 
@@ -444,7 +430,7 @@ Socket::probeInvalidate(Addr addr, std::function<void(bool)> done)
 }
 
 void
-Socket::probeDowngrade(Addr addr, std::function<void(bool)> done)
+Socket::probeDowngrade(Addr addr, Continuation<void(bool)> done)
 {
     const Addr blk = blockAlign(addr);
 
@@ -497,7 +483,7 @@ Socket::probeDowngrade(Addr addr, std::function<void(bool)> done)
 
 void
 Socket::snoopProbe(Addr addr, bool is_write,
-                   std::function<void(SnoopResult)> done,
+                   Continuation<void(SnoopResult)> done,
                    bool retain_dirty)
 {
     const Addr blk = blockAlign(addr);

@@ -15,9 +15,7 @@
 #define C3DSIM_SIM_SOCKET_HH
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/tag_array.hh"
@@ -27,6 +25,8 @@
 #include "dramcache/dram_cache.hh"
 #include "mem/memory_controller.hh"
 #include "sim/event_queue.hh"
+#include "sim/inline_function.hh"
+#include "sim/slab.hh"
 #include "workload/tenant_stats.hh"
 
 namespace c3d
@@ -78,7 +78,7 @@ class Socket
      * Core @p core (socket-local index) loads the block at @p addr.
      * @p done fires when the data is available to the core.
      */
-    void load(std::uint32_t core, Addr addr, std::function<void()> done);
+    void load(std::uint32_t core, Addr addr, Continuation<void()> done);
 
     /**
      * Core @p core stores to the block at @p addr. @p done fires when
@@ -87,7 +87,7 @@ class Socket
      * @param private_page TLB classification hint (§IV-D).
      */
     void store(std::uint32_t core, Addr addr, bool private_page,
-               std::function<void()> done);
+               Continuation<void()> done);
 
     // ---- protocol-facing remote-side operations -----------------------
 
@@ -97,7 +97,7 @@ class Socket
      * dirty copy existed (its data is then forwarded / written back
      * by the caller).
      */
-    void probeInvalidate(Addr addr, std::function<void(bool)> done);
+    void probeInvalidate(Addr addr, Continuation<void(bool)> done);
 
     /**
      * Downgrade this socket's copy of @p addr to Shared for a remote
@@ -106,7 +106,7 @@ class Socket
      * dirty DRAM-cache copy (dirty designs) is marked clean and
      * reports dirty.
      */
-    void probeDowngrade(Addr addr, std::function<void(bool)> done);
+    void probeDowngrade(Addr addr, Continuation<void(bool)> done);
 
     /**
      * Snoopy-protocol probe: search DRAM cache and LLC; a dirty copy
@@ -117,7 +117,7 @@ class Socket
      * (parked in the DRAM cache) instead of cleaning itself.
      */
     void snoopProbe(Addr addr, bool is_write,
-                    std::function<void(SnoopResult)> done,
+                    Continuation<void(SnoopResult)> done,
                     bool retain_dirty = false);
 
     // ---- structural helpers (used by protocol fills) -------------------
@@ -143,17 +143,23 @@ class Socket
     std::uint64_t llcMisses() const { return llcMissCount.value(); }
 
   private:
-    /** Common read path after the L1 misses. */
-    void accessLlcForRead(std::uint32_t core, Addr addr,
-                          std::function<void()> done);
+    /**
+     * Common read path after the L1 misses. @p start is the load's
+     * issue tick: the request path carries it (and calls
+     * finishLoad()) rather than wrapping @p done in a sampling
+     * closure, which would not fit a continuation's inline budget.
+     */
+    void accessLlcForRead(std::uint32_t core, Addr addr, Tick start,
+                          Continuation<void()> done);
 
     /** Issue a GetS, merging with an outstanding one if present. */
-    void issueGetS(std::uint32_t core, Addr addr,
-                   std::function<void()> done);
+    void issueGetS(std::uint32_t core, Addr addr, Tick start,
+                   Continuation<void()> done);
 
     /** Issue a GetX/Upgrade (writes are not merged). */
     void issueGetX(std::uint32_t core, Addr addr, bool upgrade,
-                   bool private_page, std::function<void()> done);
+                   bool private_page, Tick start,
+                   Continuation<void()> done);
 
     /** Install @p addr into @p core's L1 with @p state. */
     void fillL1(std::uint32_t core, Addr addr, CacheState state);
@@ -188,11 +194,13 @@ class Socket
                                        : DramCache::NoTenant;
     }
 
-    /** Sample socket + tenant load latency (done-callback helper). */
-    void sampleLoadLatency(std::uint32_t core, Tick start);
+    /** Sample socket + tenant load latency, then complete the load. */
+    void finishLoad(std::uint32_t core, Tick start,
+                    const Continuation<void()> &done);
 
-    /** Sample socket + tenant store latency. */
-    void sampleStoreLatency(std::uint32_t core, Tick start);
+    /** Sample socket + tenant store latency, then complete the store. */
+    void finishStore(std::uint32_t core, Tick start,
+                     const Continuation<void()> &done);
 
     EventQueue &eventq;
     const SystemConfig &cfg;
@@ -210,18 +218,27 @@ class Socket
      * the fill is squashed, as an MSHR transient state would do. */
     struct PendingRead
     {
-        std::vector<std::function<void()>> waiters;
+        /** A load waiting on the GetS. */
+        struct Waiter
+        {
+            std::uint32_t core;
+            Tick start;
+            Continuation<void()> done;
+        };
+
+        Waiter primary;  //!< the load that issued the GetS
+        std::vector<Waiter, slab::Allocator<Waiter>> merged;
         bool poisoned = false;
     };
 
     /** Read-miss merge table: block -> outstanding GetS. */
-    std::unordered_map<Addr, PendingRead> pendingReads;
+    slab::UnorderedMap<Addr, PendingRead> pendingReads;
 
     /** Blocks with an invalidation probe mid-flight at this socket.
      * The DRAM-cache controller squashes victim inserts for them
      * (the insert would otherwise revive a dying block between the
      * DRAM-cache and LLC invalidation sub-steps). */
-    std::unordered_map<Addr, std::uint32_t> invInFlight;
+    slab::UnorderedMap<Addr, std::uint32_t> invInFlight;
 
     Counter loads;
     Counter stores;

@@ -269,18 +269,20 @@ TEST(EventQueue, MatchesReferenceModelOnRandomSchedule)
 TEST(EventQueue, SimulatorSizedCapturesStayInline)
 {
     // The largest capture any simulator scheduler builds: a `this`
-    // pointer, an address, a few scalars and one nested std::function
-    // continuation. It must fit the inline budget -- the hot path
-    // pays no heap allocation.
+    // pointer, an address, a few scalars and one nested request-path
+    // continuation. It must fit the event's 64-byte inline budget --
+    // the hot path pays no heap allocation.
     EventQueue eq;
     struct BigCapture
     {
         void *self;
         Addr blk;
         bool a, b, c;
-        std::function<void()> done;
+        Continuation<void()> done;
     };
-    static_assert(sizeof(BigCapture) <= InlineFunction::InlineBytes,
+    static_assert(EventQueue::Callback::InlineBytes == 64,
+                  "the event budget is pinned at 64 bytes");
+    static_assert(sizeof(BigCapture) <= EventQueue::Callback::InlineBytes,
                   "simulator capture outgrew the inline budget");
     int fired = 0;
     BigCapture cap{&eq, 0x1234, true, false, true, [&] { ++fired; }};
