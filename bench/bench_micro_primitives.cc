@@ -1,9 +1,10 @@
 /**
  * @file
  * Google-benchmark microbenchmarks of the simulator primitives: the
- * event queue, tag array, miss predictor and RNG. These bound the
- * simulator's own throughput (events/second), which determines how
- * large a machine/trace the harness can afford.
+ * event queue and the queue router's outboxes, tag array, miss
+ * predictor and RNG. These bound the simulator's own throughput
+ * (events/second), which determines how large a machine/trace the
+ * harness can afford.
  */
 
 #include <benchmark/benchmark.h>
@@ -12,6 +13,8 @@
 #include "common/rng.hh"
 #include "dramcache/miss_predictor.hh"
 #include "sim/event_queue.hh"
+#include "sim/inline_function.hh"
+#include "sim/queue_router.hh"
 
 namespace
 {
@@ -68,6 +71,35 @@ BM_EventQueueFarFuture(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 1024);
 }
 BENCHMARK(BM_EventQueueFarFuture);
+
+void
+BM_QueueRouterInjectFlush(benchmark::State &state)
+{
+    // The parallel kernel's cross-socket path: 1024 deliveries staged
+    // in socket 0's outbox for socket 1, flushed into socket 1's
+    // queue at the cell barrier, then run. Each capture nests a
+    // request-path continuation, as the protocol's arrivals do, so
+    // every move of a staged callable is a real relocation.
+    c3d::EventQueue q0, q1;
+    c3d::QueueRouter rt;
+    rt.initMulti({&q0, &q1});
+    std::uint64_t sink = 0;
+    for (auto _ : state) {
+        const c3d::Tick base = q1.now() + 1;
+        for (int i = 0; i < 1024; ++i) {
+            rt.inject(0, 1, base + static_cast<c3d::Tick>(i & 7),
+                      [done = c3d::Continuation<void()>(
+                           [&sink] { ++sink; })] { done(); });
+        }
+        const unsigned sealed = rt.currentParity();
+        rt.flipParity();
+        rt.flushTo(1, sealed);
+        q1.run();
+    }
+    benchmark::DoNotOptimize(sink);
+    state.SetItemsProcessed(state.iterations() * 1024);
+}
+BENCHMARK(BM_QueueRouterInjectFlush);
 
 void
 BM_TagArrayLookup(benchmark::State &state)

@@ -1,7 +1,5 @@
 #include "interconnect/interconnect.hh"
 
-#include "sim/slab.hh"
-
 namespace c3d
 {
 
@@ -98,19 +96,10 @@ Interconnect::baseLatency(SocketId src, SocketId dst) const
     return static_cast<Tick>(hopCount(src, dst)) * hopLatency;
 }
 
-void
-Interconnect::send(SocketId src, SocketId dst, PacketKind kind,
-                   EventQueue::Callback onArrival)
+bool
+Interconnect::admit(SocketId src, SocketId dst, PacketKind kind,
+                    std::uint32_t &bytes)
 {
-    if (src == dst) {
-        // Same-socket "delivery": no network involved, but still an
-        // event on src's own queue — never an inline call on the
-        // caller's stack (reentrancy hazard, and an ordering bug
-        // under per-socket queues). Pinned by test_interconnect.
-        router.at(src).schedule(0, std::move(onArrival));
-        return;
-    }
-
     if (fault && fault->armed()) {
         const Tick now = router.at(src).now();
         if (fault->shouldPanic(now)) {
@@ -128,11 +117,11 @@ Interconnect::send(SocketId src, SocketId dst, PacketKind kind,
             // Swallow the packet: its arrival continuation never
             // runs and the transaction never completes. The kernel's
             // drain checks (Runner/CellExecutor) report the hang.
-            return;
+            return false;
         }
         if (fault->takeStall()) {
             stallSpin(router.at(src));
-            return;
+            return false;
         }
         if (fault->takeBlock(now)) {
             // Hard stall inside the *current* event: the executing
@@ -141,28 +130,22 @@ Interconnect::send(SocketId src, SocketId dst, PacketKind kind,
             // events); only the sibling wall-clock watchdog can
             // contain the row.
             faultBlockWait();
-            return; // once released, the packet is dropped (as Hang)
+            return false; // once released, the packet is dropped (as Hang)
         }
     }
 
-    const std::uint32_t bytes = kind == PacketKind::Data
-        ? dataBytesPerPkt : controlBytesPerPkt;
+    bytes = kind == PacketKind::Data ? dataBytesPerPkt : controlBytesPerPkt;
     ++packets;
     if (kind == PacketKind::Data)
         dataBytesStat += bytes;
     else
         ctrlBytes += bytes;
-
-    // Walk the path hop by hop. Each link is acquired when the
-    // packet actually reaches that hop (store-and-forward), so a
-    // link's occupancy reflects real arrival order rather than
-    // far-future reservations.
-    forwardHop(src, dst, bytes, std::move(onArrival));
+    return true;
 }
 
 void
 Interconnect::forwardHop(SocketId at, SocketId dst, std::uint32_t bytes,
-                         EventQueue::Callback onArrival)
+                         EventQueue::EventPtr onArrival)
 {
     c3d_assert(at != dst, "forwardHop with no hop to take");
     const SocketId next = nextOnPath(at, dst);
@@ -172,20 +155,19 @@ Interconnect::forwardHop(SocketId at, SocketId dst, std::uint32_t bytes,
     ++hopTraversals;
     linkBytes += bytes;
     if (next == dst) {
-        // Final hop: the arrival event IS the user's continuation.
-        router.inject(at, dst, done, std::move(onArrival));
+        // Final hop: deliver the arrival node send() built.
+        onArrival->when = done;
+        router.inject(at, dst, std::move(onArrival));
         return;
     }
-    // Intermediate hop: a Callback does not fit inside another
-    // event's capture, so park it in a slab node that the hop event
-    // owns. The node may be freed by a different kernel thread than
-    // the one that allocated it (the packet moved sockets), or by
-    // the queue's teardown if the row dies with the packet in flight.
+    // Intermediate hop: the hop event owns the arrival node. The node
+    // may be freed by a different kernel thread than the one that
+    // built it (the packet moved sockets), or unrun by the queue's
+    // teardown if the row dies with the packet in flight.
     router.inject(at, next, done,
                   [this, next, dst, bytes,
-                   parked = slab::makeUnique<EventQueue::Callback>(
-                       std::move(onArrival))] {
-                      forwardHop(next, dst, bytes, std::move(*parked));
+                   arrival = std::move(onArrival)]() mutable {
+                      forwardHop(next, dst, bytes, std::move(arrival));
                   });
 }
 

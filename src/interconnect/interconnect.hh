@@ -63,10 +63,32 @@ class Interconnect
      * it is delivered. @p src may equal @p dst, in which case the
      * delivery is a zero-delay event on src's own queue — never an
      * inline call, so callers can't reenter themselves through a
-     * same-socket response.
+     * same-socket response. The callable is built once, into the
+     * arrival event's node, and runs there.
      */
-    void send(SocketId src, SocketId dst, PacketKind kind,
-              EventQueue::Callback onArrival);
+    template <typename F>
+    void
+    send(SocketId src, SocketId dst, PacketKind kind, F &&onArrival)
+    {
+        if (src == dst) {
+            // Same-socket "delivery": no network involved, but still
+            // an event on src's own queue — never an inline call on
+            // the caller's stack (reentrancy hazard, and an ordering
+            // bug under per-socket queues). Pinned by
+            // test_interconnect.
+            router.at(src).schedule(0, std::forward<F>(onArrival));
+            return;
+        }
+        std::uint32_t bytes = 0;
+        if (!admit(src, dst, kind, bytes))
+            return;
+        // Walk the path hop by hop. Each link is acquired when the
+        // packet actually reaches that hop (store-and-forward), so a
+        // link's occupancy reflects real arrival order rather than
+        // far-future reservations.
+        forwardHop(src, dst, bytes,
+                   EventQueue::makeEvent(std::forward<F>(onArrival)));
+    }
 
     /**
      * Attach the machine's fault injector (testing only; see
@@ -100,9 +122,18 @@ class Interconnect
     /** Next socket along the shortest path from @p from to @p dst. */
     SocketId nextOnPath(SocketId from, SocketId dst) const;
 
-    /** Store-and-forward one hop; recurses until delivery. */
+    /**
+     * Fault-injection gate and traffic accounting for an inter-socket
+     * packet. @return false when an injected fault swallowed it;
+     * otherwise @p bytes is its size on the wire.
+     */
+    bool admit(SocketId src, SocketId dst, PacketKind kind,
+               std::uint32_t &bytes);
+
+    /** Store-and-forward a packet one hop; recurses until it
+     * delivers the already-built arrival node. */
     void forwardHop(SocketId at, SocketId dst, std::uint32_t bytes,
-                    EventQueue::Callback onArrival);
+                    EventQueue::EventPtr onArrival);
 
     QueueRouter &router;
     FaultInjector *fault = nullptr; //!< armed only in testing runs

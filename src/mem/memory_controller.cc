@@ -41,7 +41,7 @@ MemoryController::channelFor(Addr addr)
 
 void
 MemoryController::read(Addr addr, bool remote,
-                       EventQueue::Callback done)
+                       EventQueue::Callback &&done)
 {
     ++readCount;
     if (remote)

@@ -34,13 +34,12 @@ class MemoryController
 
     /**
      * Issue a read of the block at @p addr; @p done fires when the
-     * data is available at the controller. The continuation goes
-     * straight into the event queue, so passing a lambda here stores
-     * its capture inline in the event.
+     * data is available at the controller. The continuation is
+     * moved once, into its event node, and runs there.
      * @param remote whether the requester is on another socket
      *               (for local/remote accounting only).
      */
-    void read(Addr addr, bool remote, EventQueue::Callback done);
+    void read(Addr addr, bool remote, EventQueue::Callback &&done);
 
     /**
      * Issue a write of the block at @p addr. Writes are posted: the

@@ -10,17 +10,22 @@
  * access and interconnect hop is one event -- so it is built for
  * throughput:
  *
- *  - Callbacks are InlineFunction<void()>: the capture is stored
- *    inside the event (64-byte budget), so the common schedule path
- *    performs no heap allocation.
+ *  - Each event is one intrusive node (Event, 96 bytes in the slab's
+ *    128-byte class) whose Callback is constructed inside the node at
+ *    schedule time and invoked where it lies: nothing between
+ *    schedule and run moves the callable. Callbacks are
+ *    InlineFunction<void()>, so the capture itself (64-byte budget)
+ *    lives in the node too and the schedule path makes no heap
+ *    allocation once the slab is warm.
  *
  *  - The queue is a hierarchical timing wheel: a ring of WheelBuckets
  *    one-tick buckets covers the near future [base, base + span), and
- *    a binary min-heap absorbs events scheduled further out. Almost
- *    all simulator latencies (cache, directory, memory, hop) are far
- *    smaller than the span, so the common case is an O(1) bucket
- *    append plus a two-level bitmap scan to find the next event --
- *    no comparator-driven sift per event.
+ *    a binary min-heap of node pointers absorbs events scheduled
+ *    further out. Almost all simulator latencies (cache, directory,
+ *    memory, hop) are far smaller than the span, so the common case
+ *    is an O(1) append to a bucket's node list plus a two-level
+ *    bitmap scan to find the next event -- no comparator-driven sift
+ *    per event.
  *
  * Ordering contract: within one bucket, events are appended and
  * consumed FIFO, which is exactly (tick, sequence) order because a
@@ -31,6 +36,11 @@
  * same tick can be scheduled (migration happens the moment the wheel
  * base advances), so bucket append order remains global (tick,
  * sequence) order.
+ *
+ * Ownership: a queued node belongs to its queue. The queue frees it
+ * after its callback returns (or unwinds), and frees every pending
+ * node on reset() and on destruction. A node built with makeEvent()
+ * and not yet inserted belongs to its EventPtr.
  */
 
 #ifndef C3DSIM_SIM_EVENT_QUEUE_HH
@@ -42,12 +52,14 @@
 #include <cinttypes>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/log.hh"
 #include "common/sim_error.hh"
 #include "common/types.hh"
 #include "sim/inline_function.hh"
+#include "sim/slab.hh"
 #include "sim/watchdog.hh"
 
 namespace c3d
@@ -58,6 +70,38 @@ class EventQueue
 {
   public:
     using Callback = InlineFunction<void()>;
+
+    /**
+     * One scheduled event. The callable is constructed in @c cb when
+     * the node is built and runs there; @c next links the node into
+     * a wheel bucket or a QueueRouter outbox.
+     */
+    struct Event
+    {
+        template <typename F>
+        explicit Event(F &&f) : cb(std::forward<F>(f))
+        {
+        }
+
+        Event(const Event &) = delete;
+        Event &operator=(const Event &) = delete;
+
+        Event *next = nullptr;
+        Tick when = 0;
+        std::uint64_t sequence = 0; //!< overflow-heap tie-break
+        Callback cb;
+    };
+
+    /** Sole owner of an event node outside any queue or outbox. */
+    using EventPtr = slab::Unique<Event>;
+
+    /** Build a node around @p f; the caller sets @c when. */
+    template <typename F>
+    static EventPtr
+    makeEvent(F &&f)
+    {
+        return slab::makeUnique<Event>(std::forward<F>(f));
+    }
 
     /** Wheel size: one-tick buckets covering [base, base + span). */
     static constexpr std::size_t WheelBuckets = 4096;
@@ -73,6 +117,7 @@ class EventQueue
     EventQueue() : buckets(WheelBuckets) {}
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
+    ~EventQueue() { dropPending(); }
 
     /** Current simulated time. */
     Tick now() const { return currentTick; }
@@ -90,31 +135,36 @@ class EventQueue
      */
     std::uint64_t heapCallbackEvents() const { return heapEvents; }
 
-    /** Schedule @p cb to run @p delay ticks from now. */
+    /** Schedule @p f to run @p delay ticks from now. */
+    template <typename F>
     void
-    schedule(Tick delay, Callback cb)
+    schedule(Tick delay, F &&f)
     {
-        scheduleAt(currentTick + delay, std::move(cb));
+        scheduleAt(currentTick + delay, std::forward<F>(f));
     }
 
-    /** Schedule @p cb at absolute tick @p when (>= now). */
+    /** Schedule @p f at absolute tick @p when (>= now). */
+    template <typename F>
     void
-    scheduleAt(Tick when, Callback cb)
+    scheduleAt(Tick when, F &&f)
     {
-        c3d_assert(when >= currentTick,
+        EventPtr e = makeEvent(std::forward<F>(f));
+        e->when = when;
+        insert(e.release());
+    }
+
+    /**
+     * Queue node @p e (from makeEvent, or spliced from a QueueRouter
+     * outbox) at its @c when (>= now). The queue takes ownership,
+     * also when the assertion throws.
+     */
+    void
+    insert(Event *e)
+    {
+        EventPtr owner(e);
+        c3d_assert(e->when >= currentTick,
                    "event scheduled in the past");
-        if (cb.onHeap())
-            ++heapEvents;
-        // wheelBase <= currentTick <= when always holds, so the
-        // subtraction cannot wrap.
-        if (when - wheelBase < WheelSpan) {
-            claimBucket(when).events.push_back(std::move(cb));
-            ++wheelCount;
-        } else {
-            overflow.push_back(
-                FarEvent{when, nextFarSequence++, std::move(cb)});
-            std::push_heap(overflow.begin(), overflow.end(), FarLater{});
-        }
+        link(owner.release());
     }
 
     /**
@@ -194,11 +244,11 @@ class EventQueue
             return "queue empty";
         std::size_t head = 0;
         if (wheelCount != 0) {
-            const Bucket &b = buckets[idx];
-            head = b.events.size() - b.head;
+            for (const Event *e = buckets[idx].head; e; e = e->next)
+                ++head;
         } else {
-            for (const FarEvent &fe : overflow)
-                head += fe.when == t;
+            for (const Event *e : overflow)
+                head += e->when == t;
         }
         char buf[128];
         std::snprintf(buf, sizeof(buf),
@@ -209,23 +259,15 @@ class EventQueue
     }
 
     /**
-     * Drop all pending events and rewind time to zero. O(buckets +
-     * pending): bucket storage is clear()ed in place (capacity kept
-     * for reuse), not drained event by event.
+     * Drop (free, unrun) all pending events and rewind time to zero.
+     * O(buckets + pending).
      */
     void
     reset()
     {
-        for (Bucket &b : buckets) {
-            b.events.clear();
-            b.head = 0;
-        }
-        occupied.fill(0);
-        summary = 0;
-        overflow.clear();
-        wheelCount = 0;
-        wheelBase = 0;
+        dropPending();
         currentTick = 0;
+        wheelBase = 0;
         nextFarSequence = 0;
         executed = 0;
         heapEvents = 0;
@@ -236,34 +278,25 @@ class EventQueue
 
   private:
     /**
-     * One tick's events. Only one tick can map to a bucket at a time:
-     * live ticks all lie in [wheelBase, wheelBase + span), which maps
-     * injectively onto the ring.
+     * One tick's events, a FIFO list of nodes. Only one tick can map
+     * to a bucket at a time: live ticks all lie in [wheelBase,
+     * wheelBase + span), which maps injectively onto the ring.
      */
     struct Bucket
     {
-        std::vector<Callback> events;
-        std::size_t head = 0; //!< next event to execute
-        Tick tick = 0;        //!< tick of the resident events
-    };
-
-    /** A far-future event parked in the overflow heap. */
-    struct FarEvent
-    {
-        Tick when;
-        std::uint64_t sequence;
-        Callback cb;
+        Event *head = nullptr; //!< next event to execute
+        Event *tail = nullptr;
     };
 
     /** Min-heap comparator over (when, sequence). */
     struct FarLater
     {
         bool
-        operator()(const FarEvent &a, const FarEvent &b) const
+        operator()(const Event *a, const Event *b) const
         {
-            if (a.when != b.when)
-                return a.when > b.when;
-            return a.sequence > b.sequence;
+            if (a->when != b->when)
+                return a->when > b->when;
+            return a->sequence > b->sequence;
         }
     };
 
@@ -335,35 +368,56 @@ class EventQueue
     {
         if (wheelCount != 0) {
             idx = findOccupied(wheelBase & WheelMask);
-            t = buckets[idx].tick;
+            t = buckets[idx].head->when;
             return true;
         }
         if (!overflow.empty()) {
-            t = overflow.front().when;
+            t = overflow.front()->when;
             idx = t & WheelMask;
             return true;
         }
         return false;
     }
 
-    /**
-     * Bucket for tick @p when (inside the horizon), claimed for that
-     * tick if currently empty. The assert enforces the injectivity
-     * invariant: two live ticks can never share a bucket.
-     */
-    Bucket &
-    claimBucket(Tick when)
+    /** File @p e (owned by the queue from here on) by its tick. */
+    void
+    link(Event *e)
     {
-        Bucket &b = buckets[when & WheelMask];
-        if (b.head == b.events.size()) {
-            // First event for this tick: claim the bucket.
-            b.events.clear();
-            b.head = 0;
-            b.tick = when;
-            setOccupied(when & WheelMask);
+        if (e->cb.onHeap())
+            ++heapEvents;
+        // wheelBase <= currentTick <= when always holds, so the
+        // subtraction cannot wrap.
+        if (e->when - wheelBase < WheelSpan) {
+            append(e);
+        } else {
+            e->sequence = nextFarSequence++;
+            overflow.push_back(e);
+            std::push_heap(overflow.begin(), overflow.end(), FarLater{});
         }
-        c3d_assert(b.tick == when, "wheel bucket tick collision");
-        return b;
+    }
+
+    /**
+     * Append @p e (inside the horizon) to its bucket, claiming the
+     * bucket for its tick if empty. The assert enforces the
+     * injectivity invariant: two live ticks can never share a
+     * bucket.
+     */
+    void
+    append(Event *e)
+    {
+        const std::size_t idx = e->when & WheelMask;
+        Bucket &b = buckets[idx];
+        e->next = nullptr;
+        if (!b.head) {
+            b.head = e;
+            setOccupied(idx);
+        } else {
+            c3d_assert(b.tail->when == e->when,
+                       "wheel bucket tick collision");
+            b.tail->next = e;
+        }
+        b.tail = e;
+        ++wheelCount;
     }
 
     /**
@@ -379,12 +433,11 @@ class EventQueue
     {
         wheelBase = t;
         while (!overflow.empty() &&
-               overflow.front().when - wheelBase < WheelSpan) {
+               overflow.front()->when - wheelBase < WheelSpan) {
             std::pop_heap(overflow.begin(), overflow.end(), FarLater{});
-            FarEvent fe = std::move(overflow.back());
+            Event *e = overflow.back();
             overflow.pop_back();
-            claimBucket(fe.when).events.push_back(std::move(fe.cb));
-            ++wheelCount;
+            append(e);
         }
     }
 
@@ -396,21 +449,39 @@ class EventQueue
         advanceTo(t); // fills bucket idx when t came from the heap
         Bucket &b = buckets[idx];
 
-        // Move the callback out -- and finish all bookkeeping --
-        // before invoking it, so the callback may freely schedule
-        // further events (including into this same bucket).
-        Callback cb = std::move(b.events[b.head]);
-        ++b.head;
-        --wheelCount;
-        ++executed;
-        if (b.head == b.events.size()) {
-            b.events.clear(); // keeps capacity for the next tenant
-            b.head = 0;
+        // Unlink the node -- and finish all bookkeeping -- before
+        // invoking it, so the callback may freely schedule further
+        // events (including into this same bucket). The owner frees
+        // the node after the call, also when it (or the watchdog)
+        // throws.
+        const EventPtr e(b.head);
+        b.head = e->next;
+        if (!b.head) {
+            b.tail = nullptr;
             clearOccupied(idx);
         }
+        --wheelCount;
+        ++executed;
         if (wd)
             watchdogCheck(t);
-        cb();
+        e->cb();
+    }
+
+    /** Free every pending node, unrun, and empty the wheel. */
+    void
+    dropPending()
+    {
+        for (Bucket &b : buckets) {
+            for (Event *e = b.head; e;)
+                slab::Delete{}(std::exchange(e, e->next));
+            b = Bucket{};
+        }
+        occupied.fill(0);
+        summary = 0;
+        wheelCount = 0;
+        for (Event *e : overflow)
+            slab::Delete{}(e);
+        overflow.clear();
     }
 
     /**
@@ -466,7 +537,7 @@ class EventQueue
     std::size_t wheelCount = 0;
 
     /** Events at >= wheelBase + WheelSpan, a (when, sequence) heap. */
-    std::vector<FarEvent> overflow;
+    std::vector<Event *> overflow;
     std::uint64_t nextFarSequence = 0;
 
     Tick currentTick = 0;
@@ -479,6 +550,9 @@ class EventQueue
     std::uint64_t wdSameTickRun = 0; //!< events run at wdLastTick
     std::uint64_t wdSinceBulk = 0; //!< events since the last bulk fold
 };
+
+static_assert(sizeof(EventQueue::Event) <= 128,
+              "an event node must stay in the slab's 128-byte class");
 
 } // namespace c3d
 

@@ -8,19 +8,22 @@
  * a thread pool under conservative lookahead (see docs/perf.md,
  * "Parallel per-socket kernel"). The QueueRouter hides that choice
  * from the interconnect: `at(s)` is the queue events for socket @p s
- * execute on, and `inject(src, dst, when, cb)` is the one cross-socket
+ * execute on, and `inject(src, dst, when, f)` is the one cross-socket
  * edge.
  *
  * In multi-queue mode an injection is NOT scheduled directly into the
- * destination queue (which another thread may be executing). It is
- * staged in a per-(src, dst) outbox owned by the sending thread and
- * flushed into the destination queue at the next synchronization
- * barrier by the thread that owns the destination. Outboxes are
- * double-buffered by cell parity: while cell k+1 executes into parity
- * (k+1)&1, the flush of parity k&1 may still be in progress on a
- * slower worker — the two parities are disjoint storage, and the
- * barrier between cells orders every write in parity p before any
- * flush of parity p.
+ * destination queue (which another thread may be executing). Its event
+ * node is built by the sending thread and appended to a per-(src, dst)
+ * outbox list owned by that thread; at the next synchronization
+ * barrier the thread that owns the destination splices the nodes into
+ * its queue (EventQueue::insert), so a callable is built once and
+ * never moved on its way across sockets. Outboxes are double-buffered
+ * by cell parity: while cell k+1 executes into parity (k+1)&1, the
+ * flush of parity k&1 may still be in progress on a slower worker —
+ * the two parities are disjoint lists, and the barrier between cells
+ * orders every append in parity p before any flush of parity p.
+ * Nodes still staged when the router is re-initialized or destroyed
+ * are freed unrun.
  *
  * Determinism: flushTo() drains sources in ascending socket order and
  * preserves per-(src, dst) push order, so the destination queue sees
@@ -34,11 +37,14 @@
 #ifndef C3DSIM_SIM_QUEUE_ROUTER_HH
 #define C3DSIM_SIM_QUEUE_ROUTER_HH
 
+#include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "common/log.hh"
 #include "common/types.hh"
 #include "sim/event_queue.hh"
+#include "sim/slab.hh"
 
 namespace c3d
 {
@@ -50,11 +56,13 @@ class QueueRouter
     QueueRouter() = default;
     QueueRouter(const QueueRouter &) = delete;
     QueueRouter &operator=(const QueueRouter &) = delete;
+    ~QueueRouter() { dropStaged(); }
 
     /** Sequential kernel: every socket maps to the one queue. */
     void
     initSingle(EventQueue &q, std::uint32_t num_sockets)
     {
+        dropStaged();
         isMulti = false;
         queues.assign(num_sockets, &q);
     }
@@ -63,11 +71,10 @@ class QueueRouter
     void
     initMulti(const std::vector<EventQueue *> &qs)
     {
+        dropStaged();
         isMulti = true;
         queues = qs;
         const std::size_t n = queues.size();
-        outboxes[0].clear();
-        outboxes[1].clear();
         outboxes[0].resize(n * n);
         outboxes[1].resize(n * n);
     }
@@ -84,22 +91,30 @@ class QueueRouter
     const EventQueue &at(SocketId s) const { return *queues[s]; }
 
     /**
-     * Deliver @p cb to socket @p dst at absolute tick @p when. Must
+     * Deliver @p f to socket @p dst at absolute tick @p when. Must
      * be called from the thread executing socket @p src (the
      * sequential kernel trivially satisfies this). In multi-queue
      * mode @p when must lie beyond the current lookahead cell; the
      * cell executor asserts this when it flushes.
      */
+    template <typename F>
     void
-    inject(SocketId src, SocketId dst, Tick when,
-           EventQueue::Callback cb)
+    inject(SocketId src, SocketId dst, Tick when, F &&f)
     {
-        if (!isMulti) {
-            queues[dst]->scheduleAt(when, std::move(cb));
-            return;
-        }
-        outboxes[writeParity][src * queues.size() + dst].push_back(
-            Delivery{when, std::move(cb)});
+        EventQueue::EventPtr e = EventQueue::makeEvent(std::forward<F>(f));
+        e->when = when;
+        inject(src, dst, std::move(e));
+    }
+
+    /** Deliver a node built with EventQueue::makeEvent, its @c when
+     * set; same contract as the callable form. */
+    void
+    inject(SocketId src, SocketId dst, EventQueue::EventPtr e)
+    {
+        if (!isMulti)
+            queues[dst]->insert(e.release());
+        else
+            stage(src, dst, e.release());
     }
 
     // ---- cell-executor interface (multi-queue mode only) ---------------
@@ -110,10 +125,10 @@ class QueueRouter
     void flipParity() { writeParity ^= 1u; }
 
     /**
-     * Schedule every staged delivery destined for @p dst from parity
-     * @p parity into dst's queue, sources in ascending order. Runs on
-     * the thread that owns @p dst, after the barrier that sealed
-     * @p parity.
+     * Splice every node staged for @p dst in parity @p parity into
+     * dst's queue, sources in ascending order and each source's nodes
+     * in push order. Runs on the thread that owns @p dst, after the
+     * barrier that sealed @p parity.
      */
     void
     flushTo(SocketId dst, unsigned parity)
@@ -121,10 +136,14 @@ class QueueRouter
         const std::size_t n = queues.size();
         EventQueue &q = *queues[dst];
         for (std::size_t src = 0; src < n; ++src) {
-            auto &box = outboxes[parity][src * n + dst];
-            for (Delivery &d : box)
-                q.scheduleAt(d.when, std::move(d.cb));
-            box.clear();
+            Outbox &box = outboxes[parity][src * n + dst];
+            // Unlink before inserting: a throwing insert leaves the
+            // rest of the list staged, to be freed with the router.
+            while (EventQueue::Event *e = box.head) {
+                box.head = e->next;
+                q.insert(e);
+            }
+            box.tail = nullptr;
         }
     }
 
@@ -133,11 +152,9 @@ class QueueRouter
     minPending(unsigned parity) const
     {
         Tick lo = MaxTick;
-        for (const auto &box : outboxes[parity]) {
-            for (const Delivery &d : box) {
-                if (d.when < lo)
-                    lo = d.when;
-            }
+        for (const Outbox &box : outboxes[parity]) {
+            for (const EventQueue::Event *e = box.head; e; e = e->next)
+                lo = std::min(lo, e->when);
         }
         return lo;
     }
@@ -146,25 +163,52 @@ class QueueRouter
     bool
     parityEmpty(unsigned parity) const
     {
-        for (const auto &box : outboxes[parity]) {
-            if (!box.empty())
+        for (const Outbox &box : outboxes[parity]) {
+            if (box.head)
                 return false;
         }
         return true;
     }
 
   private:
-    struct Delivery
+    /** One (src, dst) pair's staged nodes, FIFO. */
+    struct Outbox
     {
-        Tick when;
-        EventQueue::Callback cb;
+        EventQueue::Event *head = nullptr;
+        EventQueue::Event *tail = nullptr;
     };
+
+    /** Append @p e (owned by the outbox from here on). */
+    void
+    stage(SocketId src, SocketId dst, EventQueue::Event *e)
+    {
+        Outbox &box = outboxes[writeParity][src * queues.size() + dst];
+        e->next = nullptr;
+        if (box.tail)
+            box.tail->next = e;
+        else
+            box.head = e;
+        box.tail = e;
+    }
+
+    /** Free every staged node, unrun, and empty the outboxes. */
+    void
+    dropStaged()
+    {
+        for (auto &parity : outboxes) {
+            for (Outbox &box : parity) {
+                for (EventQueue::Event *e = box.head; e;)
+                    slab::Delete{}(std::exchange(e, e->next));
+                box = Outbox{};
+            }
+        }
+    }
 
     std::vector<EventQueue *> queues;
     bool isMulti = false;
     unsigned writeParity = 0;
     /** outboxes[parity][src * numSockets + dst], staged deliveries. */
-    std::vector<std::vector<Delivery>> outboxes[2];
+    std::vector<Outbox> outboxes[2];
 };
 
 } // namespace c3d

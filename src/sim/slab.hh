@@ -3,10 +3,11 @@
  * Thread-cached slab recycler for event-path allocations.
  *
  * The request path's remaining dynamic storage is small, short-lived
- * and fixed-size: InlineFunction captures that outgrow their budget,
- * the parked arrival continuation of a multi-hop packet, fan-in and
- * join state shared by a transaction's probes, and the nodes of the
- * per-block tables (block locks, outstanding reads). All of it is
+ * and fixed-size: the event kernel's nodes (one per scheduled event,
+ * sim/event_queue.hh), InlineFunction captures that outgrow their
+ * budget, fan-in and join state shared by a transaction's probes, and
+ * the nodes of the per-block tables (block locks, outstanding reads).
+ * All of it is
  * allocated and freed at event rates, so going through malloc on
  * every one costs real throughput and — under the parallel kernel —
  * contends on the global allocator.

@@ -484,6 +484,7 @@ TraceFileReader::open(const std::string &path, std::string &error,
         error = "cannot open trace file '" + path + "'";
         return false;
     }
+    this->path = path;
     lanes.assign(meta.numCores, Lane{});
     for (Lane &lane : lanes) {
         lane.fileOff = HeaderBytes;
@@ -517,8 +518,9 @@ TraceFileReader::refill(std::uint32_t core)
         if (std::fseek(file, static_cast<long>(lane.fileOff),
                        SEEK_SET) != 0 ||
             std::fread(chunk.data(), 1, want, file) != want)
-            c3d_fatal("trace read failed at offset %llu (file "
-                      "changed during replay?)",
+            c3d_panic("trace read of '%s' failed at offset %llu "
+                      "(file changed during replay?)",
+                      path.c_str(),
                       static_cast<unsigned long long>(lane.fileOff));
         std::size_t consumed = want;
         for (std::size_t off = 0; off < want; off += RecordBytes) {
@@ -566,7 +568,7 @@ TraceFileWorkload::TraceFileWorkload(const std::string &path)
 {
     std::string error;
     if (!reader.open(path, error))
-        c3d_fatal("%s", error.c_str());
+        c3d_panic("%s", error.c_str());
     workloadName =
         traceWorkloadName(path, reader.info().contentHash);
 }
@@ -576,7 +578,7 @@ TraceFileWorkload::TraceFileWorkload(const std::string &path,
 {
     std::string error;
     if (!reader.open(path, error, &expected_hash))
-        c3d_fatal("%s", error.c_str());
+        c3d_panic("%s", error.c_str());
     workloadName =
         traceWorkloadName(path, reader.info().contentHash);
 }

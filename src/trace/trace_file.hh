@@ -198,6 +198,7 @@ class TraceFileReader
     void refill(std::uint32_t core);
 
     std::FILE *file = nullptr;
+    std::string path; //!< for diagnostics
     TraceFileInfo meta;
     std::vector<Lane> lanes;
     std::vector<unsigned char> chunk; //!< shared read buffer
@@ -215,13 +216,14 @@ class TraceFileReader
 class TraceFileWorkload : public Workload
 {
   public:
-    /** Open and validate @p path; fatal on a defective trace. */
+    /** Open and validate @p path; SimError on a defective trace. */
     explicit TraceFileWorkload(const std::string &path);
 
     /**
      * Open @p path expecting the given content hash (from the
      * RunSpec's profile): enables the reader's scan memo and makes
-     * a trace modified after grid expansion a fatal error.
+     * a trace modified after grid expansion a SimError (a failed
+     * row, which --fail-policy=skip contains).
      */
     TraceFileWorkload(const std::string &path,
                       std::uint64_t expected_hash);

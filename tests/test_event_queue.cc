@@ -15,6 +15,8 @@
 #include "common/rng.hh"
 #include "common/sim_error.hh"
 #include "sim/event_queue.hh"
+#include "sim/queue_router.hh"
+#include "test_helpers.hh"
 
 namespace c3d
 {
@@ -503,6 +505,152 @@ TEST(EventQueuePanicTest, PastSchedulingThrowsSimError)
         EXPECT_TRUE(e.tickKnown());
         EXPECT_EQ(e.tick(), 10u);
     }
+}
+
+// ---- event node lifetime ---------------------------------------------
+// Each event is built once, inside its node, and runs there: the one
+// move a probe sees is its construction from the caller's temporary.
+
+using test::LifeProbe;
+using test::LifeTally;
+
+TEST(EventNode, ScheduledCallableIsNeverMovedBeforeItRuns)
+{
+    EventQueue eq;
+    LifeTally near, far, at;
+    eq.schedule(3, LifeProbe(near));
+    eq.schedule(5 * EventQueue::WheelSpan, LifeProbe(far));
+    eq.scheduleAt(7, LifeProbe(at));
+    // Same-tick neighbours share the probe's bucket list.
+    for (int i = 0; i < 100; ++i)
+        eq.schedule(3, [] {});
+    EXPECT_TRUE(eq.run());
+    for (const LifeTally *t : {&near, &far, &at}) {
+        EXPECT_EQ(t->runs, 1);
+        EXPECT_EQ(t->moves, 1);
+        EXPECT_EQ(t->movesAtRun, 1);
+        EXPECT_EQ(t->drops, 1);
+    }
+}
+
+TEST(EventNode, RouterInjectFlushRunNeverMovesTheCallable)
+{
+    EventQueue q0, q1;
+    QueueRouter rt;
+    rt.initMulti({&q0, &q1});
+    LifeTally t;
+    rt.inject(0, 1, 10, LifeProbe(t));
+    EXPECT_EQ(t.moves, 1);
+    EXPECT_EQ(rt.minPending(0), 10u);
+    rt.flipParity();
+    rt.flushTo(1, 0);
+    EXPECT_TRUE(rt.parityEmpty(0));
+    EXPECT_TRUE(q1.run());
+    EXPECT_EQ(t.runs, 1);
+    EXPECT_EQ(t.movesAtRun, 1);
+    EXPECT_EQ(t.moves, 1);
+    EXPECT_EQ(t.drops, 1);
+}
+
+TEST(EventNode, RunFreesTheNodeAfterTheCall)
+{
+    EventQueue eq;
+    LifeTally t;
+    int drops_seen_inside = -1;
+    eq.schedule(1, LifeProbe(t));
+    eq.schedule(1, [&] { drops_seen_inside = t.drops; });
+    eq.run();
+    EXPECT_EQ(drops_seen_inside, 1);
+    EXPECT_EQ(t.drops, 1);
+}
+
+TEST(EventNode, ResetFreesWheelAndOverflowEventsOnce)
+{
+    EventQueue eq;
+    LifeTally wheel, overflow;
+    eq.schedule(2, LifeProbe(wheel));
+    eq.schedule(3 * EventQueue::WheelSpan, LifeProbe(overflow));
+    eq.reset();
+    EXPECT_EQ(wheel.drops, 1);
+    EXPECT_EQ(overflow.drops, 1);
+    EXPECT_TRUE(eq.run());
+    EXPECT_EQ(wheel.runs + overflow.runs, 0);
+    EXPECT_EQ(wheel.drops + overflow.drops, 2);
+}
+
+TEST(EventNode, DestructionFreesPendingEventsOnce)
+{
+    LifeTally wheel, overflow, made;
+    {
+        EventQueue eq;
+        eq.schedule(2, LifeProbe(wheel));
+        eq.schedule(3 * EventQueue::WheelSpan, LifeProbe(overflow));
+        EventQueue::EventPtr e = EventQueue::makeEvent(LifeProbe(made));
+        e->when = 9;
+        eq.insert(e.release());
+    }
+    for (const LifeTally *t : {&wheel, &overflow, &made}) {
+        EXPECT_EQ(t->runs, 0);
+        EXPECT_EQ(t->drops, 1);
+    }
+}
+
+TEST(EventNode, RouterDestructionFreesStagedEventsInBothParities)
+{
+    LifeTally even, odd;
+    EventQueue q0, q1;
+    {
+        QueueRouter rt;
+        rt.initMulti({&q0, &q1});
+        rt.inject(0, 1, 100, LifeProbe(even));
+        rt.flipParity();
+        rt.inject(1, 0, 100, LifeProbe(odd));
+        EXPECT_FALSE(rt.parityEmpty(0));
+        EXPECT_FALSE(rt.parityEmpty(1));
+    }
+    EXPECT_EQ(even.drops, 1);
+    EXPECT_EQ(odd.drops, 1);
+    EXPECT_EQ(q0.pending() + q1.pending(), 0u);
+}
+
+TEST(EventNode, RouterReinitFreesStagedEvents)
+{
+    LifeTally t;
+    EventQueue q0, q1;
+    QueueRouter rt;
+    rt.initMulti({&q0, &q1});
+    rt.inject(0, 1, 100, LifeProbe(t));
+    rt.initSingle(q0, 2);
+    EXPECT_EQ(t.drops, 1);
+    EXPECT_EQ(t.runs, 0);
+}
+
+TEST(EventNode, ThrowingCallbackFreesItsNodeAndTheQueueRunsOn)
+{
+    EventQueue eq;
+    LifeTally thrower, next;
+    eq.schedule(1, LifeProbe(thrower, /*throw_on_run=*/true));
+    eq.schedule(2, LifeProbe(next));
+    EXPECT_THROW(eq.run(), SimError);
+    EXPECT_EQ(thrower.runs, 1);
+    EXPECT_EQ(thrower.drops, 1);
+    EXPECT_EQ(eq.pending(), 1u);
+    EXPECT_TRUE(eq.run());
+    EXPECT_EQ(next.runs, 1);
+    EXPECT_EQ(next.drops, 1);
+}
+
+TEST(EventNode, InsertingIntoThePastFreesTheNode)
+{
+    EventQueue eq;
+    eq.schedule(10, [] {});
+    eq.run();
+    LifeTally t;
+    EventQueue::EventPtr e = EventQueue::makeEvent(LifeProbe(t));
+    e->when = 5;
+    EXPECT_THROW(eq.insert(e.release()), SimError);
+    EXPECT_EQ(t.drops, 1);
+    EXPECT_EQ(eq.pending(), 0u);
 }
 
 } // namespace

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <set>
 #include <string>
@@ -542,6 +543,42 @@ writeManifest(const std::string &path, const CompositionSpec &spec)
     std::ofstream(path, std::ios::trunc) << compositionToJson(spec);
 }
 
+/**
+ * Sweep @p grid under Skip: exactly the rows @p doomed selects fail,
+ * each unrecovered and naming @p where and @p needle, and the table
+ * equals @p clean_json, the sweep of the grid without those rows.
+ */
+void
+expectRowsContained(const exp::SweepGrid &grid,
+                    bool (*doomed)(const exp::RunSpec &),
+                    const std::string &clean_json,
+                    const std::string &where, const std::string &needle)
+{
+    const std::vector<exp::RunSpec> specs = grid.expand();
+    exp::SweepEngine engine(2);
+    engine.setFailPolicy(exp::FailPolicy::Skip);
+    std::vector<exp::RowFailure> failures;
+    engine.setFailureSink([&](const exp::RowFailure &f) {
+        failures.push_back(f);
+    });
+    const exp::ResultTable table = engine.run(grid);
+    std::set<std::size_t> failed;
+    for (const exp::RowFailure &f : failures) {
+        ASSERT_LT(f.index, specs.size());
+        EXPECT_TRUE(doomed(specs[f.index]));
+        EXPECT_EQ(f.identity, exp::specIdentityKey(specs[f.index]));
+        EXPECT_FALSE(f.recovered);
+        EXPECT_NE(f.error.find(where), std::string::npos) << f.error;
+        EXPECT_NE(f.error.find(needle), std::string::npos) << f.error;
+        failed.insert(f.index);
+    }
+    EXPECT_EQ(failures.size(), failed.size());
+    EXPECT_EQ(failed.size(),
+              static_cast<std::size_t>(
+                  std::count_if(specs.begin(), specs.end(), doomed)));
+    EXPECT_EQ(table.toJson(), clean_json);
+}
+
 TEST(SweepFailPolicy, SkipContainsCompositionChangedAfterExpansion)
 {
     const std::string dir = testing::TempDir();
@@ -563,36 +600,19 @@ TEST(SweepFailPolicy, SkipContainsCompositionChangedAfterExpansion)
     exp::SweepGrid plain = containmentGrid();
     exp::SweepGrid grid = plain;
     grid.workloads.push_back(composed);
-    const std::vector<exp::RunSpec> specs = grid.expand();
     const std::string clean_json =
         exp::SweepEngine(1).run(plain).toJson();
 
     // Sweep the already-expanded grid under Skip: every composed row
-    // fails naming the manifest and carrying @p needle; the facesim
-    // rows are byte-identical to a sweep without the composition.
+    // fails naming the manifest and the cause; the facesim rows are
+    // byte-identical to a sweep without the composition.
     const auto expect_contained = [&](const char *needle) {
-        exp::SweepEngine engine(2);
-        engine.setFailPolicy(exp::FailPolicy::Skip);
-        std::vector<exp::RowFailure> failures;
-        engine.setFailureSink([&](const exp::RowFailure &f) {
-            failures.push_back(f);
-        });
-        const exp::ResultTable table = engine.run(grid);
-        std::set<std::size_t> failed;
-        for (const exp::RowFailure &f : failures) {
-            ASSERT_LT(f.index, specs.size());
-            EXPECT_TRUE(specs[f.index].profile.isComposition());
-            EXPECT_EQ(f.identity, exp::specIdentityKey(specs[f.index]));
-            EXPECT_FALSE(f.recovered);
-            EXPECT_NE(f.error.find(manifest), std::string::npos)
-                << f.error;
-            EXPECT_NE(f.error.find(needle), std::string::npos)
-                << f.error;
-            failed.insert(f.index);
-        }
-        EXPECT_EQ(failures.size(), failed.size());
-        EXPECT_EQ(failed.size(), specs.size() - plain.size());
-        EXPECT_EQ(table.toJson(), clean_json);
+        expectRowsContained(
+            grid,
+            [](const exp::RunSpec &r) {
+                return r.profile.isComposition();
+            },
+            clean_json, manifest, needle);
     };
 
     // The manifest is edited: its hash no longer matches the grid's.
@@ -611,6 +631,36 @@ TEST(SweepFailPolicy, SkipContainsCompositionChangedAfterExpansion)
     expect_contained("cannot open composition manifest");
 
     std::remove(spec.tenants[0].tracePath.c_str());
+}
+
+TEST(SweepFailPolicy, SkipContainsTraceChangedAfterExpansion)
+{
+    // A trace the grid already pinned is truncated, then deleted,
+    // before its rows replay: each time only its rows fail, and the
+    // rest match a sweep without the trace.
+    const std::string path = testing::TempDir() + "c3d_fault_trace.c3dt";
+    writeMemberTrace(path, 0);
+    WorkloadProfile traced;
+    std::string error;
+    ASSERT_TRUE(loadTraceProfile(path, traced, error)) << error;
+
+    exp::SweepGrid plain = containmentGrid();
+    exp::SweepGrid grid = plain;
+    grid.workloads.push_back(traced);
+    const std::string clean_json =
+        exp::SweepEngine(1).run(plain).toJson();
+    const auto is_trace = [](const exp::RunSpec &r) {
+        return r.profile.isTrace();
+    };
+
+    // Cut mid-record: a 24-byte header, then 16-byte records.
+    std::filesystem::resize_file(path, 24 + 100 * 16 + 7);
+    expectRowsContained(grid, is_trace, clean_json, path,
+                        "truncated mid-record");
+
+    std::remove(path.c_str());
+    expectRowsContained(grid, is_trace, clean_json, path,
+                        "cannot open trace file");
 }
 
 } // namespace

@@ -9,6 +9,7 @@
 #define C3DSIM_TESTS_TEST_HELPERS_HH
 
 #include "common/config.hh"
+#include "common/log.hh"
 #include "trace/workload.hh"
 
 namespace c3d::test
@@ -50,6 +51,60 @@ tinyProfile(const char *name = "tiny")
     p.avgGap = 3;
     return p;
 }
+
+/** What happened to the LifeProbes sharing one tally. */
+struct LifeTally
+{
+    int moves = 0;       //!< move constructions, all probes
+    int movesAtRun = -1; //!< `moves` when a probe last ran
+    int runs = 0;
+    int drops = 0; //!< destructions of probes not moved from
+};
+
+/**
+ * Event callable that reports its own life to a LifeTally: how often
+ * it was moved, when it ran and whether its live instance was
+ * destroyed (moved-from shells do not count), so a test can pin how
+ * a queue builds, runs and frees events. Throws SimError when run if
+ * @c throws is set.
+ */
+struct LifeProbe
+{
+    LifeTally *tally;
+    bool throws = false;
+    bool live = true;
+
+    explicit LifeProbe(LifeTally &t, bool throw_on_run = false)
+        : tally(&t), throws(throw_on_run)
+    {
+    }
+
+    LifeProbe(LifeProbe &&o) noexcept
+        : tally(o.tally), throws(o.throws)
+    {
+        o.live = false;
+        ++tally->moves;
+    }
+
+    LifeProbe(const LifeProbe &) = delete;
+    LifeProbe &operator=(const LifeProbe &) = delete;
+    LifeProbe &operator=(LifeProbe &&) = delete;
+
+    ~LifeProbe()
+    {
+        if (live)
+            ++tally->drops;
+    }
+
+    void
+    operator()() const
+    {
+        tally->movesAtRun = tally->moves;
+        ++tally->runs;
+        if (throws)
+            c3d_panic("LifeProbe: thrown on request");
+    }
+};
 
 } // namespace c3d::test
 

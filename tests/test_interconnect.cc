@@ -10,6 +10,7 @@
 #include "interconnect/interconnect.hh"
 #include "sim/event_queue.hh"
 #include "sim/queue_router.hh"
+#include "test_helpers.hh"
 
 namespace c3d
 {
@@ -298,6 +299,48 @@ TEST(InterconnectRegression, SameSocketDeliveryIsNeverInline)
     EXPECT_TRUE(delivered);
     EXPECT_EQ(eq.now(), 0u);
     EXPECT_EQ(noc.packetsSent(), 0u);
+}
+
+TEST_F(InterconnectTest, ArrivalIsBuiltOnceAcrossEveryHop)
+{
+    // The arrival callable is built into its event node at send()
+    // and rides intermediate hops inside that node: over one hop,
+    // two hops (ring) or none (same socket) it is never moved again.
+    EventQueue eq;
+    StatGroup g("t");
+    QueueRouter rt;
+    rt.initSingle(eq, 4);
+    Interconnect noc(rt, config(4), &g);
+    test::LifeTally local, one_hop, two_hops;
+    noc.send(1, 1, PacketKind::Control, test::LifeProbe(local));
+    noc.send(0, 1, PacketKind::Control, test::LifeProbe(one_hop));
+    noc.send(0, 2, PacketKind::Data, test::LifeProbe(two_hops));
+    eq.run();
+    for (const test::LifeTally *t : {&local, &one_hop, &two_hops}) {
+        EXPECT_EQ(t->runs, 1);
+        EXPECT_EQ(t->moves, 1);
+        EXPECT_EQ(t->movesAtRun, 1);
+        EXPECT_EQ(t->drops, 1);
+    }
+}
+
+TEST_F(InterconnectTest, PacketInFlightIsFreedWithTheQueue)
+{
+    // A row torn down mid-hop: the pending hop event owns the
+    // arrival node, and the queue's teardown frees both, unrun.
+    test::LifeTally t;
+    {
+        EventQueue eq;
+        StatGroup g("t");
+        QueueRouter rt;
+        rt.initSingle(eq, 4);
+        Interconnect noc(rt, config(4), &g);
+        noc.send(0, 2, PacketKind::Control, test::LifeProbe(t));
+        EXPECT_TRUE(eq.step()); // first hop lands; second is queued
+        EXPECT_EQ(eq.pending(), 1u);
+    }
+    EXPECT_EQ(t.runs, 0);
+    EXPECT_EQ(t.drops, 1);
 }
 
 } // namespace

@@ -16,6 +16,7 @@
 #include <unistd.h>
 
 #include "common/rng.hh"
+#include "common/sim_error.hh"
 #include "trace/trace_file.hh"
 
 namespace c3d
@@ -69,6 +70,22 @@ class TraceFileTest : public ::testing::Test
 
     std::string path;
 };
+
+/**
+ * The SimError a TraceFileWorkload built from @p args throws -- a
+ * defective trace fails its row, not the process -- or "" if none.
+ */
+template <typename... A>
+std::string
+workloadError(const A &...args)
+{
+    try {
+        TraceFileWorkload wl(args...);
+    } catch (const SimError &e) {
+        return e.what();
+    }
+    return "";
+}
 
 TEST_F(TraceFileTest, RoundTrip)
 {
@@ -275,20 +292,46 @@ TEST_F(TraceFileTest, RejectsGarbageFile)
         std::fputs("not a trace file at all, sorry", f);
         std::fclose(f);
     }
-    EXPECT_DEATH({ TraceFileWorkload wl(path); }, "");
+    EXPECT_NE(workloadError(path).find("is not a c3dsim trace file"),
+              std::string::npos);
 }
 
 TEST_F(TraceFileTest, RejectsMissingFile)
 {
-    EXPECT_DEATH({ TraceFileWorkload wl("/nonexistent/x.trace"); },
-                 "");
+    EXPECT_NE(workloadError(std::string("/nonexistent/x.trace"))
+                  .find("cannot open trace file '/nonexistent/x.trace'"),
+              std::string::npos);
 }
 
 TEST_F(TraceFileTest, WorkloadRejectsTruncatedFile)
 {
     writeValid(2, 4);
     chopTo(24 + 3 * 16 + 5);
-    EXPECT_DEATH({ TraceFileWorkload wl(path); }, "");
+    EXPECT_NE(workloadError(path).find("is truncated mid-record"),
+              std::string::npos);
+}
+
+TEST_F(TraceFileTest, ReadFailureMidReplayThrows)
+{
+    // Enough records that lane 0 refills from the file mid-replay;
+    // the file shrinks under the open reader before the refill.
+    writeValid(2, 3000);
+    TraceFileReader reader;
+    std::string error;
+    ASSERT_TRUE(reader.open(path, error)) << error;
+    for (int i = 0; i < 1024; ++i)
+        reader.next(0);
+    chopTo(24 + 16);
+    try {
+        for (int i = 0; i < 3000; ++i)
+            reader.next(0);
+        FAIL() << "expected SimError";
+    } catch (const SimError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("trace read of '" + path + "' failed"),
+                  std::string::npos)
+            << what;
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -494,8 +537,10 @@ TEST_F(TraceFileTest, ReaderRefusesMismatchedExpectedHash)
               std::string::npos)
         << error;
 
-    // The fatal-on-error workload path reports it too.
-    EXPECT_DEATH({ TraceFileWorkload wl(path, stale); }, "");
+    // The workload path reports it too, as a row failure.
+    EXPECT_NE(workloadError(path, stale)
+                  .find("changed since the grid was built"),
+              std::string::npos);
 }
 
 } // namespace
