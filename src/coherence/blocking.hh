@@ -18,6 +18,7 @@
 #include "common/log.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
+#include "sim/flat_map.hh"
 #include "sim/inline_function.hh"
 #include "sim/slab.hh"
 
@@ -26,8 +27,9 @@ namespace c3d
 
 /**
  * Serializes transactions per block address. Allocation-free per
- * transaction: table nodes come from the slab and an uncontended
- * block's waiter list stays empty (an empty vector owns no memory).
+ * transaction: the table is an open-addressed FlatMap that allocates
+ * only when it grows, and an uncontended block's waiter list stays
+ * empty (an empty vector owns no memory).
  */
 class BlockingTable
 {
@@ -57,13 +59,13 @@ class BlockingTable
     acquire(Addr addr, Start start)
     {
         const Addr blk = blockNumber(addr);
-        auto [it, inserted] = table.try_emplace(blk);
+        auto [waiters, inserted] = table.tryEmplace(blk);
         ++admitted;
         if (inserted) {
             start();
         } else {
             ++conflicts;
-            it->second.push_back(std::move(start));
+            waiters->push_back(std::move(start));
         }
     }
 
@@ -75,14 +77,14 @@ class BlockingTable
     release(Addr addr)
     {
         const Addr blk = blockNumber(addr);
-        auto it = table.find(blk);
-        c3d_assert(it != table.end(), "release of unlocked block");
-        if (it->second.empty()) {
-            table.erase(it);
+        Waiters *waiters = table.find(blk);
+        c3d_assert(waiters, "release of unlocked block");
+        if (waiters->empty()) {
+            table.erase(blk);
             return;
         }
-        Start next = std::move(it->second.front());
-        it->second.erase(it->second.begin());
+        Start next = std::move(waiters->front());
+        waiters->erase(waiters->begin());
         next();
     }
 
@@ -90,7 +92,7 @@ class BlockingTable
     bool
     isBusy(Addr addr) const
     {
-        return table.count(blockNumber(addr)) != 0;
+        return table.contains(blockNumber(addr));
     }
 
     std::size_t activeBlocks() const { return table.size(); }
@@ -99,7 +101,7 @@ class BlockingTable
   private:
     /** FIFO of queued starts; rarely longer than one or two. */
     using Waiters = std::vector<Start, slab::Allocator<Start>>;
-    slab::UnorderedMap<Addr, Waiters> table;
+    FlatMap<Addr, Waiters> table;
     Counter conflicts;
     Counter admitted;
 };

@@ -8,16 +8,23 @@
  *    (AMD-style "sparse 2x/32-way, socket-grain sharing vector",
  *    Table II). Allocation conflicts evict (recall) a victim entry,
  *    which the protocol must resolve by invalidating the victim's
- *    sharers. Used by baseline and C3D.
+ *    sharers. Used by baseline and C3D. Stored as three parallel
+ *    rows -- 8-byte block keys, 8-byte LRU stamps, 16-byte entries
+ *    -- so a set scan reads only the keys.
  *
  *  - FullDirectory: an unbounded map with no recalls, modelling the
  *    paper's idealized inclusive directory (full-dir, c3d-full-dir)
- *    that optimistically keeps a 10-cycle access latency.
+ *    that optimistically keeps a 10-cycle access latency. It stays a
+ *    node-based std::unordered_map: a DirectoryStore entry keeps its
+ *    address until it is erased (as SparseDirectory's fixed rows do),
+ *    which an open-addressed table that moves values as it grows
+ *    would break.
  */
 
 #ifndef C3DSIM_COHERENCE_DIRECTORY_HH
 #define C3DSIM_COHERENCE_DIRECTORY_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -41,9 +48,9 @@ enum class DirState : std::uint8_t
 /** A directory entry: state plus socket-grain sharing vector. */
 struct DirEntry
 {
-    DirState state = DirState::Invalid;
     std::uint64_t sharers = 0; //!< bitmask of sockets
     SocketId owner = InvalidSocket;
+    DirState state = DirState::Invalid;
 
     bool
     isSharer(SocketId s) const
@@ -98,7 +105,15 @@ class DirectoryStore
     virtual std::uint64_t storageBits() const = 0;
 };
 
-/** Set-associative sparse directory with recalls. */
+/**
+ * Set-associative sparse directory with recalls.
+ *
+ * Each set is a contiguous row of 8-byte keys (the block number, or
+ * NoBlock for a free way), so a lookup scans one row -- 256 bytes for
+ * a 32-way set -- for both the hit and the first free way. The LRU
+ * stamps and the DirEntry payloads live in parallel rows indexed the
+ * same way and are touched only for the way that is used.
+ */
 class SparseDirectory : public DirectoryStore
 {
   public:
@@ -115,7 +130,11 @@ class SparseDirectory : public DirectoryStore
         c3d_assert(ways >= 1, "directory needs at least one way");
         std::uint64_t entries = num_entries < ways ? ways : num_entries;
         sets = entries / ways;
-        slots.assign(sets * ways, Slot{});
+        setsArePow2 = (sets & (sets - 1)) == 0;
+        setMask = setsArePow2 ? sets - 1 : 0;
+        keys.assign(sets * ways, NoBlock);
+        lastUse.assign(sets * ways, 0);
+        payload.assign(sets * ways, DirEntry{});
         recalls.init(stats, name + ".recalls",
                      "entries displaced by allocation conflicts");
         allocations.init(stats, name + ".allocations",
@@ -126,12 +145,11 @@ class SparseDirectory : public DirectoryStore
     find(Addr addr) override
     {
         const Addr blk = blockNumber(addr);
-        Slot *base = setBase(blk);
+        const std::size_t base = setBase(blk);
+        const Addr *row = &keys[base];
         for (std::uint32_t w = 0; w < numWays; ++w) {
-            if (base[w].valid && base[w].tag == blk) {
-                base[w].lastUse = ++useStamp;
-                return &base[w].entry;
-            }
+            if (row[w] == blk)
+                return use(base + w);
         }
         return nullptr;
     }
@@ -141,57 +159,58 @@ class SparseDirectory : public DirectoryStore
              const Evictable &evictable = {}) override
     {
         recall.valid = false;
-        if (DirEntry *e = find(addr))
-            return e;
+        const Addr blk = blockNumber(addr);
+        const std::size_t base = setBase(blk);
+        const Addr *row = &keys[base];
+        std::uint32_t free_way = numWays;
+        for (std::uint32_t w = 0; w < numWays; ++w) {
+            if (row[w] == blk)
+                return use(base + w);
+            if (row[w] == NoBlock && free_way == numWays)
+                free_way = w;
+        }
 
         ++allocations;
-        const Addr blk = blockNumber(addr);
-        Slot *base = setBase(blk);
-        Slot *victim = nullptr;
-        for (std::uint32_t w = 0; w < numWays; ++w) {
-            if (!base[w].valid) {
-                victim = &base[w];
-                break;
-            }
-        }
-        if (!victim) {
+        std::size_t victim = base + free_way;
+        if (free_way == numWays) {
             // Recall the LRU way among those whose block is safe to
             // displace; fall back to plain LRU if none qualifies
             // (vanishingly rare: every way mid-transaction).
+            const std::uint64_t *stamps = &lastUse[base];
+            std::uint32_t lru = numWays;
             for (std::uint32_t w = 0; w < numWays; ++w) {
-                const Addr victim_addr = base[w].tag << BlockShift;
-                if (evictable && !evictable(victim_addr))
+                if (evictable && !evictable(row[w] << BlockShift))
                     continue;
-                if (!victim || base[w].lastUse < victim->lastUse)
-                    victim = &base[w];
+                if (lru == numWays || stamps[w] < stamps[lru])
+                    lru = w;
             }
-            if (!victim) {
-                victim = &base[0];
+            if (lru == numWays) {
+                lru = 0;
                 for (std::uint32_t w = 1; w < numWays; ++w) {
-                    if (base[w].lastUse < victim->lastUse)
-                        victim = &base[w];
+                    if (stamps[w] < stamps[lru])
+                        lru = w;
                 }
             }
+            victim = base + lru;
             ++recalls;
             recall.valid = true;
-            recall.addr = victim->tag << BlockShift;
-            recall.entry = victim->entry;
+            recall.addr = keys[victim] << BlockShift;
+            recall.entry = payload[victim];
         }
-        victim->valid = true;
-        victim->tag = blk;
-        victim->entry = DirEntry{};
-        victim->lastUse = ++useStamp;
-        return &victim->entry;
+        keys[victim] = blk;
+        payload[victim] = DirEntry{};
+        return use(victim);
     }
 
     void
     erase(Addr addr) override
     {
         const Addr blk = blockNumber(addr);
-        Slot *base = setBase(blk);
+        const std::size_t base = setBase(blk);
         for (std::uint32_t w = 0; w < numWays; ++w) {
-            if (base[w].valid && base[w].tag == blk) {
-                base[w] = Slot{};
+            if (keys[base + w] == blk) {
+                keys[base + w] = NoBlock;
+                payload[base + w] = DirEntry{};
                 return;
             }
         }
@@ -200,11 +219,8 @@ class SparseDirectory : public DirectoryStore
     std::uint64_t
     trackedBlocks() const override
     {
-        std::uint64_t n = 0;
-        for (const auto &s : slots)
-            if (s.valid)
-                ++n;
-        return n;
+        return static_cast<std::uint64_t>(
+            keys.size() - std::count(keys.begin(), keys.end(), NoBlock));
     }
 
     std::uint64_t
@@ -213,31 +229,40 @@ class SparseDirectory : public DirectoryStore
         // Per entry: tag (assume 48-bit addresses) + state + vector.
         const std::uint64_t tag_bits = 48 - BlockShift;
         const std::uint64_t entry_bits = tag_bits + 2 + vectorBits;
-        return slots.size() * entry_bits;
+        return keys.size() * entry_bits;
     }
 
     std::uint64_t recallCount() const { return recalls.value(); }
 
   private:
-    struct Slot
-    {
-        bool valid = false;
-        Addr tag = 0;
-        DirEntry entry;
-        std::uint64_t lastUse = 0;
-    };
+    /** Key of a free way; no block number reaches it. */
+    static constexpr Addr NoBlock = ~Addr(0);
 
-    Slot *
-    setBase(Addr blk)
+    /** First way of @p blk's set (set `blk % sets`). */
+    std::size_t
+    setBase(Addr blk) const
     {
-        return &slots[(blk % sets) * numWays];
+        const Addr set = setsArePow2 ? (blk & setMask) : (blk % sets);
+        return static_cast<std::size_t>(set) * numWays;
+    }
+
+    /** Stamp way @p slot most recently used; return its entry. */
+    DirEntry *
+    use(std::size_t slot)
+    {
+        lastUse[slot] = ++useStamp;
+        return &payload[slot];
     }
 
     std::uint64_t sets = 0;
+    bool setsArePow2 = false;
+    std::uint64_t setMask = 0;
     const std::uint32_t numWays;
     const std::uint32_t vectorBits;
     std::uint64_t useStamp = 0;
-    std::vector<Slot> slots;
+    std::vector<Addr> keys;              //!< per way: block or NoBlock
+    std::vector<std::uint64_t> lastUse;  //!< per way: LRU stamp
+    std::vector<DirEntry> payload;       //!< per way: the entry
     Counter recalls;
     Counter allocations;
 };

@@ -107,6 +107,9 @@ class ProtocolBase : public GlobalProtocol
             false, queueAt(home).now(), std::move(done));
         forEachSocket(targets, [&](SocketId t) {
             ++invsSent;
+            // The probe reads t's DRAM-cache slot word one hop later.
+            if (const DramCache *dc = m.socket(t).dramCache())
+                dc->prefetch(addr);
             sendCtrl(home, t, [this, t, addr, home, state]() mutable {
                 m.socket(t).probeInvalidate(addr,
                                             [this, t, home,

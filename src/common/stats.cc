@@ -52,13 +52,14 @@ Histogram::percentile(double p) const
         rank = nsamples;
 
     std::uint64_t seen = 0;
-    for (unsigned b = 0; b < 64; ++b) {
+    for (unsigned b = 0; b < NumBuckets; ++b) {
         const std::uint64_t here = bucket(b);
         if (here == 0 || seen + here < rank) {
             seen += here;
             continue;
         }
-        // Bucket b covers [2^(b-1), 2^b - 1] (bucket 0 is {0}).
+        // Bucket b covers [2^(b-1), 2^b - 1] (bucket 0 is {0};
+        // bucket 64 ends at the top of the range).
         // Interpolate by the rank's position within the bucket.
         if (b == 0)
             return vmin; // all-zero samples: min() == 0
@@ -85,7 +86,7 @@ StatGroup::valueOf(const std::string &name) const
         if (c->name() == name)
             return c->value();
     }
-    c3d_fatal("no counter named '%s' in stat group '%s'", name.c_str(),
+    c3d_panic("no counter named '%s' in stat group '%s'", name.c_str(),
               groupName.c_str());
 }
 

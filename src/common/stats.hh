@@ -6,13 +6,24 @@
  * complexity: named scalar counters and histograms register themselves
  * with a StatGroup; groups can be dumped, reset (for warm-up), and
  * queried by name from harness code.
+ *
+ * Threading: every stat keeps one shard per parallel-kernel worker
+ * (MaxStatShards of them). A write goes to the calling thread's shard,
+ * statShard, with a plain add -- no atomic and no lock on the hot
+ * path. CellExecutor::workerLoop sets statShard to its worker id;
+ * every other thread (the sequential kernel, sweep workers, tests)
+ * writes shard 0. Reads sum the shards and merge their min/max, so
+ * they are exact for any worker count, but only where no worker is
+ * writing: at a cell barrier (the boundary hook, the warm-up reset),
+ * from the thread that owns every writer of that stat, or after the
+ * run.
  */
 
 #ifndef C3DSIM_COMMON_STATS_HH
 #define C3DSIM_COMMON_STATS_HH
 
+#include <algorithm>
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <ostream>
@@ -26,14 +37,22 @@ namespace c3d
 
 class StatGroup;
 
+/** Shards per stat: the most kernel workers a run may use. */
+constexpr unsigned MaxStatShards = 8;
+
+/**
+ * The calling thread's stat shard, in [0, MaxStatShards): its
+ * parallel-kernel worker id, 0 on every other thread.
+ */
+inline thread_local unsigned statShard = 0;
+
 /**
  * A named 64-bit event counter.
  *
- * Increments are relaxed atomics so stats can be bumped from any
- * kernel thread (the parallel per-socket kernel increments shared
- * protocol counters from several workers). Addition commutes, so the
- * final value is independent of thread interleaving — the property
- * the byte-identity harness relies on. Counters are movable (not
+ * Increments add to the calling thread's shard (see the file
+ * comment); value() is their sum. Addition commutes, so the value is
+ * independent of which worker counted what -- the property the
+ * byte-identity harness relies on. Counters are movable (not
  * copyable) because several components hold them in vectors sized at
  * construction time.
  */
@@ -41,22 +60,8 @@ class Counter
 {
   public:
     Counter() = default;
-
-    Counter(Counter &&other) noexcept
-        : statName(std::move(other.statName)),
-          statDesc(std::move(other.statDesc)),
-          count(other.count.load(std::memory_order_relaxed))
-    {}
-
-    Counter &
-    operator=(Counter &&other) noexcept
-    {
-        statName = std::move(other.statName);
-        statDesc = std::move(other.statDesc);
-        count.store(other.count.load(std::memory_order_relaxed),
-                    std::memory_order_relaxed);
-        return *this;
-    }
+    Counter(Counter &&) noexcept = default;
+    Counter &operator=(Counter &&) noexcept = default;
 
     /** Register this counter under @p name in @p group. */
     void init(StatGroup *group, std::string name, std::string desc = "");
@@ -64,103 +69,105 @@ class Counter
     Counter &
     operator++()
     {
-        count.fetch_add(1, std::memory_order_relaxed);
+        ++shards[statShard];
         return *this;
     }
 
     Counter &
     operator+=(std::uint64_t n)
     {
-        count.fetch_add(n, std::memory_order_relaxed);
+        shards[statShard] += n;
         return *this;
     }
 
     std::uint64_t
     value() const
     {
-        return count.load(std::memory_order_relaxed);
+        std::uint64_t sum = 0;
+        for (const std::uint64_t v : shards)
+            sum += v;
+        return sum;
     }
 
-    void reset() { count.store(0, std::memory_order_relaxed); }
+    void reset() { shards.fill(0); }
     const std::string &name() const { return statName; }
     const std::string &desc() const { return statDesc; }
 
   private:
     std::string statName;
     std::string statDesc;
-    std::atomic<std::uint64_t> count{0};
+    std::array<std::uint64_t, MaxStatShards> shards{};
 };
 
 /**
  * A histogram with fixed power-of-two bucketing of sample values.
  *
- * Like Counter, sampling uses relaxed atomics (bucket counts and sums
- * commute; min/max converge to the same extremum under any
- * interleaving via CAS loops), so the aggregate is deterministic no
- * matter which kernel thread recorded each sample.
+ * Like Counter, each worker samples into its own shard; the read
+ * side sums counts, sums and buckets across shards and merges their
+ * extrema, so the aggregate is the same whichever worker recorded
+ * each sample.
  */
 class Histogram
 {
   public:
-    Histogram() = default;
+    /**
+     * Bucket 0 holds the value 0 and bucket b in [1, 64] holds
+     * [2^(b-1), 2^b - 1]; bucket 64 is the top half of the range.
+     */
+    static constexpr unsigned NumBuckets = 65;
 
-    Histogram(Histogram &&other) noexcept
-        : statName(std::move(other.statName)),
-          statDesc(std::move(other.statDesc)),
-          samples(other.samples.load(std::memory_order_relaxed)),
-          total(other.total.load(std::memory_order_relaxed)),
-          minValue(other.minValue.load(std::memory_order_relaxed)),
-          maxValue(other.maxValue.load(std::memory_order_relaxed))
-    {
-        for (std::size_t b = 0; b < buckets.size(); ++b)
-            buckets[b].store(
-                other.buckets[b].load(std::memory_order_relaxed),
-                std::memory_order_relaxed);
-    }
+    Histogram() = default;
+    Histogram(Histogram &&) noexcept = default;
 
     void init(StatGroup *group, std::string name, std::string desc = "");
 
     void
     sample(std::uint64_t value)
     {
-        samples.fetch_add(1, std::memory_order_relaxed);
-        total.fetch_add(value, std::memory_order_relaxed);
-        std::uint64_t lo = minValue.load(std::memory_order_relaxed);
-        while (value < lo &&
-               !minValue.compare_exchange_weak(
-                   lo, value, std::memory_order_relaxed)) {
-        }
-        std::uint64_t hi = maxValue.load(std::memory_order_relaxed);
-        while (value > hi &&
-               !maxValue.compare_exchange_weak(
-                   hi, value, std::memory_order_relaxed)) {
-        }
-        buckets[bucketOf(value)].fetch_add(1,
-                                           std::memory_order_relaxed);
+        Shard &s = shards[statShard];
+        ++s.samples;
+        s.total += value;
+        s.minValue = std::min(s.minValue, value);
+        s.maxValue = std::max(s.maxValue, value);
+        ++s.buckets[bucketOf(value)];
     }
 
     std::uint64_t
     count() const
     {
-        return samples.load(std::memory_order_relaxed);
+        std::uint64_t n = 0;
+        for (const Shard &s : shards)
+            n += s.samples;
+        return n;
     }
 
     std::uint64_t
     sum() const
     {
-        return total.load(std::memory_order_relaxed);
+        std::uint64_t n = 0;
+        for (const Shard &s : shards)
+            n += s.total;
+        return n;
     }
 
     std::uint64_t
     min() const
     {
-        return count() ? minValue.load(std::memory_order_relaxed) : 0;
+        // An empty shard's sentinel never wins over a real sample;
+        // an empty histogram reports 0.
+        std::uint64_t lo = ~std::uint64_t(0);
+        for (const Shard &s : shards)
+            lo = std::min(lo, s.minValue);
+        return count() ? lo : 0;
     }
 
     std::uint64_t
     max() const
     {
-        return maxValue.load(std::memory_order_relaxed);
+        std::uint64_t hi = 0;
+        for (const Shard &s : shards)
+            hi = std::max(hi, s.maxValue);
+        return hi;
     }
 
     double
@@ -174,7 +181,11 @@ class Histogram
     std::uint64_t
     bucket(unsigned idx) const
     {
-        return buckets.at(idx).load(std::memory_order_relaxed);
+        c3d_assert(idx < NumBuckets, "histogram bucket out of range");
+        std::uint64_t n = 0;
+        for (const Shard &s : shards)
+            n += s.buckets[idx];
+        return n;
     }
 
     /**
@@ -190,16 +201,7 @@ class Histogram
      */
     std::uint64_t percentile(double p) const;
 
-    void
-    reset()
-    {
-        samples.store(0, std::memory_order_relaxed);
-        total.store(0, std::memory_order_relaxed);
-        minValue.store(~std::uint64_t(0), std::memory_order_relaxed);
-        maxValue.store(0, std::memory_order_relaxed);
-        for (auto &b : buckets)
-            b.store(0, std::memory_order_relaxed);
-    }
+    void reset() { shards.fill(Shard{}); }
 
     const std::string &name() const { return statName; }
 
@@ -212,15 +214,19 @@ class Histogram
         return 64 - __builtin_clzll(value);
     }
 
+    /** One worker's samples. */
+    struct Shard
+    {
+        std::uint64_t samples = 0;
+        std::uint64_t total = 0;
+        std::uint64_t minValue = ~std::uint64_t(0); //!< empty: sentinel
+        std::uint64_t maxValue = 0;
+        std::array<std::uint64_t, NumBuckets> buckets{};
+    };
+
     std::string statName;
     std::string statDesc;
-    std::atomic<std::uint64_t> samples{0};
-    std::atomic<std::uint64_t> total{0};
-    // Sentinel: the first sample always wins the CAS race, so the
-    // min is interleaving-independent. min() masks the sentinel.
-    std::atomic<std::uint64_t> minValue{~std::uint64_t(0)};
-    std::atomic<std::uint64_t> maxValue{0};
-    std::array<std::atomic<std::uint64_t>, 64> buckets{};
+    std::array<Shard, MaxStatShards> shards{};
 };
 
 /**
@@ -271,7 +277,10 @@ class StatGroup
             h->reset();
     }
 
-    /** Value of the counter registered as @p name; fatal if absent. */
+    /**
+     * Value of the counter registered as @p name; panics (SimError)
+     * if absent.
+     */
     std::uint64_t valueOf(const std::string &name) const;
 
     /** True if a counter named @p name is registered. */

@@ -133,6 +133,17 @@ class DramCache
     DramCacheVictim updateClean(Addr addr,
                                 std::uint32_t tenant = NoTenant);
 
+    /**
+     * Host-prefetch the slot word of @p addr's frame. No simulated
+     * effect: callers issue it where they schedule the event that
+     * will read the slot, so the host miss overlaps the wait.
+     */
+    void
+    prefetch(Addr addr) const
+    {
+        __builtin_prefetch(&slots[slotOf(blockNumber(addr))]);
+    }
+
     /** Structural presence check with no timing (tests/inspection). */
     bool
     contains(Addr addr) const

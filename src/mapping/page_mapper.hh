@@ -16,12 +16,12 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "common/config.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
+#include "sim/flat_map.hh"
 
 namespace c3d
 {
@@ -87,9 +87,8 @@ class PageMapper
             return static_cast<SocketId>(pageNumber(addr) % numSockets);
 
         const Addr page = pageNumber(addr);
-        auto it = map.find(page);
-        if (it != map.end())
-            return it->second;
+        if (const SocketId *home = map.find(page))
+            return *home;
         c3d_assert(!deferred,
                    "unresolved page reached homeOf under deferred "
                    "first-touch; the issue path must claim first");
@@ -105,7 +104,7 @@ class PageMapper
     {
         if (policy == MappingPolicy::Interleave)
             return true;
-        return map.find(pageNumber(addr)) != map.end();
+        return map.contains(pageNumber(addr));
     }
 
     /**
@@ -153,8 +152,8 @@ class PageMapper
     {
         if (policy == MappingPolicy::Interleave)
             return static_cast<SocketId>(pageNumber(addr) % numSockets);
-        auto it = map.find(pageNumber(addr));
-        return it != map.end() ? it->second : 0;
+        const SocketId *home = map.find(pageNumber(addr));
+        return home ? *home : 0;
     }
 
     MappingPolicy policyKind() const { return policy; }
@@ -171,12 +170,12 @@ class PageMapper
     SocketId
     mapIfNew(Addr page, SocketId socket)
     {
-        auto [it, inserted] = map.emplace(page, socket);
+        auto [home, inserted] = map.tryEmplace(page, socket);
         if (inserted) {
             ++pagesMapped;
             ++perSocketPages[socket];
         }
-        return it->second;
+        return *home;
     }
 
     struct Claim
@@ -190,7 +189,7 @@ class PageMapper
     const MappingPolicy policy;
     const std::uint32_t numSockets;
     const bool deferred;
-    std::unordered_map<Addr, SocketId> map;
+    FlatMap<Addr, SocketId> map;
     Counter pagesMapped;
     std::vector<Counter> perSocketPages;
     /** claimBufs[socket]: claims filed by that socket's thread. */

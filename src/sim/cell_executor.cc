@@ -12,8 +12,8 @@ namespace c3d
 CellExecutor::CellExecutor(Machine &machine, unsigned num_threads)
     : m(machine),
       numThreads(std::max(1u,
-                          std::min<unsigned>(num_threads,
-                                             machine.numSockets()))),
+                          std::min({num_threads, machine.numSockets(),
+                                    MaxStatShards}))),
       cellW(machine.cellWidth())
 {
     c3d_assert(m.kernelMode() == KernelMode::MultiQueue,
@@ -71,6 +71,9 @@ void
 CellExecutor::workerLoop(unsigned wid, const BoundaryHook &boundary)
 {
     const std::uint32_t sockets = m.numSockets();
+    // Stats written from this thread go to its own shard
+    // (common/stats.hh); worker 0 is the calling thread, shard 0.
+    statShard = wid;
     while (true) {
         // Execute this worker's queues through the current cell.
         // Causal closure makes the per-socket order irrelevant.

@@ -28,6 +28,10 @@
  * the canonical order that makes execution identical for any worker
  * count) and starts the next cell.
  *
+ * Each worker sets statShard to its id, so stat writes from different
+ * workers land in different shards and need no atomics; the barrier
+ * master reads them all while the workers are parked.
+ *
  * Determinism: event execution inside a cell is per-queue sequential
  * and cells are causally closed, so the only cross-thread effects are
  * commutative stat updates and the staged deliveries, which flush in
@@ -45,6 +49,7 @@
 #include <functional>
 #include <mutex>
 
+#include "common/stats.hh"
 #include "common/types.hh"
 #include "sim/machine.hh"
 
@@ -67,7 +72,8 @@ class CellExecutor
 
     /**
      * @param machine a KernelMode::MultiQueue machine
-     * @param num_threads worker threads; clamped to [1, numSockets].
+     * @param num_threads worker threads; clamped to [1, numSockets]
+     *        and to MaxStatShards (one stat shard per worker).
      *        Worker j owns sockets {s : s % T == j}.
      */
     CellExecutor(Machine &machine, unsigned num_threads);

@@ -6,9 +6,10 @@
  * and fixed-size: the event kernel's nodes (one per scheduled event,
  * sim/event_queue.hh), InlineFunction captures that outgrow their
  * budget, fan-in and join state shared by a transaction's probes, and
- * the nodes of the per-block tables (block locks, outstanding reads).
- * All of it is
- * allocated and freed at event rates, so going through malloc on
+ * the waiter lists hung off the per-block tables (queued block-lock
+ * starts, merged reads; the tables themselves are FlatMaps,
+ * sim/flat_map.hh). All of it is allocated and freed at event
+ * rates, so going through malloc on
  * every one costs real throughput and — under the parallel kernel —
  * contends on the global allocator.
  *
@@ -24,11 +25,10 @@
  * threads. All memory is released at thread exit (local caches) and
  * process exit (global pool), keeping LeakSanitizer clean.
  *
- * On top of the raw interface: Allocator (for standard containers,
- * with UnorderedMap for the per-block tables), Unique (sole owner)
- * and Shared (intrusively counted owner). Events that may be dropped
- * unrun — a row torn down mid-flight — must hold slab memory through
- * one of these, never a raw pointer.
+ * On top of the raw interface: Allocator (for standard containers),
+ * Unique (sole owner) and Shared (intrusively counted owner). Events
+ * that may be dropped unrun — a row torn down mid-flight — must hold
+ * slab memory through one of these, never a raw pointer.
  */
 
 #ifndef C3DSIM_SIM_SLAB_HH
@@ -37,10 +37,8 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <new>
-#include <unordered_map>
 #include <utility>
 
 namespace c3d
@@ -85,12 +83,6 @@ struct Allocator
     template <typename U>
     bool operator!=(const Allocator<U> &) const noexcept { return false; }
 };
-
-/** Hash map whose nodes recycle through the slab. */
-template <typename K, typename V>
-using UnorderedMap =
-    std::unordered_map<K, V, std::hash<K>, std::equal_to<K>,
-                       Allocator<std::pair<const K, V>>>;
 
 /** Construct a T in slab memory. */
 template <typename T, typename... A>

@@ -114,7 +114,10 @@ Socket::accessLlcForRead(std::uint32_t core, Addr blk, Tick start,
     }
 
     ++llcMissCount;
-    // Tag miss known after the tag access.
+    // Tag miss known after the tag access; the DRAM-cache probe then
+    // reads the block's slot word.
+    if (dcache)
+        dcache->prefetch(blk);
     eventq.schedule(cfg.llcTagLatency, [this, core, blk, start,
                                         done = std::move(done)]() mutable {
         if (dcache) {
@@ -146,20 +149,18 @@ void
 Socket::issueGetS(std::uint32_t core, Addr blk, Tick start,
                   Continuation<void()> done)
 {
-    auto it = pendingReads.find(blk);
-    if (it != pendingReads.end()) {
+    if (PendingRead *outstanding = pendingReads.find(blk)) {
         // Merge with the outstanding GetS (MSHR hit).
         ++mergedReads;
-        it->second.merged.push_back({core, start, std::move(done)});
+        outstanding->merged.push_back({core, start, std::move(done)});
         return;
     }
 
     ++getSIssued;
     pendingReads[blk].primary = {core, start, std::move(done)};
     protocol->getS(socketId, blk, [this, blk] {
-        auto entry = pendingReads.find(blk);
-        PendingRead pending = std::move(entry->second);
-        pendingReads.erase(entry);
+        PendingRead pending = std::move(*pendingReads.find(blk));
+        pendingReads.erase(blk);
         // A racing invalidation poisoned the fill: the loads still
         // complete with the pre-write value, but nothing is cached.
         const PendingRead::Waiter &first = pending.primary;
@@ -326,7 +327,7 @@ Socket::handleLlcVictim(Addr victim, CacheState state,
         // block live in the DRAM cache. A victim with an invalidation
         // probe in flight is dying: the insert is squashed (dirty
         // data still reaches memory through a writeback).
-        if (invInFlight.find(victim) == invInFlight.end()) {
+        if (!invInFlight.contains(victim)) {
             const bool insert_dirty = dirty && cfg.dirtyDramCache();
             DramCacheVictim dv = dcache->insert(victim, insert_dirty);
             if (dv.valid)
@@ -353,8 +354,8 @@ Socket::invalidateOnChip(Addr addr)
         watchTrace(eventq.now(), "invalidateOnChip", "socket %u",
                    socketId);
     // Squash any in-flight read fill for this block.
-    if (auto it = pendingReads.find(blk); it != pendingReads.end())
-        it->second.poisoned = true;
+    if (PendingRead *pending = pendingReads.find(blk))
+        pending->poisoned = true;
     CacheState old_state = CacheState::Invalid;
     if (TagEntry *e = llc.find(blk)) {
         old_state = e->state;
@@ -414,9 +415,9 @@ Socket::probeInvalidate(Addr addr, Continuation<void(bool)> done)
                             [this, blk, dc_dirty,
                              done = std::move(done)]() mutable {
                 const CacheState s = invalidateOnChip(blk);
-                auto it = invInFlight.find(blk);
-                if (it != invInFlight.end() && --it->second == 0)
-                    invInFlight.erase(it);
+                std::uint32_t *probes = invInFlight.find(blk);
+                if (probes && --*probes == 0)
+                    invInFlight.erase(blk);
                 done(dc_dirty || s == CacheState::Modified);
             });
         });
@@ -526,9 +527,9 @@ Socket::snoopProbe(Addr addr, bool is_write,
             if (is_write && dcache) {
                 // Close the insert-squash window opened below only
                 // after the on-chip invalidation has applied.
-                auto it = invInFlight.find(blk);
-                if (it != invInFlight.end() && --it->second == 0)
-                    invInFlight.erase(it);
+                std::uint32_t *probes = invInFlight.find(blk);
+                if (probes && --*probes == 0)
+                    invInFlight.erase(blk);
             }
             done(res);
         });

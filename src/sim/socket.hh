@@ -25,6 +25,7 @@
 #include "dramcache/dram_cache.hh"
 #include "mem/memory_controller.hh"
 #include "sim/event_queue.hh"
+#include "sim/flat_map.hh"
 #include "sim/inline_function.hh"
 #include "sim/slab.hh"
 #include "workload/tenant_stats.hh"
@@ -232,13 +233,13 @@ class Socket
     };
 
     /** Read-miss merge table: block -> outstanding GetS. */
-    slab::UnorderedMap<Addr, PendingRead> pendingReads;
+    FlatMap<Addr, PendingRead> pendingReads;
 
     /** Blocks with an invalidation probe mid-flight at this socket.
      * The DRAM-cache controller squashes victim inserts for them
      * (the insert would otherwise revive a dying block between the
      * DRAM-cache and LLC invalidation sub-steps). */
-    slab::UnorderedMap<Addr, std::uint32_t> invInFlight;
+    FlatMap<Addr, std::uint32_t> invInFlight;
 
     Counter loads;
     Counter stores;

@@ -281,7 +281,7 @@ profileByName(const std::string &name)
     }
     if (name == "mcf")
         return mcfProfile();
-    c3d_fatal("unknown workload profile '%s'", name.c_str());
+    c3d_panic("unknown workload profile '%s'", name.c_str());
 }
 
 // --------------------------------------------------------------------

@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "coherence/blocking.hh"
 #include "coherence/directory.hh"
+#include "common/rng.hh"
 #include "common/sim_error.hh"
 
 namespace c3d
@@ -81,6 +83,237 @@ TEST(SparseDirectory, StorageBitsScaleWithEntries)
     SparseDirectory small(1024, 32, 4, &g, "s");
     SparseDirectory big(4096, 32, 4, &g, "b");
     EXPECT_EQ(big.storageBits(), 4 * small.storageBits());
+}
+
+/**
+ * The array-of-structs sparse directory SparseDirectory replaced: one
+ * 48-byte slot (valid, tag, entry, LRU stamp) per way. Kept here as
+ * the oracle for the row layout.
+ */
+class AosSparseDirectory
+{
+  public:
+    AosSparseDirectory(std::uint64_t num_entries, std::uint32_t ways)
+        : numWays(ways)
+    {
+        const std::uint64_t entries =
+            num_entries < ways ? ways : num_entries;
+        sets = entries / ways;
+        slots.assign(sets * ways, Slot{});
+    }
+
+    DirEntry *
+    find(Addr addr)
+    {
+        const Addr blk = blockNumber(addr);
+        Slot *base = setBase(blk);
+        for (std::uint32_t w = 0; w < numWays; ++w) {
+            if (base[w].valid && base[w].tag == blk) {
+                base[w].lastUse = ++useStamp;
+                return &base[w].entry;
+            }
+        }
+        return nullptr;
+    }
+
+    DirEntry *
+    allocate(Addr addr, DirRecall &recall,
+             const DirectoryStore::Evictable &evictable)
+    {
+        recall.valid = false;
+        if (DirEntry *e = find(addr))
+            return e;
+        const Addr blk = blockNumber(addr);
+        Slot *base = setBase(blk);
+        Slot *victim = nullptr;
+        for (std::uint32_t w = 0; w < numWays; ++w) {
+            if (!base[w].valid) {
+                victim = &base[w];
+                break;
+            }
+        }
+        if (!victim) {
+            for (std::uint32_t w = 0; w < numWays; ++w) {
+                const Addr victim_addr = base[w].tag << BlockShift;
+                if (evictable && !evictable(victim_addr))
+                    continue;
+                if (!victim || base[w].lastUse < victim->lastUse)
+                    victim = &base[w];
+            }
+            if (!victim) {
+                victim = &base[0];
+                for (std::uint32_t w = 1; w < numWays; ++w) {
+                    if (base[w].lastUse < victim->lastUse)
+                        victim = &base[w];
+                }
+            }
+            recall.valid = true;
+            recall.addr = victim->tag << BlockShift;
+            recall.entry = victim->entry;
+        }
+        victim->valid = true;
+        victim->tag = blk;
+        victim->entry = DirEntry{};
+        victim->lastUse = ++useStamp;
+        return &victim->entry;
+    }
+
+    void
+    erase(Addr addr)
+    {
+        const Addr blk = blockNumber(addr);
+        Slot *base = setBase(blk);
+        for (std::uint32_t w = 0; w < numWays; ++w) {
+            if (base[w].valid && base[w].tag == blk) {
+                base[w] = Slot{};
+                return;
+            }
+        }
+    }
+
+    std::uint64_t
+    trackedBlocks() const
+    {
+        std::uint64_t n = 0;
+        for (const auto &s : slots)
+            n += s.valid;
+        return n;
+    }
+
+  private:
+    struct Slot
+    {
+        bool valid = false;
+        Addr tag = 0;
+        DirEntry entry;
+        std::uint64_t lastUse = 0;
+    };
+
+    Slot *setBase(Addr blk) { return &slots[(blk % sets) * numWays]; }
+
+    std::uint64_t sets = 0;
+    const std::uint32_t numWays;
+    std::uint64_t useStamp = 0;
+    std::vector<Slot> slots;
+};
+
+/** Recall filter whose answer is a pure function of (block, epoch),
+ * logging every block it is asked about. */
+struct RecallFilter
+{
+    std::uint64_t epoch = 0;
+    bool rejectAll = false;
+    std::vector<Addr> asked;
+
+    bool
+    operator()(Addr addr)
+    {
+        asked.push_back(addr);
+        if (rejectAll)
+            return false;
+        return ((blockNumber(addr) * 0x9E3779B97F4A7C15ull + epoch) >>
+                61) != 0;
+    }
+};
+
+void
+expectSameEntry(const DirEntry *got, const DirEntry *want, int step)
+{
+    ASSERT_EQ(got == nullptr, want == nullptr) << "step " << step;
+    if (!got)
+        return;
+    EXPECT_EQ(got->state, want->state) << "step " << step;
+    EXPECT_EQ(got->sharers, want->sharers) << "step " << step;
+    EXPECT_EQ(got->owner, want->owner) << "step " << step;
+}
+
+/** Drive both organizations with one seeded stream. */
+void
+runDirectoryDifferential(std::uint64_t entries, std::uint32_t ways,
+                         std::uint64_t seed)
+{
+    StatGroup g("t");
+    SparseDirectory rows(entries, ways, 8, &g, "d");
+    AosSparseDirectory oracle(entries, ways);
+    RecallFilter rows_filter, oracle_filter;
+    const DirectoryStore::Evictable rows_evictable =
+        [f = &rows_filter](Addr a) { return (*f)(a); };
+    const DirectoryStore::Evictable oracle_evictable =
+        [f = &oracle_filter](Addr a) { return (*f)(a); };
+    const DirectoryStore::Evictable unfiltered{};
+
+    Rng rng(seed);
+    // Four times the capacity in distinct blocks keeps sets full
+    // and recalls frequent.
+    const std::uint64_t blocks = entries * 4;
+    std::uint64_t recalls = 0, rejected_all = 0;
+    for (int step = 0; step < 40000; ++step) {
+        const Addr addr = rng.below(blocks) * BlockBytes +
+            rng.below(BlockBytes);
+        const std::uint64_t op = rng.below(10);
+        if (op < 4) {
+            DirEntry *got = rows.find(addr);
+            expectSameEntry(got, oracle.find(addr), step);
+            if (got && rng.below(2)) {
+                const SocketId s = static_cast<SocketId>(rng.below(8));
+                got->addSharer(s);
+                oracle.find(addr)->addSharer(s);
+            }
+        } else if (op < 9) {
+            const std::uint64_t epoch = rng.next();
+            const bool reject_all = rng.below(8) == 0;
+            rows_filter.epoch = oracle_filter.epoch = epoch;
+            rows_filter.rejectAll = oracle_filter.rejectAll = reject_all;
+            rejected_all += reject_all;
+            DirRecall got_recall, want_recall;
+            const bool filtered = rng.below(4) != 0;
+            DirEntry *got = rows.allocate(
+                addr, got_recall,
+                filtered ? rows_evictable : unfiltered);
+            DirEntry *want = oracle.allocate(
+                addr, want_recall,
+                filtered ? oracle_evictable : unfiltered);
+            expectSameEntry(got, want, step);
+            ASSERT_EQ(got_recall.valid, want_recall.valid) << step;
+            if (got_recall.valid) {
+                ++recalls;
+                EXPECT_EQ(got_recall.addr, want_recall.addr) << step;
+                expectSameEntry(&got_recall.entry, &want_recall.entry,
+                                step);
+            }
+            const auto state = static_cast<DirState>(rng.below(3));
+            const SocketId owner = static_cast<SocketId>(rng.below(8));
+            const std::uint64_t sharers = rng.below(256);
+            for (DirEntry *e : {got, want}) {
+                e->state = state;
+                e->owner = owner;
+                e->sharers = sharers;
+            }
+        } else {
+            rows.erase(addr);
+            oracle.erase(addr);
+        }
+        if (step % 512 == 0) {
+            ASSERT_EQ(rows.trackedBlocks(), oracle.trackedBlocks());
+        }
+    }
+    EXPECT_EQ(rows.trackedBlocks(), oracle.trackedBlocks());
+    // The filter saw the same blocks in the same order.
+    EXPECT_EQ(rows_filter.asked, oracle_filter.asked);
+    EXPECT_EQ(rows.recallCount(), recalls);
+    EXPECT_GT(recalls, 1000u);
+    EXPECT_GT(rejected_all, 0u);
+}
+
+TEST(SparseDirectory, RowsMatchArrayOfStructsAtPowerOfTwoSets)
+{
+    runDirectoryDifferential(256, 8, 1); // 32 sets
+}
+
+TEST(SparseDirectory, RowsMatchArrayOfStructsAtOtherSetCounts)
+{
+    runDirectoryDifferential(240, 8, 2); // 30 sets
+    runDirectoryDifferential(96, 32, 3); // 3 sets, 32 ways
 }
 
 TEST(FullDirectory, NoRecallsEver)

@@ -15,10 +15,12 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "common/log.hh"
 #include "exp/sweep_engine.hh"
 #include "sim/runner.hh"
+#include "trace/workload.hh"
 #include "test_helpers.hh"
 #include "trace/trace_file.hh"
 #include "workload/composition.hh"
@@ -239,6 +241,71 @@ TEST(ParallelKernel, ThreadCountDoesNotChangeEligibleRunResults)
         EXPECT_EQ(ref.llcMisses, r.llcMisses) << t;
         EXPECT_EQ(ref.interSocketBytes, r.interSocketBytes) << t;
         EXPECT_EQ(ref.broadcasts, r.broadcasts) << t;
+    }
+}
+
+/** Every counter value and every histogram field of one run. */
+struct StatSnapshot
+{
+    std::vector<std::pair<std::string, std::uint64_t>> counters;
+    std::vector<std::pair<std::string, std::vector<std::uint64_t>>>
+        histograms;
+};
+
+/** Run @p cfg on the multi-queue kernel with @p threads workers and
+ * read back its whole StatGroup. */
+StatSnapshot
+snapshotStats(const SystemConfig &cfg, unsigned threads)
+{
+    SyntheticWorkload wl(test::tinyProfile("shards"), cfg.totalCores(),
+                         cfg.coresPerSocket);
+    KernelOptions k;
+    k.parallel = true;
+    k.threads = threads;
+    Runner r(cfg, wl, RunOptions(k));
+    r.run(200, 800);
+    StatSnapshot snap;
+    const StatGroup &sg = r.machine().stats();
+    for (const Counter *c : sg.allCounters())
+        snap.counters.emplace_back(c->name(), c->value());
+    for (const Histogram *h : sg.allHistograms()) {
+        std::vector<std::uint64_t> fields = {h->count(), h->sum(),
+                                             h->min(), h->max()};
+        for (unsigned b = 0; b < Histogram::NumBuckets; ++b)
+            fields.push_back(h->bucket(b));
+        snap.histograms.emplace_back(h->name(), std::move(fields));
+    }
+    return snap;
+}
+
+TEST(ParallelKernel, FourWorkersReproduceEveryStatOfOneWorker)
+{
+    // Stats are sharded per kernel worker; the read side must add
+    // the shards back to exactly the 1-worker values, field by field.
+    for (const Design d : {Design::Baseline, Design::C3D,
+                           Design::C3DFullDir}) {
+        SystemConfig cfg = test::tinyConfig(d, 4, 2);
+        ASSERT_TRUE(Machine::parallelKernelEligible(cfg));
+        const StatSnapshot one = snapshotStats(cfg, 1);
+        const StatSnapshot four = snapshotStats(cfg, 4);
+        ASSERT_EQ(one.counters.size(), four.counters.size());
+        std::uint64_t total = 0;
+        for (std::size_t i = 0; i < one.counters.size(); ++i) {
+            EXPECT_EQ(one.counters[i], four.counters[i]);
+            total += one.counters[i].second;
+        }
+        EXPECT_GT(total, 0u);
+        ASSERT_EQ(one.histograms.size(), four.histograms.size());
+        std::uint64_t samples = 0;
+        for (std::size_t i = 0; i < one.histograms.size(); ++i) {
+            samples += one.histograms[i].second[0];
+            EXPECT_EQ(one.histograms[i].first,
+                      four.histograms[i].first);
+            EXPECT_EQ(one.histograms[i].second,
+                      four.histograms[i].second)
+                << one.histograms[i].first;
+        }
+        EXPECT_GT(samples, 0u);
     }
 }
 

@@ -9,6 +9,7 @@
 #include <set>
 
 #include "common/log.hh"
+#include "common/sim_error.hh"
 #include "mapping/page_mapper.hh"
 #include "trace/workload.hh"
 
@@ -35,6 +36,20 @@ TEST(WorkloadProfile, LookupByName)
     EXPECT_EQ(profileByName("canneal").name, "canneal");
     EXPECT_EQ(profileByName("mcf").name, "mcf");
     EXPECT_TRUE(profileByName("mcf").singleThreaded);
+}
+
+TEST(WorkloadProfile, UnknownNamePanics)
+{
+    // A bad profile name fails its row as a SimError, not the process.
+    try {
+        profileByName("no-such-profile");
+        FAIL() << "expected SimError";
+    } catch (const SimError &e) {
+        EXPECT_NE(e.message().find(
+                      "unknown workload profile 'no-such-profile'"),
+                  std::string::npos)
+            << e.message();
+    }
 }
 
 TEST(WorkloadProfile, PaperWorkingSetsAreLarge)

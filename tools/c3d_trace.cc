@@ -34,6 +34,7 @@
 
 #include "common/cli.hh"
 #include "common/log.hh"
+#include "common/sim_error.hh"
 #include "exp/json.hh"
 #include "trace/trace_file.hh"
 #include "trace/workload.hh"
@@ -123,7 +124,12 @@ runRecord(int argc, char **argv)
     if (out.empty())
         return usageError("record needs --out=FILE");
 
-    WorkloadProfile profile = profileByName(profile_name);
+    WorkloadProfile profile;
+    try {
+        profile = profileByName(profile_name);
+    } catch (const SimError &) {
+        return 1; // the panic site already printed the diagnostic
+    }
     if (seed)
         profile.seed = seed;
     SyntheticWorkload wl(
