@@ -15,14 +15,17 @@
 #include "sim/event_queue.hh"
 #include "sim/inline_function.hh"
 #include "sim/queue_router.hh"
+#include "sim/watchdog.hh"
 
 namespace
 {
 
+/** 1024 events at small mixed delays per iteration. */
 void
-BM_EventQueueScheduleRun(benchmark::State &state)
+scheduleRun(benchmark::State &state, c3d::WatchdogState *watchdog)
 {
     c3d::EventQueue eq;
+    eq.attachWatchdog(watchdog);
     std::uint64_t sink = 0;
     for (auto _ : state) {
         for (int i = 0; i < 1024; ++i)
@@ -33,7 +36,26 @@ BM_EventQueueScheduleRun(benchmark::State &state)
     benchmark::DoNotOptimize(sink);
     state.SetItemsProcessed(state.iterations() * 1024);
 }
+
+void
+BM_EventQueueScheduleRun(benchmark::State &state)
+{
+    scheduleRun(state, nullptr);
+}
 BENCHMARK(BM_EventQueueScheduleRun);
+
+void
+BM_EventQueueScheduleRunWatchdog(benchmark::State &state)
+{
+    // The same loop with the progress watchdog armed at c3d-sweep's
+    // default (livelock detector at 2M same-tick events): the pair
+    // measures the watchdog's per-event cost (docs/robustness.md).
+    c3d::WatchdogState watchdog;
+    watchdog.arm(c3d::WatchdogLimits{/*wallMs=*/0, /*maxEvents=*/0,
+                                     /*stallEvents=*/2000000});
+    scheduleRun(state, &watchdog);
+}
+BENCHMARK(BM_EventQueueScheduleRunWatchdog);
 
 void
 BM_EventQueueSameTickBurst(benchmark::State &state)

@@ -33,6 +33,12 @@
  *              sharded+merged vs resumed, byte-identical, per-tenant
  *              stats present), and assert that a modified member
  *              trace is refused with a precise diagnostic.
+ *   fault-cli  <c3d-sweep>: inject faults into two of four grid
+ *              points under --fail-policy=skip (exit 3, failure
+ *              manifest), resume the journal with injection off
+ *              (byte-identical to a clean run), and recover a
+ *              parallel-only fault under --fail-policy=retry on the
+ *              sequential kernel (byte-identical again).
  *
  * Exit status 0 on success; 1 with a diagnostic on any failure. The
  * CTest smoke suite registers one invocation per bench binary.
@@ -41,6 +47,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -155,23 +162,54 @@ class SmokeDir
 };
 
 /**
- * Run a command that is EXPECTED to fail (nonzero exit) with a
- * diagnostic containing @p needle -- "failed for the right reason",
+ * Run a command that is EXPECTED to fail -- with exit status
+ * @p status, or any nonzero status when it is 0 -- with a diagnostic
+ * containing every one of @p needles: "failed for the right reason",
  * so a refusal path that breaks differently cannot keep passing.
  */
 bool
-runExpectFailure(const std::string &command, const char *needle)
+runExpectFailure(const std::string &command,
+                 std::initializer_list<const char *> needles,
+                 int status = 0)
 {
     std::string out;
-    // `!` inverts the status in-shell, so the expected failure is
-    // quiet and an unexpected success is the loud diagnostic.
-    if (!runCommand("! { " + command + " ; } 2>&1", out))
+    // `!` (or the status test) inverts the result in-shell, so the
+    // expected failure is quiet and an unexpected status is the loud
+    // diagnostic.
+    const std::string shell = status == 0
+        ? "! { " + command + " ; } 2>&1"
+        : "{ " + command + " ; } 2>&1; [ $? -eq " +
+            std::to_string(status) + " ]";
+    if (!runCommand(shell, out))
         return false;
-    if (out.find(needle) == std::string::npos) {
-        std::fprintf(stderr,
-                     "bench-smoke: expected the failure to mention "
-                     "'%s'; got:\n%s\n",
-                     needle, out.c_str());
+    for (const char *needle : needles) {
+        if (out.find(needle) == std::string::npos) {
+            std::fprintf(stderr,
+                         "bench-smoke: expected the failure to mention "
+                         "'%s'; got:\n%s\n",
+                         needle, out.c_str());
+            return false;
+        }
+    }
+    return true;
+}
+
+/**
+ * Run @p command with --out naming @p name under @p tmp; the artifact
+ * must be non-empty and equal @p expected byte for byte.
+ */
+bool
+artifactMatches(SmokeDir &tmp, const std::string &command,
+                const char *name, const std::string &expected)
+{
+    const std::string path = tmp.path(name);
+    std::string out, artifact;
+    if (!runCommand(command + " --out=" + shellQuote(path), out) ||
+        !readFile(path, artifact))
+        return false;
+    if (artifact.empty() || artifact != expected) {
+        std::fprintf(stderr, "bench-smoke: %s differs from the "
+                     "reference artifact\n", name);
         return false;
     }
     return true;
@@ -267,35 +305,24 @@ sweepCliCheck(const std::string &sweep_binary, const std::string &grid,
 
     // Other worker counts, the parallel kernel, and the CSV of the
     // merged journals and of the parallel kernel.
-    const auto matches = [&tmp](const std::string &command,
-                                const char *name,
-                                const std::string &expected) {
-        const std::string path = tmp.path(name);
-        std::string out, artifact;
-        if (!runCommand(command + " --out=" + shellQuote(path), out) ||
-            !readFile(path, artifact))
-            return false;
-        if (artifact.empty() || artifact != expected)
-            std::fprintf(stderr, "bench-smoke: %s differs from the "
-                         "--jobs=2 artifact\n", name);
-        return !artifact.empty() && artifact == expected;
-    };
     const std::string run = sweep + " " + grid;
     std::string merge = sweep + " merge --format=csv", out, csv;
     for (const std::string &j : journals)
         merge += " " + shellQuote(j);
     const std::string csv_path = tmp.path("whole.csv");
-    if (!matches(run + " --jobs=1", "jobs1.json", whole) ||
-        !matches(run + " --jobs=8", "jobs8.json", whole) ||
-        !matches(run + " --jobs=1 --parallel-kernel=2", "kernel2.json",
-                 whole) ||
-        !matches(run + " --jobs=1 --parallel-kernel=4", "kernel4.json",
-                 whole) ||
+    if (!artifactMatches(tmp, run + " --jobs=1", "jobs1.json", whole) ||
+        !artifactMatches(tmp, run + " --jobs=8", "jobs8.json", whole) ||
+        !artifactMatches(tmp, run + " --jobs=1 --parallel-kernel=2",
+                         "kernel2.json", whole) ||
+        !artifactMatches(tmp, run + " --jobs=1 --parallel-kernel=4",
+                         "kernel4.json", whole) ||
         !runCommand(run + " --jobs=2 --format=csv --out=" +
                         shellQuote(csv_path), out) ||
-        !readFile(csv_path, csv) || !matches(merge, "merged.csv", csv) ||
-        !matches(run + " --jobs=1 --parallel-kernel --format=csv",
-                 "kernel.csv", csv))
+        !readFile(csv_path, csv) ||
+        !artifactMatches(tmp, merge, "merged.csv", csv) ||
+        !artifactMatches(tmp,
+                         run + " --jobs=1 --parallel-kernel --format=csv",
+                         "kernel.csv", csv))
         return 1;
 
     if (whole.find(expect) == std::string::npos) {
@@ -307,11 +334,11 @@ sweepCliCheck(const std::string &sweep_binary, const std::string &grid,
         !runExpectFailure(sweep + " " + refusal_grid + " --resume=" +
                               shellQuote(journals[0]) +
                               " --out=/dev/null",
-                          "different grid"))
+                          {"different grid"}))
         return 1;
     if (!runExpectFailure(sweep + " --quick --dram-cache-mb=17592186044416"
                                   " --out=/dev/null",
-                          "--dram-cache-mb"))
+                          {"--dram-cache-mb"}))
         return 1;
     std::printf("ok: --jobs, --parallel-kernel, shard+merge and resume "
                 "artifacts are byte-identical\n");
@@ -400,7 +427,7 @@ traceCliCheck(const std::string &sweep_binary,
 
     const std::string trace = tmp.path("smoke.c3dt");
     const std::string grid = " --quick --designs=baseline,c3d"
-                             " --sockets=2 --jobs=2 --workloads=" +
+                             " --sockets=2,4 --jobs=2 --workloads=" +
                              shellQuote("trace:" + trace);
 
     // Record a small deterministic trace and sanity-check the
@@ -449,14 +476,14 @@ traceCliCheck(const std::string &sweep_binary,
     if (!runExpectFailure(sweep + grid + " --resume=" +
                               shellQuote(journals[0]) +
                               " --out=/dev/null",
-                          "different grid"))
+                          {"different grid"}))
         return 1;
     if (!runCommand("printf 'x' >> " + shellQuote(trace), out))
         return 1;
     if (!runExpectFailure(tracer + " validate " + shellQuote(trace),
-                          "truncated mid-record") ||
+                          {"truncated mid-record"}) ||
         !runExpectFailure(sweep + grid + " --out=/dev/null",
-                          "truncated mid-record"))
+                          {"truncated mid-record"}))
         return 1;
 
     std::printf("ok: trace sweep shard+merge and resume are "
@@ -528,7 +555,7 @@ composeCliCheck(const std::string &sweep_binary,
                               shellQuote(trace_a) + " " +
                               shellQuote(trace_a) + " " +
                               shellQuote(trace_b),
-                          "refusing"))
+                          {"refusing"}))
         return 1;
 
     const std::string manifest = tmp.path("mix.json");
@@ -542,7 +569,7 @@ composeCliCheck(const std::string &sweep_binary,
 
     // Whole vs sharded+merged vs resumed, byte for byte.
     const std::string grid = " --quick --designs=baseline,c3d"
-                             " --sockets=2 --jobs=2 --workloads=" +
+                             " --sockets=2,4 --jobs=2 --workloads=" +
                              shellQuote("compose:" + manifest);
     std::vector<std::string> journals;
     std::string whole;
@@ -574,11 +601,64 @@ composeCliCheck(const std::string &sweep_binary,
                     out))
         return 1;
     if (!runExpectFailure(sweep + grid + " --out=/dev/null",
-                          "changed since the manifest was composed"))
+                          {"changed since the manifest was composed"}))
         return 1;
 
     std::printf("ok: composed sweep shard+merge and resume are "
                 "byte-identical; modified member refused\n");
+    return 0;
+}
+
+/**
+ * Fault containment end to end (docs/robustness.md): a panic and a
+ * hang injected into two of four grid points under
+ * --fail-policy=skip must exit 3 -- contained, not aborted -- with a
+ * manifest naming both failures and the resume hint; resuming the
+ * journal with injection off must reproduce the clean artifact byte
+ * for byte; and a parallel-only fault under --fail-policy=retry must
+ * recover on the sequential kernel with the same bytes.
+ */
+int
+faultCliCheck(const std::string &sweep_binary)
+{
+    SmokeDir tmp;
+    if (!tmp.init("c3d_fault_smoke_XXXXXX"))
+        return 1;
+    const std::string run = shellQuote(sweep_binary) +
+        " --quick --designs=baseline,c3d --workloads=facesim,canneal"
+        " --jobs=2";
+    const std::string clean_json = tmp.path("clean.json");
+    const std::string journal = tmp.path("faulted.jsonl");
+    const std::string retry_log = tmp.path("retry.txt");
+    std::string out, clean, log;
+    if (!runCommand(run + " --out=" + shellQuote(clean_json), out) ||
+        !readFile(clean_json, clean) ||
+        !runExpectFailure(run + " --inject-fault=panic@0:0/4,hang@100:1/4"
+                                " --fail-policy=skip --journal=" +
+                              shellQuote(journal) + " --out=/dev/null",
+                          {"injected fault: panic@0", "lost wakeup",
+                           "re-run them with --resume"},
+                          3) ||
+        !artifactMatches(tmp, run + " --resume=" + shellQuote(journal),
+                         "resumed.json", clean) ||
+        !artifactMatches(tmp,
+                         run + " --parallel-kernel=2"
+                               " --inject-fault=par:panic@0:1/4"
+                               " --fail-policy=retry 2>" +
+                             shellQuote(retry_log),
+                         "retried.json", clean) ||
+        !readFile(retry_log, log))
+        return 1;
+    if (log.find("degraded to the sequential kernel") ==
+        std::string::npos) {
+        std::fprintf(stderr,
+                     "bench-smoke: the retried sweep did not degrade to "
+                     "the sequential kernel:\n%s\n",
+                     log.c_str());
+        return 1;
+    }
+    std::printf("ok: contained faults exit 3; resumed and retried "
+                "artifacts match the clean run byte for byte\n");
     return 0;
 }
 
@@ -589,11 +669,13 @@ main(int argc, char **argv)
 {
     if (argc < 3) {
         std::fprintf(stderr,
-                     "usage: bench-smoke <table|json|sweep-cli> "
-                     "<binary> [args...]\n");
+                     "usage: bench-smoke <table|json|sweep-cli|trace-cli|"
+                     "compose-cli|fault-cli> <binary> [args...]\n");
         return 2;
     }
     const std::string mode = argv[1];
+    if (mode == "fault-cli")
+        return faultCliCheck(argv[2]);
     if (mode == "sweep-cli") {
         if (argc > 3 && std::strcmp(argv[3], "shared-vs-per-row") == 0)
             return sharedVsPerRowCheck(argv[2]);
