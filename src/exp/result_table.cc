@@ -367,6 +367,61 @@ ResultTable::find(const AxisIndices &at) const
     return nullptr;
 }
 
+RowPattern &
+RowPattern::where(const std::string &column, std::string value)
+{
+    const RowColumn &c = rowColumn(column);
+    if (!c.identity)
+        c3d_panic("'%s' is not an identity column", column.c_str());
+    for (auto &term : terms) {
+        if (term.first == &c) {
+            term.second = std::move(value);
+            return *this;
+        }
+    }
+    terms.emplace_back(&c, std::move(value));
+    return *this;
+}
+
+bool
+RowPattern::matches(const ResultRow &row) const
+{
+    for (const auto &[column, value] : terms) {
+        if (column->text(row) != value)
+            return false;
+    }
+    return true;
+}
+
+std::string
+RowPattern::text() const
+{
+    std::string out;
+    for (const auto &[column, value] : terms)
+        out += (out.empty() ? "" : " ") + std::string(column->name) +
+            "=" + value;
+    return out.empty() ? "(any row)" : out;
+}
+
+const ResultRow &
+ResultTable::at(const RowPattern &pattern) const
+{
+    const ResultRow *found = nullptr;
+    for (const ResultRow &r : tableRows) {
+        if (!pattern.matches(r))
+            continue;
+        if (found)
+            c3d_panic("ambiguous row lookup: %s matches %s and %s",
+                      pattern.text().c_str(),
+                      found->identityKey().c_str(),
+                      r.identityKey().c_str());
+        found = &r;
+    }
+    if (!found)
+        c3d_panic("no result row matches %s", pattern.text().c_str());
+    return *found;
+}
+
 bool
 ResultTable::sameRows(const ResultTable &other) const
 {

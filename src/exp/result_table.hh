@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exp/sweep_grid.hh"
@@ -100,6 +101,49 @@ const std::vector<RowColumn> &rowColumns();
 /** The column called @p name; panics when there is none. */
 const RowColumn &rowColumn(const std::string &name);
 
+/**
+ * A value-keyed ResultTable::at pattern: each term pins one identity
+ * column to its text (RowColumn::text), e.g.
+ * `RowPattern().workload("facesim").design(Design::C3D).sockets(4)`;
+ * unpinned columns match any row. Unlike AxisPattern's ordinals,
+ * which mean something only inside one grid, values mean the same
+ * in every grid, so a pattern finds rows in a table appended from
+ * several grids.
+ */
+class RowPattern
+{
+  public:
+    /** Pin identity column @p column to @p value, replacing an
+     * earlier pin of it; panics on a non-identity column. */
+    RowPattern &where(const std::string &column, std::string value);
+
+    RowPattern &workload(std::string name)
+    {
+        return where("workload", std::move(name));
+    }
+    RowPattern &variant(std::string name)
+    {
+        return where("variant", std::move(name));
+    }
+    RowPattern &design(Design d) { return where("design", designName(d)); }
+    RowPattern &sockets(std::uint32_t n)
+    {
+        return where("sockets", std::to_string(n));
+    }
+    RowPattern &mapping(MappingPolicy m)
+    {
+        return where("mapping", mappingPolicyName(m));
+    }
+
+    bool matches(const ResultRow &row) const;
+
+    /** The pinned terms as `column=value ...`, for diagnostics. */
+    std::string text() const;
+
+  private:
+    std::vector<std::pair<const RowColumn *, std::string>> terms;
+};
+
 /** An ordered collection of result rows. */
 class ResultTable
 {
@@ -121,6 +165,12 @@ class ResultTable
      * Axes left at SIZE_MAX (AxisPattern's default) match any row.
      */
     const ResultRow *find(const AxisIndices &at) const;
+
+    /**
+     * The one row @p pattern matches. Throws SimError when no row
+     * or more than one row matches: a lookup never guesses.
+     */
+    const ResultRow &at(const RowPattern &pattern) const;
 
     /** Row-by-row sameAs comparison. */
     bool sameRows(const ResultTable &other) const;

@@ -68,23 +68,34 @@ SweepEngine::makeRow(const RunSpec &spec, const RunResult &metrics)
 ResultTable
 SweepEngine::run(const SweepGrid &grid) const
 {
-    const RunOptions o = runOpts;
-    return execute(grid, [o](const RunSpec &spec) {
-        return simulateSpec(spec, o);
-    }, /*share=*/true);
+    return run(grid.expand());
 }
 
 ResultTable
 SweepEngine::run(const SweepGrid &grid, const RunFn &fn) const
 {
-    return execute(grid, fn, /*share=*/false);
+    return run(grid.expand(), fn);
 }
 
 ResultTable
-SweepEngine::execute(const SweepGrid &grid, const RunFn &fn,
+SweepEngine::run(const std::vector<RunSpec> &specs) const
+{
+    const RunOptions o = runOpts;
+    return execute(specs, [o](const RunSpec &spec) {
+        return simulateSpec(spec, o);
+    }, /*share=*/true);
+}
+
+ResultTable
+SweepEngine::run(const std::vector<RunSpec> &specs, const RunFn &fn) const
+{
+    return execute(specs, fn, /*share=*/false);
+}
+
+ResultTable
+SweepEngine::execute(const std::vector<RunSpec> &specs, const RunFn &fn,
                      bool share) const
 {
-    const std::vector<RunSpec> specs = grid.expand();
     std::vector<ResultRow> rows(specs.size());
     std::vector<char> present(specs.size(), 0);
 

@@ -217,6 +217,19 @@ class SweepEngine
     ResultTable run(const SweepGrid &grid, const RunFn &fn) const;
 
     /**
+     * The same two entries over an explicit spec list, e.g. the
+     * union of several grids' expansions. The list's order is the
+     * table's; each spec's index should be its position in the
+     * list, as expand() numbers them. Sharing compares machineKeys,
+     * which include the workload and variant ordinals: specs drawn
+     * from different grids may share a simulation only if equal
+     * ordinals name equal profiles and patches across the list.
+     */
+    ResultTable run(const std::vector<RunSpec> &specs) const;
+    ResultTable run(const std::vector<RunSpec> &specs,
+                    const RunFn &fn) const;
+
+    /**
      * Default run function: simulate the spec's machine/workload via
      * runWorkload() (warm-up + measurement window).
      */
@@ -232,8 +245,8 @@ class SweepEngine
 
   private:
     /** Both run()s: @p share groups specs by machineKey. */
-    ResultTable execute(const SweepGrid &grid, const RunFn &fn,
-                        bool share) const;
+    ResultTable execute(const std::vector<RunSpec> &specs,
+                        const RunFn &fn, bool share) const;
 
     unsigned workerCount;
     unsigned shardIdx = 0;

@@ -191,6 +191,25 @@ TEST(Config, DesignPredicates)
     EXPECT_FALSE(cfg.designUsesDramCache());
 }
 
+// bench_paper runs the figure points that restate a Table II default
+// as the default machine (the unnamed variant) instead of patching
+// them in: Fig. 10's 40 ns DRAM cache, Fig. 11's 20 ns hop, and the
+// unpatched "base", "predictor=missmap", "clean-vs-dirty" and
+// "mapping-policy" points. If a default moved, those rows would
+// silently measure another machine under the old label.
+TEST(Config, DefaultsTheFiguresFoldIn)
+{
+    const SystemConfig cfg{};
+    EXPECT_EQ(cfg.dramCacheLatency, nsToTicks(40));
+    EXPECT_EQ(cfg.hopLatency, nsToTicks(20));
+    EXPECT_TRUE(cfg.missPredictorEnabled);
+    EXPECT_TRUE(cfg.missPredictorExact);
+    EXPECT_FALSE(cfg.zeroHopLatency);
+    EXPECT_FALSE(cfg.infiniteMemBandwidth);
+    EXPECT_FALSE(cfg.infiniteLinkBandwidth);
+    EXPECT_FALSE(cfg.tlbPageClassification);
+}
+
 TEST(Config, TopologySelection)
 {
     SystemConfig cfg;

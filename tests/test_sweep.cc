@@ -14,6 +14,7 @@
 #include <set>
 
 #include "common/log.hh"
+#include "common/sim_error.hh"
 #include "exp/json.hh"
 #include "exp/sweep_engine.hh"
 #include "test_helpers.hh"
@@ -118,6 +119,86 @@ TEST(ResultTable, FindMatchesThePinnedAxes)
     EXPECT_EQ(row->variant, "a");
     EXPECT_EQ(row->sockets, 2u);
     EXPECT_EQ(table.find(exp::AxisPattern().dram(2)), nullptr);
+}
+
+// at() finds rows by value, so it works on a table appended from
+// grids whose axes are ordered differently, where one grid's ordinals
+// name another grid's rows. A pattern that matches no row, or more
+// than one, throws instead of guessing.
+TEST(ResultTable, AtFindsRowsByValueAcrossGrids)
+{
+    exp::SweepGrid a = smallGrid();
+    a.variants = {{"", nullptr}, {"x", nullptr}};
+    a.sockets = {2, 4};
+    a.mappings = {MappingPolicy::Interleave, MappingPolicy::FirstTouch2};
+    exp::SweepGrid b = a;
+    b.workloads = {a.workloads[1], a.workloads[0]};
+    b.variants = {{"y", nullptr}, {"", nullptr}};
+    b.designs = {Design::C3D, Design::Baseline};
+    b.sockets = {4, 2};
+    b.mappings = {MappingPolicy::FirstTouch2, MappingPolicy::FirstTouch1};
+
+    // Each row's ticks name its grid and ordinal.
+    exp::ResultTable table;
+    for (const exp::SweepGrid *g : {&a, &b}) {
+        const std::uint64_t tag = g == &a ? 1000 : 2000;
+        table.append(exp::SweepEngine(1).run(
+            *g, [tag](const exp::RunSpec &spec) {
+                RunResult m;
+                m.measuredTicks = tag + spec.index;
+                return m;
+            }));
+    }
+
+    std::size_t checked = 0;
+    for (const exp::SweepGrid *g : {&a, &b}) {
+        const std::uint64_t tag = g == &a ? 1000 : 2000;
+        for (const exp::RunSpec &spec : g->expand()) {
+            if (spec.variantName.empty() &&
+                spec.cfg.mapping == MappingPolicy::FirstTouch2)
+                continue; // a point of both grids: ambiguous below
+            const exp::ResultRow &row = table.at(
+                exp::RowPattern()
+                    .workload(spec.profile.name)
+                    .variant(spec.variantName)
+                    .design(spec.cfg.design)
+                    .sockets(spec.cfg.numSockets)
+                    .mapping(spec.cfg.mapping));
+            EXPECT_EQ(row.metrics.measuredTicks, tag + spec.index);
+            EXPECT_EQ(row.identityKey(), exp::specIdentityKey(spec));
+            ++checked;
+        }
+    }
+    EXPECT_EQ(checked, a.size() + b.size() - 2 * 8);
+
+    // A later pin of the same column replaces the earlier one.
+    EXPECT_EQ(table
+                  .at(exp::RowPattern()
+                          .workload("canneal")
+                          .variant("y")
+                          .design(Design::C3D)
+                          .sockets(2)
+                          .sockets(4)
+                          .mapping(MappingPolicy::FirstTouch1))
+                  .sockets,
+              4u);
+
+    // The shared default-variant FT2 points appear once per grid.
+    EXPECT_THROW(table.at(exp::RowPattern()
+                              .workload("facesim")
+                              .variant("")
+                              .design(Design::C3D)
+                              .sockets(4)
+                              .mapping(MappingPolicy::FirstTouch2)),
+                 SimError);
+    EXPECT_THROW(table.at(exp::RowPattern().workload("facesim")), SimError);
+    EXPECT_THROW(table.at(exp::RowPattern().variant("z")), SimError);
+    EXPECT_THROW(table.at(exp::RowPattern()
+                              .variant("x")
+                              .mapping(MappingPolicy::FirstTouch1)),
+                 SimError);
+    EXPECT_THROW(exp::RowPattern().where("measured_ticks", "0"), SimError);
+    EXPECT_THROW(exp::RowPattern().where("no_such_column", "0"), SimError);
 }
 
 TEST(SweepGrid, ResolvesConfigKnobs)

@@ -6,11 +6,14 @@
  * Usage:  bench-smoke <mode> <binary> [args...]
  *
  * Modes:
- *   table      stdout must parse as the current c3d-sweep result schema
- *              and contain at least one row (sweep-engine benches).
  *   json       stdout must parse as any non-empty JSON value
- *              (benches with their own schema: google-benchmark,
- *              analytic tables).
+ *              (google-benchmark output).
+ *   paper      <bench_paper> <GOLDEN>: `bench_paper --quick --jobs=2`
+ *              must exit 0 (every claim asserted at quick scale
+ *              holds) and print GOLDEN byte for byte before its claims
+ *              block, `table1` alone only GOLDEN's Table I section; its
+ *              --json form must parse as a sweep table with at least
+ *              one row and carry a non-empty claims array.
  *   sweep-cli  <c3d-sweep> [GRID [EXPECT [REFUSAL_GRID]]]: run the
  *              determinism contract on GRID (c3d-sweep grid flags;
  *              default a 2-design x 2-workload x 2-socket quick grid):
@@ -40,10 +43,10 @@
  *              parallel-only fault under --fail-policy=retry on the
  *              sequential kernel (byte-identical again).
  *
- * Exit status 0 on success; 1 with a diagnostic on any failure. The
- * CTest smoke suite registers one invocation per bench binary.
+ * Exit status 0 on success; 1 with a diagnostic on any failure.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -662,6 +665,55 @@ faultCliCheck(const std::string &sweep_binary)
     return 0;
 }
 
+/**
+ * bench_paper at --quick: exit 0, the figure tables equal to @p golden
+ * byte for byte and followed by the claims block alone, one named
+ * figure printing its section alone, and a --json form that parses as
+ * a sweep table with rows and claims.
+ */
+int
+paperCheck(const std::string &bench_paper, const std::string &golden_path)
+{
+    const std::string run = shellQuote(bench_paper) + " --quick --jobs=2";
+    std::string golden, text, json, error;
+    if (!readFile(golden_path, golden) || !runCommand(run, text))
+        return 1;
+    const std::string claims = std::string(72, '=') + "\nPaper claims";
+    if (text.compare(0, golden.size(), golden) != 0 ||
+        text.compare(golden.size(), claims.size(), claims) != 0) {
+        const auto diff = std::mismatch(golden.begin(), golden.end(),
+                                        text.begin(), text.end());
+        std::fprintf(stderr, "bench-smoke: the figure tables differ from "
+                     "%s at line %td\n", golden_path.c_str(),
+                     1 + std::count(golden.begin(), diff.first, '\n'));
+        return 1;
+    }
+    // Naming one figure prints its section alone: Table I's, the
+    // golden file up to Fig. 2's header.
+    const std::size_t table1 = golden.find(std::string(72, '=') + "\nFig. 2");
+    if (!runCommand(run + " table1", text) ||
+        text.compare(0, table1, golden, 0, table1) != 0 ||
+        text.compare(table1, claims.size(), claims) != 0) {
+        std::fprintf(stderr, "bench-smoke: `table1` alone is not Table I's "
+                     "section of %s\n", golden_path.c_str());
+        return 1;
+    }
+    c3d::exp::ResultTable table;
+    c3d::exp::JsonValue root;
+    if (!runCommand(run + " --json", json) ||
+        !c3d::exp::ResultTable::fromJson(json, table, error) ||
+        !c3d::exp::parseJson(json, root, error) || table.empty() ||
+        !root.member("claims") || root.member("claims")->array().empty()) {
+        std::fprintf(stderr, "bench-smoke: --json lacks rows or claims "
+                     "%s\n", error.c_str());
+        return 1;
+    }
+    std::printf("ok: figure tables match %s; %zu rows, %zu claims\n",
+                golden_path.c_str(), table.size(),
+                root.member("claims")->array().size());
+    return 0;
+}
+
 } // namespace
 
 int
@@ -669,11 +721,19 @@ main(int argc, char **argv)
 {
     if (argc < 3) {
         std::fprintf(stderr,
-                     "usage: bench-smoke <table|json|sweep-cli|trace-cli|"
+                     "usage: bench-smoke <json|paper|sweep-cli|trace-cli|"
                      "compose-cli|fault-cli> <binary> [args...]\n");
         return 2;
     }
     const std::string mode = argv[1];
+    if (mode == "paper") {
+        if (argc != 4) {
+            std::fprintf(stderr, "usage: bench-smoke paper <bench_paper> "
+                                 "<golden>\n");
+            return 2;
+        }
+        return paperCheck(argv[2], argv[3]);
+    }
     if (mode == "fault-cli")
         return faultCliCheck(argv[2]);
     if (mode == "sweep-cli") {
@@ -697,7 +757,7 @@ main(int argc, char **argv)
             ? traceCliCheck(argv[2], argv[3])
             : composeCliCheck(argv[2], argv[3]);
     }
-    if (mode != "table" && mode != "json") {
+    if (mode != "json") {
         std::fprintf(stderr, "bench-smoke: unknown mode '%s'\n",
                      mode.c_str());
         return 2;
@@ -720,31 +780,12 @@ main(int argc, char **argv)
     }
 
     std::string error;
-    if (mode == "table") {
-        c3d::exp::ResultTable table;
-        if (!c3d::exp::ResultTable::fromJson(output, table, error)) {
-            std::fprintf(stderr,
-                         "bench-smoke: output is not a valid sweep "
-                         "table: %s\n",
-                         error.c_str());
-            return 1;
-        }
-        if (table.empty()) {
-            std::fprintf(stderr,
-                         "bench-smoke: sweep table has no rows\n");
-            return 1;
-        }
-        std::printf("ok: %zu result rows\n", table.size());
-    } else {
-        c3d::exp::JsonValue value;
-        if (!c3d::exp::parseJson(output, value, error)) {
-            std::fprintf(stderr,
-                         "bench-smoke: output is not valid JSON: "
-                         "%s\n",
-                         error.c_str());
-            return 1;
-        }
-        std::printf("ok: valid JSON (%zu bytes)\n", output.size());
+    c3d::exp::JsonValue value;
+    if (!c3d::exp::parseJson(output, value, error)) {
+        std::fprintf(stderr, "bench-smoke: output is not valid JSON: %s\n",
+                     error.c_str());
+        return 1;
     }
+    std::printf("ok: valid JSON (%zu bytes)\n", output.size());
     return 0;
 }
