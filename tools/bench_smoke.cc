@@ -6,8 +6,11 @@
  * Usage:  bench-smoke <mode> <binary> [args...]
  *
  * Modes:
+ *   table      stdout must parse as the current c3d-sweep result schema
+ *              and contain at least one row (one bench_paper figure's
+ *              --json document).
  *   json       stdout must parse as any non-empty JSON value
- *              (google-benchmark output).
+ *              (google-benchmark output, the analytic dir-cost figure).
  *   paper      <bench_paper> <GOLDEN>: `bench_paper --quick --jobs=2`
  *              must exit 0 (every claim asserted at quick scale
  *              holds) and print GOLDEN byte for byte before its claims
@@ -721,7 +724,7 @@ main(int argc, char **argv)
 {
     if (argc < 3) {
         std::fprintf(stderr,
-                     "usage: bench-smoke <json|paper|sweep-cli|trace-cli|"
+                     "usage: bench-smoke <table|json|paper|sweep-cli|trace-cli|"
                      "compose-cli|fault-cli> <binary> [args...]\n");
         return 2;
     }
@@ -757,7 +760,7 @@ main(int argc, char **argv)
             ? traceCliCheck(argv[2], argv[3])
             : composeCliCheck(argv[2], argv[3]);
     }
-    if (mode != "json") {
+    if (mode != "table" && mode != "json") {
         std::fprintf(stderr, "bench-smoke: unknown mode '%s'\n",
                      mode.c_str());
         return 2;
@@ -780,6 +783,20 @@ main(int argc, char **argv)
     }
 
     std::string error;
+    if (mode == "table") {
+        c3d::exp::ResultTable table;
+        if (!c3d::exp::ResultTable::fromJson(output, table, error)) {
+            std::fprintf(stderr, "bench-smoke: output is not a valid sweep "
+                         "table: %s\n", error.c_str());
+            return 1;
+        }
+        if (table.empty()) {
+            std::fprintf(stderr, "bench-smoke: sweep table has no rows\n");
+            return 1;
+        }
+        std::printf("ok: %zu result rows\n", table.size());
+        return 0;
+    }
     c3d::exp::JsonValue value;
     if (!c3d::exp::parseJson(output, value, error)) {
         std::fprintf(stderr, "bench-smoke: output is not valid JSON: %s\n",
