@@ -352,21 +352,6 @@ ResultTable::append(const ResultTable &other)
         tableRows.push_back(r);
 }
 
-const ResultRow *
-ResultTable::find(const AxisIndices &at) const
-{
-    for (const ResultRow &r : tableRows) {
-        bool match = true;
-        for (const GridAxis &axis : gridAxes()) {
-            const std::size_t want = at.*axis.index;
-            match = match && (want == SIZE_MAX || r.*axis.index == want);
-        }
-        if (match)
-            return &r;
-    }
-    return nullptr;
-}
-
 RowPattern &
 RowPattern::where(const std::string &column, std::string value)
 {

@@ -105,10 +105,10 @@ const RowColumn &rowColumn(const std::string &name);
  * A value-keyed ResultTable::at pattern: each term pins one identity
  * column to its text (RowColumn::text), e.g.
  * `RowPattern().workload("facesim").design(Design::C3D).sockets(4)`;
- * unpinned columns match any row. Unlike AxisPattern's ordinals,
- * which mean something only inside one grid, values mean the same
- * in every grid, so a pattern finds rows in a table appended from
- * several grids.
+ * unpinned columns match any row. Unlike axis ordinals
+ * (AxisIndices), which mean something only inside one grid, values
+ * mean the same in every grid, so a pattern finds rows in a table
+ * appended from several grids.
  */
 class RowPattern
 {
@@ -159,12 +159,6 @@ class ResultTable
     const std::vector<ResultRow> &rows() const { return tableRows; }
     std::size_t size() const { return tableRows.size(); }
     bool empty() const { return tableRows.empty(); }
-
-    /**
-     * First row whose axis indices match @p at; nullptr when absent.
-     * Axes left at SIZE_MAX (AxisPattern's default) match any row.
-     */
-    const ResultRow *find(const AxisIndices &at) const;
 
     /**
      * The one row @p pattern matches. Throws SimError when no row

@@ -189,12 +189,6 @@ gridAxes()
     return axes;
 }
 
-AxisPattern::AxisPattern()
-{
-    for (const GridAxis &axis : gridAxes())
-        this->*axis.index = SIZE_MAX;
-}
-
 bool
 parseAxisFlag(const std::string &key, bool lists, const std::string &value,
               SweepGrid &grid, std::string &error)

@@ -59,25 +59,6 @@ struct AxisIndices
     const AxisIndices &axes() const { return *this; }
 };
 
-/**
- * A ResultTable::find pattern: every axis starts as a wildcard
- * (SIZE_MAX) and each setter pins one, e.g.
- * `AxisPattern().workload(w).design(d)`.
- */
-struct AxisPattern : AxisIndices
-{
-    AxisPattern();
-
-    AxisPattern &workload(std::size_t i) { workloadIdx = i; return *this; }
-    AxisPattern &variant(std::size_t i) { variantIdx = i; return *this; }
-    AxisPattern &design(std::size_t i) { designIdx = i; return *this; }
-    AxisPattern &protocol(std::size_t i) { protocolIdx = i; return *this; }
-    AxisPattern &predictor(std::size_t i) { predictorIdx = i; return *this; }
-    AxisPattern &socket(std::size_t i) { socketIdx = i; return *this; }
-    AxisPattern &dram(std::size_t i) { dramIdx = i; return *this; }
-    AxisPattern &mapping(std::size_t i) { mappingIdx = i; return *this; }
-};
-
 /** One fully-resolved grid point, ready to run in isolation. */
 struct RunSpec : AxisIndices
 {

@@ -79,10 +79,10 @@ TEST(SweepGrid, ExpansionOrderIsNestedLoops)
     }
 }
 
-// find() matches exactly the axes a pattern pins, whichever axis
-// they are: every grid point is found by its full index tuple, and
-// an unpinned axis matches its first entry.
-TEST(ResultTable, FindMatchesThePinnedAxes)
+// at() matches every identity column a pattern pins, whichever axis
+// it comes from: each grid point is found by its values on all eight
+// axes, and a value no row has matches nothing.
+TEST(ResultTable, AtMatchesEveryPinnedAxis)
 {
     exp::SweepGrid grid = smallGrid();
     grid.protocols = {Protocol::Mesi, Protocol::Moesi};
@@ -97,28 +97,21 @@ TEST(ResultTable, FindMatchesThePinnedAxes)
     const std::vector<exp::RunSpec> specs = grid.expand();
     ASSERT_EQ(table.size(), specs.size());
     for (const exp::RunSpec &spec : specs) {
-        const exp::ResultRow *row = table.find(
-            exp::AxisPattern()
-                .workload(spec.workloadIdx)
-                .variant(spec.variantIdx)
-                .design(spec.designIdx)
-                .protocol(spec.protocolIdx)
-                .predictor(spec.predictorIdx)
-                .socket(spec.socketIdx)
-                .dram(spec.dramIdx)
-                .mapping(spec.mappingIdx));
-        ASSERT_NE(row, nullptr);
-        EXPECT_EQ(row->identityKey(), exp::specIdentityKey(spec));
+        const exp::ResultRow &row = table.at(
+            exp::RowPattern()
+                .workload(spec.profile.name)
+                .variant(spec.variantName)
+                .design(spec.cfg.design)
+                .where("protocol", protocolName(spec.cfg.protocol))
+                .where("predictor",
+                       predictorKindName(spec.cfg.predictorKind))
+                .sockets(spec.cfg.numSockets)
+                .where("dram_cache_mb", std::to_string(spec.dramCacheMb))
+                .mapping(spec.cfg.mapping));
+        EXPECT_EQ(row.identityKey(), exp::specIdentityKey(spec));
     }
-    const exp::ResultRow *row = table.find(
-        exp::AxisPattern().workload(1).mapping(1).predictor(1));
-    ASSERT_NE(row, nullptr);
-    EXPECT_EQ(row->workload, "canneal");
-    EXPECT_EQ(row->mapping, "FT2");
-    EXPECT_EQ(row->predictor, "perceptron");
-    EXPECT_EQ(row->variant, "a");
-    EXPECT_EQ(row->sockets, 2u);
-    EXPECT_EQ(table.find(exp::AxisPattern().dram(2)), nullptr);
+    EXPECT_THROW(table.at(exp::RowPattern().where("dram_cache_mb", "512")),
+                 SimError);
 }
 
 // at() finds rows by value, so it works on a table appended from

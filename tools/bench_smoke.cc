@@ -6,17 +6,19 @@
  * Usage:  bench-smoke <mode> <binary> [args...]
  *
  * Modes:
- *   table      stdout must parse as the current c3d-sweep result schema
- *              and contain at least one row (one bench_paper figure's
- *              --json document).
  *   json       stdout must parse as any non-empty JSON value
- *              (google-benchmark output, the analytic dir-cost figure).
+ *              (google-benchmark output).
  *   paper      <bench_paper> <GOLDEN>: `bench_paper --quick --jobs=2`
  *              must exit 0 (every claim asserted at quick scale
  *              holds) and print GOLDEN byte for byte before its claims
- *              block, `table1` alone only GOLDEN's Table I section; its
- *              --json form must parse as a sweep table with at least
- *              one row and carry a non-empty claims array.
+ *              block; its --json form must parse as a sweep table with
+ *              at least one row and carry a non-empty claims array.
+ *              <bench_paper> <GOLDEN> FIGURE OTHER...: FIGURE alone
+ *              must exit 0, print a stretch of GOLDEN and at least one
+ *              claim of its own, and the OTHER figures together must
+ *              print GOLDEN with that stretch cut out: the stretch is
+ *              exactly FIGURE's section, and leaving FIGURE out of the
+ *              shared grid changes no other figure's table.
  *   sweep-cli  <c3d-sweep> [GRID [EXPECT [REFUSAL_GRID]]]: run the
  *              determinism contract on GRID (c3d-sweep grid flags;
  *              default a 2-design x 2-workload x 2-socket quick grid):
@@ -57,6 +59,7 @@
 #include <string>
 #include <vector>
 
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "exp/journal.hh"
@@ -101,7 +104,8 @@ runCommand(const std::string &command, std::string &output)
         std::fprintf(stderr,
                      "bench-smoke: command exited with status %d: "
                      "%s\n",
-                     status, command.c_str());
+                     WIFEXITED(status) ? WEXITSTATUS(status) : status,
+                     command.c_str());
         return false;
     }
     return true;
@@ -668,42 +672,57 @@ faultCliCheck(const std::string &sweep_binary)
     return 0;
 }
 
+/** The claims block's first lines in bench_paper's stdout. */
+const std::string kPaperClaims = std::string(72, '=') + "\nPaper claims";
+
+/**
+ * Run bench_paper at --quick on @p figures (pre-quoted, each after a
+ * space; empty = all) and split its stdout into @p tables, the text
+ * before the claims block, and @p claims, the block itself.
+ */
+bool
+paperRun(const std::string &bench_paper, const std::string &figures,
+         std::string &tables, std::string &claims)
+{
+    std::string text;
+    if (!runCommand(shellQuote(bench_paper) + " --quick --jobs=2" + figures,
+                    text))
+        return false;
+    const std::size_t at = text.find(kPaperClaims);
+    if (at == std::string::npos) {
+        std::fprintf(stderr, "bench-smoke: no claims block from "
+                     "bench_paper%s\n", figures.c_str());
+        return false;
+    }
+    tables = text.substr(0, at);
+    claims = text.substr(at);
+    return true;
+}
+
 /**
  * bench_paper at --quick: exit 0, the figure tables equal to @p golden
- * byte for byte and followed by the claims block alone, one named
- * figure printing its section alone, and a --json form that parses as
- * a sweep table with rows and claims.
+ * byte for byte, and a --json form that parses as a sweep table with
+ * rows and claims.
  */
 int
 paperCheck(const std::string &bench_paper, const std::string &golden_path)
 {
-    const std::string run = shellQuote(bench_paper) + " --quick --jobs=2";
-    std::string golden, text, json, error;
-    if (!readFile(golden_path, golden) || !runCommand(run, text))
+    std::string golden, tables, claims, json, error;
+    if (!readFile(golden_path, golden) ||
+        !paperRun(bench_paper, "", tables, claims))
         return 1;
-    const std::string claims = std::string(72, '=') + "\nPaper claims";
-    if (text.compare(0, golden.size(), golden) != 0 ||
-        text.compare(golden.size(), claims.size(), claims) != 0) {
+    if (tables != golden) {
         const auto diff = std::mismatch(golden.begin(), golden.end(),
-                                        text.begin(), text.end());
+                                        tables.begin(), tables.end());
         std::fprintf(stderr, "bench-smoke: the figure tables differ from "
                      "%s at line %td\n", golden_path.c_str(),
                      1 + std::count(golden.begin(), diff.first, '\n'));
         return 1;
     }
-    // Naming one figure prints its section alone: Table I's, the
-    // golden file up to Fig. 2's header.
-    const std::size_t table1 = golden.find(std::string(72, '=') + "\nFig. 2");
-    if (!runCommand(run + " table1", text) ||
-        text.compare(0, table1, golden, 0, table1) != 0 ||
-        text.compare(table1, claims.size(), claims) != 0) {
-        std::fprintf(stderr, "bench-smoke: `table1` alone is not Table I's "
-                     "section of %s\n", golden_path.c_str());
-        return 1;
-    }
     c3d::exp::ResultTable table;
     c3d::exp::JsonValue root;
-    if (!runCommand(run + " --json", json) ||
+    if (!runCommand(shellQuote(bench_paper) + " --quick --jobs=2 --json",
+                    json) ||
         !c3d::exp::ResultTable::fromJson(json, table, error) ||
         !c3d::exp::parseJson(json, root, error) || table.empty() ||
         !root.member("claims") || root.member("claims")->array().empty()) {
@@ -717,6 +736,41 @@ paperCheck(const std::string &bench_paper, const std::string &golden_path)
     return 0;
 }
 
+/**
+ * One bench_paper figure at --quick: @p figure alone prints a stretch
+ * of @p golden and a claim of its own, and @p others (pre-quoted, the
+ * rest of the figures) print @p golden with that stretch cut out.
+ */
+int
+paperFigureCheck(const std::string &bench_paper,
+                 const std::string &golden_path, const std::string &figure,
+                 const std::string &others)
+{
+    std::string golden, tables, claims, rest, rest_claims;
+    if (!readFile(golden_path, golden) ||
+        !paperRun(bench_paper, " " + shellQuote(figure), tables, claims) ||
+        !paperRun(bench_paper, others, rest, rest_claims))
+        return 1;
+    const std::size_t at = golden.find(tables);
+    if (tables.empty() || at == std::string::npos ||
+        rest.size() != golden.size() - tables.size() ||
+        golden.compare(0, at, rest, 0, at) != 0 ||
+        golden.compare(at + tables.size(), std::string::npos, rest, at) !=
+            0) {
+        std::fprintf(stderr, "bench-smoke: `%s` alone does not print its "
+                     "section of %s\n", figure.c_str(), golden_path.c_str());
+        return 1;
+    }
+    if (claims.find("\n" + figure + " ") == std::string::npos) {
+        std::fprintf(stderr, "bench-smoke: `%s` reports no claim of its "
+                     "own\n", figure.c_str());
+        return 1;
+    }
+    std::printf("ok: %s prints its %zu-byte section of %s\n",
+                figure.c_str(), tables.size(), golden_path.c_str());
+    return 0;
+}
+
 } // namespace
 
 int
@@ -724,18 +778,23 @@ main(int argc, char **argv)
 {
     if (argc < 3) {
         std::fprintf(stderr,
-                     "usage: bench-smoke <table|json|paper|sweep-cli|trace-cli|"
+                     "usage: bench-smoke <json|paper|sweep-cli|trace-cli|"
                      "compose-cli|fault-cli> <binary> [args...]\n");
         return 2;
     }
     const std::string mode = argv[1];
     if (mode == "paper") {
-        if (argc != 4) {
+        if (argc == 4)
+            return paperCheck(argv[2], argv[3]);
+        if (argc < 6) {
             std::fprintf(stderr, "usage: bench-smoke paper <bench_paper> "
-                                 "<golden>\n");
+                                 "<golden> [FIGURE OTHER...]\n");
             return 2;
         }
-        return paperCheck(argv[2], argv[3]);
+        std::string others;
+        for (int i = 5; i < argc; ++i)
+            others += " " + shellQuote(argv[i]);
+        return paperFigureCheck(argv[2], argv[3], argv[4], others);
     }
     if (mode == "fault-cli")
         return faultCliCheck(argv[2]);
@@ -760,7 +819,7 @@ main(int argc, char **argv)
             ? traceCliCheck(argv[2], argv[3])
             : composeCliCheck(argv[2], argv[3]);
     }
-    if (mode != "table" && mode != "json") {
+    if (mode != "json") {
         std::fprintf(stderr, "bench-smoke: unknown mode '%s'\n",
                      mode.c_str());
         return 2;
@@ -783,23 +842,11 @@ main(int argc, char **argv)
     }
 
     std::string error;
-    if (mode == "table") {
-        c3d::exp::ResultTable table;
-        if (!c3d::exp::ResultTable::fromJson(output, table, error)) {
-            std::fprintf(stderr, "bench-smoke: output is not a valid sweep "
-                         "table: %s\n", error.c_str());
-            return 1;
-        }
-        if (table.empty()) {
-            std::fprintf(stderr, "bench-smoke: sweep table has no rows\n");
-            return 1;
-        }
-        std::printf("ok: %zu result rows\n", table.size());
-        return 0;
-    }
     c3d::exp::JsonValue value;
     if (!c3d::exp::parseJson(output, value, error)) {
-        std::fprintf(stderr, "bench-smoke: output is not valid JSON: %s\n",
+        std::fprintf(stderr,
+                     "bench-smoke: output is not valid JSON: "
+                     "%s\n",
                      error.c_str());
         return 1;
     }
