@@ -245,7 +245,7 @@ SnoopyProtocol::runBroadcast(SocketId req, SocketId home, Addr addr,
 
     if (!targets && !plan.withMemoryRead) {
         // Single-socket machines only (othersThan(req) is never
-        // empty otherwise), so this stays on the sequential kernel;
+        // empty otherwise), so this runs on a single-queue machine;
         // still pin to the home queue for uniformity.
         queueAt(home).schedule(0, [this, join] { tryComplete(*join); });
     }

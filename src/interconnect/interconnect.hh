@@ -94,8 +94,8 @@ class Interconnect
      * Attach the machine's fault injector (testing only; see
      * sim/fault_injector.hh). Armed faults trigger on inter-socket
      * sends -- the chokepoint every design's coherence traffic
-     * crosses -- so each failure class fires deterministically under
-     * the sequential kernels.
+     * crosses -- so each failure class fires deterministically on a
+     * 1-worker run.
      */
     void setFaultInjector(FaultInjector *f) { fault = f; }
 

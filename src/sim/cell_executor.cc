@@ -11,14 +11,11 @@ namespace c3d
 
 CellExecutor::CellExecutor(Machine &machine, unsigned num_threads)
     : m(machine),
-      numThreads(std::max(1u,
-                          std::min({num_threads, machine.numSockets(),
-                                    MaxStatShards}))),
+      numQueues(machine.numQueues()),
+      numThreads(std::max(1u, std::min({num_threads, numQueues,
+                                        MaxStatShards}))),
       cellW(machine.cellWidth())
 {
-    c3d_assert(m.kernelMode() == KernelMode::MultiQueue,
-               "CellExecutor needs a MultiQueue machine");
-    c3d_assert(cellW > 0, "cell executor needs a hop latency");
 }
 
 void
@@ -70,7 +67,6 @@ CellExecutor::recordFault(std::exception_ptr e)
 void
 CellExecutor::workerLoop(unsigned wid, const BoundaryHook &boundary)
 {
-    const std::uint32_t sockets = m.numSockets();
     // Stats written from this thread go to its own shard
     // (common/stats.hh); worker 0 is the calling thread, shard 0.
     statShard = wid;
@@ -83,7 +79,7 @@ CellExecutor::workerLoop(unsigned wid, const BoundaryHook &boundary)
         if (!faulted.load(std::memory_order_acquire)) {
             try {
                 const Tick cell_end = cellBase + cellW - 1;
-                for (SocketId s = wid; s < sockets; s += numThreads)
+                for (SocketId s = wid; s < numQueues; s += numThreads)
                     m.queueAt(s).run(cell_end);
             } catch (...) {
                 recordFault(std::current_exception());
@@ -127,8 +123,10 @@ CellExecutor::workerLoop(unsigned wid, const BoundaryHook &boundary)
         // Flush the sealed parity into the queues this worker owns.
         // Nobody else touches them: flushTo(dst) runs only on dst's
         // owner, and the next parity flip waits for every worker at
-        // the next barrier.
-        for (SocketId s = wid; s < sockets; s += numThreads)
+        // the next barrier. A single queue stages nothing.
+        if (numQueues == 1)
+            continue;
+        for (SocketId s = wid; s < numQueues; s += numThreads)
             m.queueRouter().flushTo(s, flushParity);
     }
 }
@@ -150,7 +148,7 @@ CellExecutor::masterStep(const BoundaryHook &boundary)
     // Cell skip: jump straight to the cell holding the earliest
     // pending event, including the deliveries staged this cell.
     Tick min_next = router.minPending(router.currentParity());
-    for (SocketId s = 0; s < m.numSockets(); ++s) {
+    for (SocketId s = 0; s < numQueues; ++s) {
         Tick t;
         if (m.queueAt(s).peekNextTick(t))
             min_next = std::min(min_next, t);
@@ -158,7 +156,7 @@ CellExecutor::masterStep(const BoundaryHook &boundary)
 
     if (min_next == MaxTick) {
         if (!workDone) {
-            c3d_panic("parallel kernel drained at tick %llu with "
+            c3d_panic("event kernel drained at tick %llu with "
                       "simulated work outstanding (lost wakeup?)",
                       static_cast<unsigned long long>(q));
         }

@@ -1,14 +1,17 @@
 /**
  * @file
- * Parallel per-socket kernel driver.
+ * The event kernel's one driver: every Runner run goes through it.
  *
- * Runs a MultiQueue Machine by advancing every socket's EventQueue in
- * lockstep cells of width W = Machine::cellWidth() (the minimum
- * cross-socket delivery latency). Within a cell [kW, (k+1)W) sockets
- * share nothing: cross-socket packets are staged in QueueRouter
- * outboxes and every staged arrival lies beyond the cell (a hop takes
- * at least W ticks), so the cell is causally closed and each worker
- * thread can execute its sockets' queues without synchronizing.
+ * Advances every kernel queue of a Machine in lockstep cells of width
+ * W = Machine::cellWidth(). On a MultiQueue machine W is the minimum
+ * cross-socket delivery latency (one hop). Within a cell [kW, (k+1)W)
+ * sockets share nothing: cross-socket packets are staged in
+ * QueueRouter outboxes and every staged arrival lies beyond the cell
+ * (a hop takes at least W ticks), so the cell is causally closed and
+ * each worker thread can execute its sockets' queues without
+ * synchronizing. A SingleQueue machine (1 socket, zero hop latency,
+ * TLB classification) is the degenerate case: one queue, one worker,
+ * no outboxes, and boundaries that only serve the steps below.
  *
  * One barrier per cell. The last thread to arrive is the master for
  * that boundary; it runs, single-threaded:
@@ -56,7 +59,7 @@
 namespace c3d
 {
 
-/** Lockstep-cell driver for a MultiQueue machine. */
+/** Lockstep-cell driver for a Machine's kernel queues. */
 class CellExecutor
 {
   public:
@@ -71,10 +74,10 @@ class CellExecutor
     using BoundaryHook = std::function<bool(Tick q)>;
 
     /**
-     * @param machine a KernelMode::MultiQueue machine
-     * @param num_threads worker threads; clamped to [1, numSockets]
+     * @param machine the machine to drive (either KernelMode)
+     * @param num_threads worker threads; clamped to [1, numQueues]
      *        and to MaxStatShards (one stat shard per worker).
-     *        Worker j owns sockets {s : s % T == j}.
+     *        Worker j owns queues {q : q % T == j}.
      */
     CellExecutor(Machine &machine, unsigned num_threads);
 
@@ -107,6 +110,7 @@ class CellExecutor
     void recordFault(std::exception_ptr e);
 
     Machine &m;
+    const std::uint32_t numQueues;
     const unsigned numThreads;
     const Tick cellW;
 

@@ -487,7 +487,7 @@ class EventQueue
     /**
      * Armed-watchdog bookkeeping, run before each event's callback.
      * The stall counter is per queue and exact (deterministic trip
-     * point under the sequential kernel); the machine-wide event and
+     * point on a 1-worker run); the machine-wide event and
      * wall-clock budgets are folded in every BulkPeriod events.
      */
     void

@@ -28,8 +28,8 @@
  *    (those only run between events); only the sibling wall-clock
  *    watchdog (runWithSiblingWatchdog) can contain it.
  *
- * Determinism: under the sequential kernels (single-queue and the
- * MultiQueue 1-worker oracle) send order is fully deterministic, so
+ * Determinism: on a 1-worker run (every single-queue run, and the
+ * multi-queue oracle) send order is fully deterministic, so
  * a plan trips at the same packet, the same tick, with the same
  * diagnostic, every run. `parallelOnly` plans arm only when the
  * parallel kernel actually drives the run -- the hook that lets

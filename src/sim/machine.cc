@@ -1,11 +1,13 @@
 #include "sim/machine.hh"
 
+#include <algorithm>
+
 namespace c3d
 {
 
 Machine::Machine(const SystemConfig &config, KernelMode kernel_mode)
     : cfg(config), mode(kernel_mode),
-      cellW(cfg.zeroHopLatency ? 0 : cfg.hopLatency),
+      cellW(std::max<Tick>(1, cfg.hopLatency)),
       statGroup("machine")
 {
     if (mode == KernelMode::MultiQueue) {
@@ -67,117 +69,6 @@ Machine::totalPendingEvents() const
     std::uint64_t n = 0;
     for (const auto &q : queues)
         n += q->pending();
-    return n;
-}
-
-std::uint64_t
-Machine::totalMemReads() const
-{
-    std::uint64_t n = 0;
-    for (const auto &s : sockets)
-        n += s->memory().reads();
-    return n;
-}
-
-std::uint64_t
-Machine::totalMemWrites() const
-{
-    std::uint64_t n = 0;
-    for (const auto &s : sockets)
-        n += s->memory().writes();
-    return n;
-}
-
-std::uint64_t
-Machine::remoteMemReads() const
-{
-    std::uint64_t n = 0;
-    for (const auto &s : sockets)
-        n += s->memory().remoteReads();
-    return n;
-}
-
-std::uint64_t
-Machine::remoteMemWrites() const
-{
-    std::uint64_t n = 0;
-    for (const auto &s : sockets)
-        n += s->memory().remoteWrites();
-    return n;
-}
-
-std::uint64_t
-Machine::totalDramCacheHits() const
-{
-    std::uint64_t n = 0;
-    for (const auto &s : sockets) {
-        if (s->dramCache())
-            n += s->dramCache()->hitCount();
-    }
-    return n;
-}
-
-std::uint64_t
-Machine::totalDramCacheMisses() const
-{
-    std::uint64_t n = 0;
-    for (const auto &s : sockets) {
-        if (s->dramCache())
-            n += s->dramCache()->missCount();
-    }
-    return n;
-}
-
-std::uint64_t
-Machine::totalPredictorTrains() const
-{
-    std::uint64_t n = 0;
-    for (const auto &s : sockets) {
-        if (s->dramCache())
-            n += s->dramCache()->predictorTrains();
-    }
-    return n;
-}
-
-std::uint64_t
-Machine::totalPredictorBypasses() const
-{
-    std::uint64_t n = 0;
-    for (const auto &s : sockets) {
-        if (s->dramCache())
-            n += s->dramCache()->predictorBypasses();
-    }
-    return n;
-}
-
-std::uint64_t
-Machine::totalPredictorGhostHits() const
-{
-    std::uint64_t n = 0;
-    for (const auto &s : sockets) {
-        if (s->dramCache())
-            n += s->dramCache()->predictorGhostHits();
-    }
-    return n;
-}
-
-std::uint64_t
-Machine::totalPredictorFalsePresent() const
-{
-    std::uint64_t n = 0;
-    for (const auto &s : sockets) {
-        if (s->dramCache())
-            n += s->dramCache()->predictorFalsePresents();
-    }
-    return n;
-}
-
-std::uint64_t
-Machine::totalLlcMisses() const
-{
-    std::uint64_t n = 0;
-    for (const auto &s : sockets)
-        n += s->llcMisses();
     return n;
 }
 

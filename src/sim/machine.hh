@@ -30,16 +30,16 @@ namespace c3d
 {
 
 /**
- * Which kernel drives the machine.
+ * How the machine's events are laid out over queues. Either way the
+ * cell executor (sim/cell_executor.hh) drives the run.
  *
- * SingleQueue is the classic sequential kernel: one EventQueue for
- * the whole machine. MultiQueue gives every socket its own queue so
- * the cell executor (sim/cell_executor.hh) can advance sockets on a
- * thread pool under conservative lookahead; running the MultiQueue
- * kernel with one worker is the sequential differential oracle for
- * the parallel runs. Directly constructed Machines default to
- * SingleQueue; the Runner opts eligible configurations into
- * MultiQueue (see Machine::parallelKernelEligible).
+ * SingleQueue puts the whole machine on one EventQueue; cross-socket
+ * packets go straight into it. MultiQueue gives every socket its own
+ * queue, so the executor can advance sockets on a thread pool under
+ * conservative lookahead. Directly constructed Machines default to
+ * SingleQueue, which unit tests step by hand; the Runner picks
+ * MultiQueue for every configuration that allows it (see
+ * Machine::parallelKernelEligible).
  */
 enum class KernelMode
 {
@@ -62,9 +62,8 @@ class Machine
     KernelMode kernelMode() const { return mode; }
 
     /**
-     * The machine-wide queue of the sequential kernel. Meaningful
-     * only in SingleQueue mode; multi-queue callers must use
-     * queueAt()/queueRouter().
+     * The machine-wide queue of a SingleQueue machine; multi-queue
+     * callers must use queueAt()/queueRouter().
      */
     EventQueue &
     eventQueue()
@@ -78,29 +77,34 @@ class Machine
     /** The queue events for socket @p s execute on (either mode). */
     EventQueue &queueAt(SocketId s) { return router_.at(s); }
     QueueRouter &queueRouter() { return router_; }
+    /** Distinct kernel queues: 1, or one per socket (MultiQueue);
+     * queue q is queueAt(q). */
+    std::uint32_t
+    numQueues() const
+    {
+        return static_cast<std::uint32_t>(queues.size());
+    }
 
     /**
-     * Conservative-lookahead cell width: the minimum cross-socket
-     * delivery latency (one hop). Every QueueRouter::inject lands at
-     * least this far in the future, so cells [kW, (k+1)W) are
-     * causally closed. MultiQueue mode only.
+     * Cell width of the executor: one hop, at least 1 tick. On a
+     * MultiQueue machine it is the conservative lookahead: every
+     * QueueRouter::inject lands at least one hop in the future, so
+     * cells [kW, (k+1)W) are causally closed. On a SingleQueue
+     * machine packets go straight into the one queue (a zero-hop
+     * packet lands at its send tick), and the boundaries only pace
+     * the warm-up reset, the barrier release and the claim commit.
      */
     Tick cellWidth() const { return cellW; }
 
     /** First cell boundary strictly after @p t. */
-    Tick
-    cellBoundaryAfter(Tick t) const
-    {
-        c3d_assert(cellW > 0, "cell geometry needs a hop latency");
-        return (t / cellW + 1) * cellW;
-    }
+    Tick cellBoundaryAfter(Tick t) const { return (t / cellW + 1) * cellW; }
 
     /**
      * Whether @p config can run on the MultiQueue kernel: it needs
      * ≥2 sockets (otherwise there is nothing to parallelize), a
      * non-zero hop latency (the lookahead window), and no TLB page
      * classification (a machine-global table serialized on every
-     * access). Ineligible configs run the classic sequential kernel.
+     * access). Ineligible configs run as a SingleQueue machine.
      */
     static bool
     parallelKernelEligible(const SystemConfig &config)
@@ -154,21 +158,7 @@ class Machine
         return mapper->homeOf(addr, requester);
     }
 
-    // ---- aggregated metrics (across sockets) ---------------------------
-
-    std::uint64_t totalMemReads() const;
-    std::uint64_t totalMemWrites() const;
-    std::uint64_t remoteMemReads() const;
-    std::uint64_t remoteMemWrites() const;
-    std::uint64_t totalDramCacheHits() const;
-    std::uint64_t totalDramCacheMisses() const;
-    /** DRAM-cache predictor accuracy counters summed across sockets
-     * (docs/predictors.md). */
-    std::uint64_t totalPredictorTrains() const;
-    std::uint64_t totalPredictorBypasses() const;
-    std::uint64_t totalPredictorGhostHits() const;
-    std::uint64_t totalPredictorFalsePresent() const;
-    std::uint64_t totalLlcMisses() const;
+    /** Bytes moved across the interconnect. */
     std::uint64_t interSocketBytes() const;
 
   private:

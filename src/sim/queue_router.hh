@@ -3,9 +3,9 @@
  * Routing layer between the interconnect and the kernel's event
  * queue(s).
  *
- * The sequential kernel runs the whole machine on one EventQueue; the
- * parallel kernel gives each socket its own queue and advances them on
- * a thread pool under conservative lookahead (see docs/perf.md,
+ * A SingleQueue machine runs on one EventQueue; a MultiQueue machine
+ * gives each socket its own queue, which the cell executor advances
+ * on a thread pool under conservative lookahead (see docs/perf.md,
  * "Parallel per-socket kernel"). The QueueRouter hides that choice
  * from the interconnect: `at(s)` is the queue events for socket @p s
  * execute on, and `inject(src, dst, when, f)` is the one cross-socket
@@ -58,7 +58,7 @@ class QueueRouter
     QueueRouter &operator=(const QueueRouter &) = delete;
     ~QueueRouter() { dropStaged(); }
 
-    /** Sequential kernel: every socket maps to the one queue. */
+    /** Single queue: every socket maps to it, nothing is staged. */
     void
     initSingle(EventQueue &q, std::uint32_t num_sockets)
     {
@@ -67,7 +67,7 @@ class QueueRouter
         queues.assign(num_sockets, &q);
     }
 
-    /** Parallel kernel: one queue per socket, outboxes armed. */
+    /** One queue per socket, outboxes armed. */
     void
     initMulti(const std::vector<EventQueue *> &qs)
     {
@@ -92,8 +92,8 @@ class QueueRouter
 
     /**
      * Deliver @p f to socket @p dst at absolute tick @p when. Must
-     * be called from the thread executing socket @p src (the
-     * sequential kernel trivially satisfies this). In multi-queue
+     * be called from the thread executing socket @p src (a single
+     * queue trivially satisfies this). In multi-queue
      * mode @p when must lie beyond the current lookahead cell; the
      * cell executor asserts this when it flushes.
      */

@@ -98,12 +98,13 @@ struct RunResult
 /**
  * Kernel selection for a run.
  *
- * Eligible configurations (Machine::parallelKernelEligible) always
- * run on the multi-queue kernel; `parallel` only chooses how many
- * worker threads drive it. The default (1 thread) executes the exact
- * event sequence the parallel run must reproduce — it is the
- * sequential differential oracle. Ineligible configurations fall back
- * to the classic single-queue kernel regardless of these options.
+ * Every run is driven by the cell executor; eligible configurations
+ * (Machine::parallelKernelEligible) lay it out one queue per socket,
+ * and `parallel` only chooses how many worker threads drive it. The
+ * default (1 thread) executes the exact event sequence the parallel
+ * run must reproduce — it is the sequential differential oracle.
+ * Ineligible configurations run on one queue, hence one thread,
+ * regardless of these options.
  */
 struct KernelOptions
 {
@@ -169,8 +170,6 @@ class Runner
     }
 
   private:
-    RunResult runMultiQueue(std::uint64_t warmup_ops,
-                            std::uint64_t measure_ops);
     RunResult collectResult(Tick measured_ticks);
 
     std::unique_ptr<Machine> m;

@@ -22,10 +22,10 @@
  * the row.
  *
  * Stall-detector determinism: the same-tick run length is counted
- * per queue in execution order, so under the sequential kernel (and
- * the 1-worker oracle) the trip point and its diagnostic are exactly
- * reproducible. Wall-clock trips are inherently timing-dependent;
- * they exist as a last-resort budget, not a differential surface.
+ * per queue in execution order, so on a 1-worker run the trip point
+ * and its diagnostic are exactly reproducible. Wall-clock trips are
+ * inherently timing-dependent; they exist as a last-resort budget,
+ * not a differential surface.
  *
  * All of the above is *in-band*: the budgets are checked between
  * events, so a hard stall inside a single event callback (a blocking

@@ -6,10 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <utility>
+#include <vector>
 
 #include "cpu/barrier.hh"
 #include "cpu/trace_cpu.hh"
 #include "sim/machine.hh"
+#include "sim/runner.hh"
 #include "test_helpers.hh"
 
 namespace c3d
@@ -138,53 +141,87 @@ TEST(TraceCpu, FinishWaitsForStoreQueueDrain)
     EXPECT_GT(done_at, 10u);
 }
 
-TEST(Barrier, ReleasesWhenAllArrive)
+/** Arrive at @p b as @p core; the resume logs (core, tick) to @p log. */
+void
+arriveLogged(Barrier &b, EventQueue &eq, CoreId core,
+             std::vector<std::pair<CoreId, Tick>> &log)
+{
+    b.arrive(core,
+             [&eq, &log, core] { log.emplace_back(core, eq.now()); });
+}
+
+TEST(Barrier, ReleasesCompleteEpisodeAtBoundaryInCoreOrder)
 {
     StatGroup g("t");
+    EventQueue eq;
+    auto queue_of = [&eq](CoreId) -> EventQueue & { return eq; };
     Barrier b;
     b.init(3, &g, "b");
-    int released = 0;
-    b.arrive(0, [&] { ++released; });
-    b.arrive(0, [&] { ++released; });
-    EXPECT_EQ(released, 0);
-    b.arrive(0, [&] { ++released; });
-    EXPECT_EQ(released, 3);
+    std::vector<std::pair<CoreId, Tick>> log;
+    arriveLogged(b, eq, 2, log);
+    arriveLogged(b, eq, 0, log);
+    EXPECT_FALSE(b.quantRelease(40, queue_of));
+    arriveLogged(b, eq, 1, log);
+    // Arrival never resumes anyone; the boundary does.
+    EXPECT_TRUE(log.empty());
+    EXPECT_TRUE(b.quantRelease(80, queue_of));
+    EXPECT_TRUE(log.empty());
+    EXPECT_EQ(g.valueOf("b.episodes"), 1u);
+    eq.run();
+    const std::vector<std::pair<CoreId, Tick>> want = {
+        {0, 80}, {1, 80}, {2, 80}};
+    EXPECT_EQ(log, want);
+    // The episode is closed: the next boundary releases nothing.
+    EXPECT_FALSE(b.quantRelease(120, queue_of));
 }
 
 TEST(Barrier, Reusable)
 {
     StatGroup g("t");
+    EventQueue eq;
+    auto queue_of = [&eq](CoreId) -> EventQueue & { return eq; };
     Barrier b;
     b.init(2, &g, "b");
-    int released = 0;
-    b.arrive(0, [&] { ++released; });
-    b.arrive(0, [&] { ++released; });
-    b.arrive(0, [&] { ++released; });
-    b.arrive(0, [&] { ++released; });
-    EXPECT_EQ(released, 4);
+    std::vector<std::pair<CoreId, Tick>> log;
+    for (Tick q : {10, 20}) {
+        arriveLogged(b, eq, 1, log);
+        arriveLogged(b, eq, 0, log);
+        EXPECT_TRUE(b.quantRelease(q, queue_of));
+        eq.run();
+    }
+    const std::vector<std::pair<CoreId, Tick>> want = {
+        {0, 10}, {1, 10}, {0, 20}, {1, 20}};
+    EXPECT_EQ(log, want);
+    EXPECT_EQ(g.valueOf("b.episodes"), 2u);
 }
 
-TEST(Barrier, RetireUnblocksWaiters)
+TEST(Barrier, RetireCompletesEpisode)
 {
     StatGroup g("t");
+    EventQueue eq;
+    auto queue_of = [&eq](CoreId) -> EventQueue & { return eq; };
     Barrier b;
     b.init(3, &g, "b");
-    int released = 0;
-    b.arrive(0, [&] { ++released; });
-    b.arrive(0, [&] { ++released; });
-    // Third party finishes its quota instead of arriving.
+    std::vector<std::pair<CoreId, Tick>> log;
+    arriveLogged(b, eq, 0, log);
+    arriveLogged(b, eq, 1, log);
+    EXPECT_FALSE(b.quantRelease(10, queue_of));
+    // The third party finishes its quota instead of arriving; the
+    // next boundary finds the episode complete.
     b.retire();
-    EXPECT_EQ(released, 2);
     EXPECT_EQ(b.parties(), 2u);
+    EXPECT_TRUE(log.empty());
+    EXPECT_TRUE(b.quantRelease(20, queue_of));
+    eq.run();
+    const std::vector<std::pair<CoreId, Tick>> want = {{0, 20},
+                                                       {1, 20}};
+    EXPECT_EQ(log, want);
 }
 
 TEST(Barrier, CpusSynchronizeThroughBarrier)
 {
     // Two cores with very different memory behaviour still track
-    // each other when a barrier is attached.
-    SystemConfig cfg = tinyConfig(Design::Baseline, 2, 1);
-    Machine m(cfg);
-
+    // each other when the workload asks for a barrier.
     class TwoSpeedWorkload : public Workload
     {
       public:
@@ -199,20 +236,16 @@ TEST(Barrier, CpusSynchronizeThroughBarrier)
                 (cursor[core]++ % 64) * BlockBytes;
             return op;
         }
+        std::uint64_t barrierInterval() const override { return 10; }
         std::string n = "two-speed";
         std::uint64_t cursor[2] = {0, 0};
     } wl;
 
-    TraceCpu cpu0(m, 0, wl, &m.stats());
-    TraceCpu cpu1(m, 1, wl, &m.stats());
-    Barrier barrier;
-    barrier.init(2, &m.stats(), "b");
-    cpu0.setBarrier(&barrier, 10);
-    cpu1.setBarrier(&barrier, 10);
-    Tick f0 = 0, f1 = 0;
-    cpu0.start(0, 100, nullptr, [&] { f0 = m.eventQueue().now(); });
-    cpu1.start(0, 100, nullptr, [&] { f1 = m.eventQueue().now(); });
-    m.eventQueue().run();
+    Runner runner(tinyConfig(Design::Baseline, 2, 1), wl);
+    runner.run(0, 100);
+    EXPECT_EQ(runner.machine().stats().valueOf("barrier.episodes"), 9u);
+    const Tick f0 = runner.cores()[0]->finishAt();
+    const Tick f1 = runner.cores()[1]->finishAt();
     ASSERT_GT(f0, 0u);
     ASSERT_GT(f1, 0u);
     // Within one barrier interval of each other.

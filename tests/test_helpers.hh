@@ -8,8 +8,11 @@
 #ifndef C3DSIM_TESTS_TEST_HELPERS_HH
 #define C3DSIM_TESTS_TEST_HELPERS_HH
 
+#include <gtest/gtest.h>
+
 #include "common/config.hh"
 #include "common/log.hh"
+#include "sim/machine.hh"
 #include "trace/workload.hh"
 
 namespace c3d::test
@@ -50,6 +53,30 @@ tinyProfile(const char *name = "tiny")
     p.writeFracPrivate = 0.2;
     p.avgGap = 3;
     return p;
+}
+
+/**
+ * Run one access to completion on a SingleQueue machine: call
+ * @p issue with a completion callback, step the machine's queue until
+ * the callback fires, then drain the queue (trailing writebacks and
+ * probes). Returns the ticks from issue to completion.
+ *
+ *   runAccess(m, [&](auto done) { m.socket(0).load(0, addr, done); });
+ */
+template <typename Issue>
+Tick
+runAccess(Machine &m, Issue &&issue)
+{
+    EventQueue &eq = m.eventQueue();
+    bool done = false;
+    const Tick start = eq.now();
+    issue([&done] { done = true; });
+    while (!done && eq.step()) {
+    }
+    EXPECT_TRUE(done);
+    const Tick lat = eq.now() - start;
+    eq.run();
+    return lat;
 }
 
 /** What happened to the LifeProbes sharing one tally. */

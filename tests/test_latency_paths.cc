@@ -20,14 +20,17 @@ namespace
 Tick
 timedLoad(Machine &m, SocketId s, Addr addr, std::uint32_t core = 0)
 {
-    bool done = false;
-    const Tick start = m.eventQueue().now();
-    m.socket(s).load(core, addr, [&] { done = true; });
-    while (!done && m.eventQueue().step()) {
-    }
-    const Tick t = m.eventQueue().now() - start;
-    m.eventQueue().run();
-    return t;
+    return test::runAccess(
+        m, [&](auto done) { m.socket(s).load(core, addr, done); });
+}
+
+/** Complete one store on an idle machine. */
+void
+store(Machine &m, SocketId s, Addr addr)
+{
+    test::runAccess(m, [&](auto done) {
+        m.socket(s).store(0, addr, false, done);
+    });
 }
 
 /** Build a machine with deterministic interleaved homes. */
@@ -123,13 +126,7 @@ TEST(LatencyPaths, SlowRemoteHitPathologyIsVisible)
     // (measured as c3d's path).
     SystemConfig cfg_fd = pathConfig(Design::FullDir);
     Machine fd(cfg_fd);
-    {
-        bool done = false;
-        fd.socket(1).store(0, Home0, false, [&] { done = true; });
-        while (!done && fd.eventQueue().step()) {
-        }
-        fd.eventQueue().run();
-    }
+    store(fd, 1, Home0);
     evictFromLlc(fd, 1, Home0); // dirty block now in socket 1 DRAM$
     ASSERT_TRUE(fd.socket(1).dramCache()->isDirty(Home0));
     // Requester at socket 3: the forward path home(0) -> owner(1) ->
@@ -138,13 +135,7 @@ TEST(LatencyPaths, SlowRemoteHitPathologyIsVisible)
     const Tick slow_hit = timedLoad(fd, 3, Home0);
 
     Machine c3d(pathConfig(Design::C3D));
-    {
-        bool done = false;
-        c3d.socket(1).store(0, Home0, false, [&] { done = true; });
-        while (!done && c3d.eventQueue().step()) {
-        }
-        c3d.eventQueue().run();
-    }
+    store(c3d, 1, Home0);
     evictFromLlc(c3d, 1, Home0); // clean copy + fresh memory
     const Tick mem_serve = timedLoad(c3d, 3, Home0);
 
@@ -156,11 +147,7 @@ TEST(LatencyPaths, CleanCacheKeepsLocalHitRateAfterWriteThrough)
     // §IV-A: writing through does NOT cost the local socket its
     // DRAM-cache hit -- the clean copy stays.
     Machine m(pathConfig(Design::C3D));
-    bool done = false;
-    m.socket(1).store(0, Home0, false, [&] { done = true; });
-    while (!done && m.eventQueue().step()) {
-    }
-    m.eventQueue().run();
+    store(m, 1, Home0);
     evictFromLlc(m, 1, Home0);
     ASSERT_TRUE(m.socket(1).dramCache()->contains(Home0));
     const Tick local_dc_hit = timedLoad(m, 1, Home0);

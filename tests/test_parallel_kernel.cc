@@ -185,32 +185,60 @@ TEST(ParallelKernel, ComposedTenantRowsMatchIncludingQosColumns)
     std::remove(trace_b.c_str());
 }
 
-TEST(ParallelKernel, IneligibleConfigsFallBackToSingleQueue)
+/** Every field of two RunResults agrees; @p what labels failures. */
+void
+expectSameResult(const RunResult &a, const RunResult &b,
+                 const std::string &what)
 {
-    // Single-socket machines have no cross-socket lookahead to
-    // exploit; requesting the parallel kernel must quietly run the
-    // classic single-queue kernel rather than fail.
-    SystemConfig cfg = test::tinyConfig(Design::C3D, /*sockets=*/1,
-                                        /*cores_per_socket=*/2);
-    ASSERT_FALSE(Machine::parallelKernelEligible(cfg));
-    WorkloadProfile prof = test::tinyProfile("fallback");
+    EXPECT_EQ(a.measuredTicks, b.measuredTicks) << what;
+    EXPECT_EQ(a.instructions, b.instructions) << what;
+    EXPECT_EQ(a.memReads, b.memReads) << what;
+    EXPECT_EQ(a.memWrites, b.memWrites) << what;
+    EXPECT_EQ(a.remoteMemReads, b.remoteMemReads) << what;
+    EXPECT_EQ(a.remoteMemWrites, b.remoteMemWrites) << what;
+    EXPECT_EQ(a.dramCacheHits, b.dramCacheHits) << what;
+    EXPECT_EQ(a.dramCacheMisses, b.dramCacheMisses) << what;
+    EXPECT_EQ(a.llcMisses, b.llcMisses) << what;
+    EXPECT_EQ(a.interSocketBytes, b.interSocketBytes) << what;
+    EXPECT_EQ(a.broadcasts, b.broadcasts) << what;
+    EXPECT_EQ(a.broadcastsElided, b.broadcastsElided) << what;
+    EXPECT_EQ(a.predictorTrains, b.predictorTrains) << what;
+    EXPECT_EQ(a.predictorBypasses, b.predictorBypasses) << what;
+    EXPECT_EQ(a.predictorGhostHits, b.predictorGhostHits) << what;
+    EXPECT_EQ(a.predictorFalsePresent, b.predictorFalsePresent)
+        << what;
+    EXPECT_EQ(a.tenants.size(), b.tenants.size()) << what;
+}
 
-    KernelOptions par;
-    par.parallel = true;
-    par.threads = 4;
-    const RunResult a =
-        runWorkload(cfg, prof, 100, 400, KernelOptions{});
-    const RunResult b = runWorkload(cfg, prof, 100, 400, par);
-    EXPECT_EQ(a.measuredTicks, b.measuredTicks);
-    EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_EQ(a.memReads, b.memReads);
-    EXPECT_EQ(a.memWrites, b.memWrites);
+TEST(ParallelKernel, IneligibleConfigsRunOnOneQueueAtAnyThreadCount)
+{
+    // Ineligible machines (no cross-socket lookahead, or a
+    // machine-global table on every access) run on one shared queue.
+    // Requesting worker threads must neither fail nor let two
+    // workers run that queue: every thread count gives the 1-thread
+    // result.
+    SystemConfig one_socket = test::tinyConfig(Design::C3D, 1, 2);
+    SystemConfig zero_hop = test::tinyConfig(Design::C3D, 4, 2);
+    zero_hop.zeroHopLatency = true;
+    SystemConfig tlb = test::tinyConfig(Design::C3D, 4, 2);
+    tlb.tlbPageClassification = true;
+    const WorkloadProfile prof = test::tinyProfile("one-queue");
 
-    // Zero hop latency collapses the lookahead window to nothing;
-    // also ineligible.
-    SystemConfig zero = test::tinyConfig(Design::C3D, 4, 2);
-    zero.zeroHopLatency = true;
-    EXPECT_FALSE(Machine::parallelKernelEligible(zero));
+    for (const SystemConfig &cfg : {one_socket, zero_hop, tlb}) {
+        ASSERT_FALSE(Machine::parallelKernelEligible(cfg));
+        const RunResult ref =
+            runWorkload(cfg, prof, 100, 400, KernelOptions{});
+        EXPECT_GT(ref.instructions, 0u);
+        for (unsigned t : {1u, 2u, 4u}) {
+            KernelOptions k;
+            k.parallel = true;
+            k.threads = t;
+            expectSameResult(ref, runWorkload(cfg, prof, 100, 400, k),
+                             std::to_string(cfg.numSockets) +
+                                 " sockets, " + std::to_string(t) +
+                                 " threads");
+        }
+    }
 }
 
 TEST(ParallelKernel, ThreadCountDoesNotChangeEligibleRunResults)
@@ -229,18 +257,8 @@ TEST(ParallelKernel, ThreadCountDoesNotChangeEligibleRunResults)
         KernelOptions k;
         k.parallel = true;
         k.threads = t;
-        const RunResult r = runWorkload(cfg, prof, 200, 800, k);
-        EXPECT_EQ(ref.measuredTicks, r.measuredTicks) << t;
-        EXPECT_EQ(ref.instructions, r.instructions) << t;
-        EXPECT_EQ(ref.memReads, r.memReads) << t;
-        EXPECT_EQ(ref.memWrites, r.memWrites) << t;
-        EXPECT_EQ(ref.remoteMemReads, r.remoteMemReads) << t;
-        EXPECT_EQ(ref.remoteMemWrites, r.remoteMemWrites) << t;
-        EXPECT_EQ(ref.dramCacheHits, r.dramCacheHits) << t;
-        EXPECT_EQ(ref.dramCacheMisses, r.dramCacheMisses) << t;
-        EXPECT_EQ(ref.llcMisses, r.llcMisses) << t;
-        EXPECT_EQ(ref.interSocketBytes, r.interSocketBytes) << t;
-        EXPECT_EQ(ref.broadcasts, r.broadcasts) << t;
+        expectSameResult(ref, runWorkload(cfg, prof, 200, 800, k),
+                         std::to_string(t) + " threads");
     }
 }
 

@@ -21,21 +21,16 @@ using test::tinyConfig;
 void
 load(Machine &m, SocketId s, Addr addr)
 {
-    bool done = false;
-    m.socket(s).load(0, addr, [&] { done = true; });
-    while (!done && m.eventQueue().step()) {
-    }
-    m.eventQueue().run();
+    test::runAccess(
+        m, [&](auto done) { m.socket(s).load(0, addr, done); });
 }
 
 void
 store(Machine &m, SocketId s, Addr addr, bool priv = false)
 {
-    bool done = false;
-    m.socket(s).store(0, addr, priv, [&] { done = true; });
-    while (!done && m.eventQueue().step()) {
-    }
-    m.eventQueue().run();
+    test::runAccess(m, [&](auto done) {
+        m.socket(s).store(0, addr, priv, done);
+    });
 }
 
 DirectoryProtocol &

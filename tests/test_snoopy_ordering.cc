@@ -132,13 +132,8 @@ TEST(SnoopyOrdering, EverySnoopPaysTheDramCacheAccess)
     setQuiet(true);
     SystemConfig cfg = snoopyConfig();
     Machine m(cfg);
-    bool done = false;
-    const Tick start = m.eventQueue().now();
-    m.socket(1).load(0, Blk, [&] { done = true; });
-    while (!done && m.eventQueue().step()) {
-    }
-    const Tick lat = m.eventQueue().now() - start;
-    m.eventQueue().run();
+    const Tick lat = test::runAccess(
+        m, [&](auto done) { m.socket(1).load(0, Blk, done); });
     // The furthest probe (2 ring hops away) plus its DRAM-cache
     // access bounds the completion from below.
     EXPECT_GE(lat, 4 * cfg.hopLatency + cfg.dramCacheLatency);

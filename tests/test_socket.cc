@@ -14,35 +14,23 @@ namespace c3d
 namespace
 {
 
+using test::runAccess;
 using test::tinyConfig;
 
 /** Run one access to completion and return its latency. */
 Tick
 doLoad(Machine &m, SocketId s, std::uint32_t core, Addr addr)
 {
-    bool done = false;
-    const Tick start = m.eventQueue().now();
-    m.socket(s).load(core, addr, [&] { done = true; });
-    while (!done && m.eventQueue().step()) {
-    }
-    EXPECT_TRUE(done);
-    const Tick lat = m.eventQueue().now() - start;
-    m.eventQueue().run();
-    return lat;
+    return runAccess(
+        m, [&](auto done) { m.socket(s).load(core, addr, done); });
 }
 
 Tick
 doStore(Machine &m, SocketId s, std::uint32_t core, Addr addr)
 {
-    bool done = false;
-    const Tick start = m.eventQueue().now();
-    m.socket(s).store(core, addr, false, [&] { done = true; });
-    while (!done && m.eventQueue().step()) {
-    }
-    EXPECT_TRUE(done);
-    const Tick lat = m.eventQueue().now() - start;
-    m.eventQueue().run();
-    return lat;
+    return runAccess(m, [&](auto done) {
+        m.socket(s).store(core, addr, false, done);
+    });
 }
 
 TEST(Socket, ColdLoadFillsL1AndLlc)
@@ -112,13 +100,12 @@ TEST(Socket, ProbeInvalidateClearsAllLevels)
     Machine m(tinyConfig(Design::C3D));
     doLoad(m, 0, 0, 0x5000);
     bool dirty = true;
-    bool done = false;
-    m.socket(0).probeInvalidate(0x5000, [&](bool d) {
-        dirty = d;
-        done = true;
+    runAccess(m, [&](auto done) {
+        m.socket(0).probeInvalidate(0x5000, [&dirty, done](bool d) {
+            dirty = d;
+            done();
+        });
     });
-    while (!done && m.eventQueue().step()) {
-    }
     EXPECT_FALSE(dirty);
     EXPECT_EQ(m.socket(0).llcState(0x5000), CacheState::Invalid);
     EXPECT_EQ(m.socket(0).l1State(0, 0x5000), CacheState::Invalid);
@@ -129,13 +116,12 @@ TEST(Socket, ProbeInvalidateReportsDirty)
     Machine m(tinyConfig(Design::C3D));
     doStore(m, 0, 0, 0x5000);
     bool dirty = false;
-    bool done = false;
-    m.socket(0).probeInvalidate(0x5000, [&](bool d) {
-        dirty = d;
-        done = true;
+    runAccess(m, [&](auto done) {
+        m.socket(0).probeInvalidate(0x5000, [&dirty, done](bool d) {
+            dirty = d;
+            done();
+        });
     });
-    while (!done && m.eventQueue().step()) {
-    }
     EXPECT_TRUE(dirty);
 }
 
@@ -144,13 +130,12 @@ TEST(Socket, ProbeDowngradeKeepsSharedCopy)
     Machine m(tinyConfig(Design::C3D));
     doStore(m, 0, 0, 0x6000);
     bool dirty = false;
-    bool done = false;
-    m.socket(0).probeDowngrade(0x6000, [&](bool d) {
-        dirty = d;
-        done = true;
+    runAccess(m, [&](auto done) {
+        m.socket(0).probeDowngrade(0x6000, [&dirty, done](bool d) {
+            dirty = d;
+            done();
+        });
     });
-    while (!done && m.eventQueue().step()) {
-    }
     EXPECT_TRUE(dirty);
     EXPECT_EQ(m.socket(0).llcState(0x6000), CacheState::Shared);
 }
@@ -161,11 +146,9 @@ TEST(Socket, DowngradeRefreshesDramCacheCopy)
     // silent LLC eviction cannot expose stale data.
     Machine m(tinyConfig(Design::C3D));
     doStore(m, 0, 0, 0x6000);
-    bool done = false;
-    m.socket(0).probeDowngrade(0x6000, [&](bool) { done = true; });
-    while (!done && m.eventQueue().step()) {
-    }
-    m.eventQueue().run();
+    runAccess(m, [&](auto done) {
+        m.socket(0).probeDowngrade(0x6000, [done](bool) { done(); });
+    });
     ASSERT_NE(m.socket(0).dramCache(), nullptr);
     EXPECT_TRUE(m.socket(0).dramCache()->contains(0x6000));
     EXPECT_FALSE(m.socket(0).dramCache()->isDirty(0x6000));
@@ -238,14 +221,14 @@ TEST(Socket, ReadMissesMergeIntoOneGetS)
 TEST(Socket, SnoopProbeFindsNothingQuickly)
 {
     Machine m(tinyConfig(Design::Snoopy));
-    bool done = false;
     SnoopResult res;
-    m.socket(1).snoopProbe(0x8000, false, [&](SnoopResult r) {
-        res = r;
-        done = true;
+    runAccess(m, [&](auto done) {
+        m.socket(1).snoopProbe(0x8000, false,
+                               [&res, done](SnoopResult r) {
+                                   res = r;
+                                   done();
+                               });
     });
-    while (!done && m.eventQueue().step()) {
-    }
     EXPECT_FALSE(res.present);
     EXPECT_FALSE(res.suppliedDirty);
 }

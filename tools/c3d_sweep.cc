@@ -85,11 +85,11 @@ const char *const UsageTail =
     "  --parallel-kernel[=T]  drive each eligible run's sockets on T\n"
     "                         kernel threads (default min(sockets,\n"
     "                         cores)); results are byte-identical to\n"
-    "                         the default sequential kernel. Best\n"
+    "                         the default 1-thread run. Best\n"
     "                         combined with --jobs=1; ineligible\n"
     "                         configs (1 socket, zero hop latency,\n"
-    "                         TLB classification) fall back to the\n"
-    "                         sequential kernel\n"
+    "                         TLB classification) run on one queue\n"
+    "                         and one thread\n"
     "  --format=json|csv|table   (default json)\n"
     "  --out=FILE             write to FILE instead of stdout\n"
     "  --progress             report per-row progress on stderr;\n"
