@@ -16,7 +16,8 @@
  * they are exact for any worker count, but only where no worker is
  * writing: at a cell barrier (the boundary hook, the warm-up reset),
  * from the thread that owns every writer of that stat, or after the
- * run.
+ * run. Each shard starts a host line of its own (HostLineBytes), so
+ * two workers counting into one stat never write the same line.
  */
 
 #ifndef C3DSIM_COMMON_STATS_HH
@@ -31,6 +32,7 @@
 #include <vector>
 
 #include "common/log.hh"
+#include "common/types.hh"
 
 namespace c3d
 {
@@ -69,14 +71,14 @@ class Counter
     Counter &
     operator++()
     {
-        ++shards[statShard];
+        ++shards[statShard].v;
         return *this;
     }
 
     Counter &
     operator+=(std::uint64_t n)
     {
-        shards[statShard] += n;
+        shards[statShard].v += n;
         return *this;
     }
 
@@ -84,19 +86,25 @@ class Counter
     value() const
     {
         std::uint64_t sum = 0;
-        for (const std::uint64_t v : shards)
-            sum += v;
+        for (const Shard &s : shards)
+            sum += s.v;
         return sum;
     }
 
-    void reset() { shards.fill(0); }
+    void reset() { shards.fill(Shard{}); }
     const std::string &name() const { return statName; }
     const std::string &desc() const { return statDesc; }
+
+    /** One worker's count, alone on its host line. */
+    struct alignas(HostLineBytes) Shard
+    {
+        std::uint64_t v = 0;
+    };
 
   private:
     std::string statName;
     std::string statDesc;
-    std::array<std::uint64_t, MaxStatShards> shards{};
+    std::array<Shard, MaxStatShards> shards{};
 };
 
 /**
@@ -214,8 +222,9 @@ class Histogram
         return 64 - __builtin_clzll(value);
     }
 
-    /** One worker's samples. */
-    struct Shard
+  public:
+    /** One worker's samples, starting a host line of its own. */
+    struct alignas(HostLineBytes) Shard
     {
         std::uint64_t samples = 0;
         std::uint64_t total = 0;
@@ -224,6 +233,7 @@ class Histogram
         std::array<std::uint64_t, NumBuckets> buckets{};
     };
 
+  private:
     std::string statName;
     std::string statDesc;
     std::array<Shard, MaxStatShards> shards{};

@@ -10,6 +10,7 @@
 #ifndef C3DSIM_COMMON_TYPES_HH
 #define C3DSIM_COMMON_TYPES_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 
@@ -37,6 +38,13 @@ constexpr Tick MaxTick = std::numeric_limits<Tick>::max();
 
 /** Sentinel socket id. */
 constexpr SocketId InvalidSocket = static_cast<SocketId>(-1);
+
+/**
+ * Host cache-line size (x86-64, AArch64 servers). State that two
+ * kernel worker threads write is padded to it, so one worker's
+ * writes never invalidate the line another worker is using.
+ */
+constexpr std::size_t HostLineBytes = 64;
 
 /** Cache block size in bytes (Table II: 64 B lines). */
 constexpr std::uint32_t BlockBytes = 64;

@@ -14,7 +14,8 @@ CellExecutor::CellExecutor(Machine &machine, unsigned num_threads)
       numQueues(machine.numQueues()),
       numThreads(std::max(1u, std::min({num_threads, numQueues,
                                         MaxStatShards}))),
-      cellW(machine.cellWidth())
+      cellW(machine.cellWidth()),
+      slots(numThreads)
 {
 }
 
@@ -79,8 +80,17 @@ CellExecutor::workerLoop(unsigned wid, const BoundaryHook &boundary)
         if (!faulted.load(std::memory_order_acquire)) {
             try {
                 const Tick cell_end = cellBase + cellW - 1;
-                for (SocketId s = wid; s < numQueues; s += numThreads)
-                    m.queueAt(s).run(cell_end);
+                Tick next = MaxTick;
+                for (SocketId s = wid; s < numQueues; s += numThreads) {
+                    EventQueue &eq = m.queueAt(s);
+                    eq.run(cell_end);
+                    Tick t;
+                    if (eq.peekNextTick(t))
+                        next = std::min(next, t);
+                }
+                // Only this worker and, after the barrier below, the
+                // master touch the slot; the arrival orders the two.
+                slots[wid].next = next;
             } catch (...) {
                 recordFault(std::current_exception());
             }
@@ -142,16 +152,24 @@ CellExecutor::masterStep(const BoundaryHook &boundary)
     // may schedule barrier resumes at q into any queue — their
     // owners are parked at the barrier).
     m.pageMapper().commitClaims();
+    BoundaryResult hook;
     if (boundary)
-        workDone = boundary(q);
+        hook = boundary(q);
+    workDone = hook.workDone;
 
     // Cell skip: jump straight to the cell holding the earliest
-    // pending event, including the deliveries staged this cell.
+    // pending event. The workers published their queues' heads and
+    // the router tracks the deliveries staged this cell; only what
+    // the hook just scheduled needs a look at the queues themselves.
     Tick min_next = router.minPending(router.currentParity());
-    for (SocketId s = 0; s < numQueues; ++s) {
-        Tick t;
-        if (m.queueAt(s).peekNextTick(t))
-            min_next = std::min(min_next, t);
+    for (const WorkerSlot &slot : slots)
+        min_next = std::min(min_next, slot.next);
+    if (hook.scheduled) {
+        for (SocketId s = 0; s < numQueues; ++s) {
+            Tick t;
+            if (m.queueAt(s).peekNextTick(t))
+                min_next = std::min(min_next, t);
+        }
     }
 
     if (min_next == MaxTick) {

@@ -13,18 +13,26 @@
  * TLB classification) is the degenerate case: one queue, one worker,
  * no outboxes, and boundaries that only serve the steps below.
  *
+ * After running its queues through a cell, each worker publishes the
+ * earliest tick still pending in them to its own line-padded slot.
  * One barrier per cell. The last thread to arrive is the master for
  * that boundary; it runs, single-threaded:
  *
  *   1. PageMapper::commitClaims() — deferred first-touch placement,
  *      in (issue tick, core) order;
  *   2. the caller's boundary hook (warm-up window reset, simulated-
- *      barrier release, completion check);
+ *      barrier release, completion check), which reports whether it
+ *      scheduled anything;
  *   3. the cell-skip computation: the next cell is the one holding
- *      the earliest pending event anywhere (queues + staged
- *      outboxes), so idle stretches cost one barrier, not W ticks of
- *      empty scanning;
- *   4. the outbox parity flip.
+ *      the earliest pending event anywhere, the minimum of the
+ *      workers' slots and the router's per-source staged minima
+ *      (QueueRouter::minPending), so idle stretches cost one barrier,
+ *      not W ticks of empty scanning. The master peeks at the queues
+ *      itself only when the hook scheduled into them. The step reads
+ *      O(workers + sockets) values, whatever the number of staged
+ *      events;
+ *   4. the outbox parity flip, which clears the reopened parity's
+ *      staged minima.
  *
  * After release each worker flushes the sealed parity's staged
  * deliveries into the queues it owns (sources in ascending order —
@@ -51,6 +59,7 @@
 #include <exception>
 #include <functional>
 #include <mutex>
+#include <vector>
 
 #include "common/stats.hh"
 #include "common/types.hh"
@@ -63,15 +72,25 @@ namespace c3d
 class CellExecutor
 {
   public:
+    /** What the boundary hook did at one boundary. */
+    struct BoundaryResult
+    {
+        /** The simulated work is complete; the executor stops at the
+         * first boundary where the machine is also quiescent (no
+         * pending events, no staged deliveries). */
+        bool workDone = false;
+        /** The hook scheduled events into some queue; the workers'
+         * published next ticks do not cover them. */
+        bool scheduled = false;
+    };
+
     /**
      * Boundary hook, run single-threaded by the barrier master at
      * each cell boundary tick @p q (after claim commit, before the
-     * outbox flush). May schedule events (at >= q) into any queue.
-     * Returns true once the simulated work is complete; the executor
-     * then stops at the first boundary where the machine is also
-     * quiescent (no pending events, no staged deliveries).
+     * outbox flush). May schedule events (at >= q) into any queue,
+     * and must then say so in its result.
      */
-    using BoundaryHook = std::function<bool(Tick q)>;
+    using BoundaryHook = std::function<BoundaryResult(Tick q)>;
 
     /**
      * @param machine the machine to drive (either KernelMode)
@@ -121,6 +140,15 @@ class CellExecutor
     // stop) back to the workers.
     std::atomic<std::uint32_t> arrived{0};
     std::atomic<bool> sense{false};
+
+    /** A worker's earliest pending tick after its cell, published
+     * before it arrives at the barrier; a line of its own. */
+    struct alignas(HostLineBytes) WorkerSlot
+    {
+        Tick next = MaxTick;
+    };
+    /** slots[wid], written by worker wid, read by the master. */
+    std::vector<WorkerSlot> slots;
 
     // Written only in the master section, read by workers after the
     // sense flip (see barrier ordering above).

@@ -25,6 +25,12 @@
  * Nodes still staged when the router is re-initialized or destroyed
  * are freed unrun.
  *
+ * Each source also keeps the earliest `when` it staged in each parity,
+ * on a host line of its own (the source's thread writes it in every
+ * inject). The cell executor's barrier master reads those n minima to
+ * find the next cell, instead of walking every staged node; a parity's
+ * minima are cleared when flipParity() reopens it for writing.
+ *
  * Determinism: flushTo() drains sources in ascending socket order and
  * preserves per-(src, dst) push order, so the destination queue sees
  * cross-socket arrivals in a canonical (source socket, send order)
@@ -65,6 +71,7 @@ class QueueRouter
         dropStaged();
         isMulti = false;
         queues.assign(num_sockets, &q);
+        lanes.clear();
     }
 
     /** One queue per socket, outboxes armed. */
@@ -77,6 +84,7 @@ class QueueRouter
         const std::size_t n = queues.size();
         outboxes[0].resize(n * n);
         outboxes[1].resize(n * n);
+        lanes.assign(n, SourceLane{});
     }
 
     bool multiQueue() const { return isMulti; }
@@ -122,7 +130,19 @@ class QueueRouter
     // barrier's release ordering publishes it to every worker.
 
     unsigned currentParity() const { return writeParity; }
-    void flipParity() { writeParity ^= 1u; }
+
+    /**
+     * Seal the write parity and reopen the other one, whose lists
+     * every owner flushed before arriving at this barrier: its staged
+     * minima restart at MaxTick.
+     */
+    void
+    flipParity()
+    {
+        writeParity ^= 1u;
+        for (SourceLane &lane : lanes)
+            lane.minWhen[writeParity] = MaxTick;
+    }
 
     /**
      * Splice every node staged for @p dst in parity @p parity into
@@ -147,27 +167,19 @@ class QueueRouter
         }
     }
 
-    /** Earliest staged delivery in @p parity; MaxTick when empty. */
+    /**
+     * Earliest delivery staged in @p parity since flipParity() last
+     * opened it; MaxTick when none was. Reads one minimum per source,
+     * not the lists. Flushing a parity leaves its minima in place
+     * until the flip that reopens it.
+     */
     Tick
     minPending(unsigned parity) const
     {
         Tick lo = MaxTick;
-        for (const Outbox &box : outboxes[parity]) {
-            for (const EventQueue::Event *e = box.head; e; e = e->next)
-                lo = std::min(lo, e->when);
-        }
+        for (const SourceLane &lane : lanes)
+            lo = std::min(lo, lane.minWhen[parity]);
         return lo;
-    }
-
-    /** True when no delivery is staged in @p parity. */
-    bool
-    parityEmpty(unsigned parity) const
-    {
-        for (const Outbox &box : outboxes[parity]) {
-            if (box.head)
-                return false;
-        }
-        return true;
     }
 
   private:
@@ -178,11 +190,20 @@ class QueueRouter
         EventQueue::Event *tail = nullptr;
     };
 
+    /** One source's earliest staged `when` per parity, written only
+     * by the source's thread; a line of its own. */
+    struct alignas(HostLineBytes) SourceLane
+    {
+        Tick minWhen[2] = {MaxTick, MaxTick};
+    };
+
     /** Append @p e (owned by the outbox from here on). */
     void
     stage(SocketId src, SocketId dst, EventQueue::Event *e)
     {
         Outbox &box = outboxes[writeParity][src * queues.size() + dst];
+        Tick &lo = lanes[src].minWhen[writeParity];
+        lo = std::min(lo, e->when);
         e->next = nullptr;
         if (box.tail)
             box.tail->next = e;
@@ -209,6 +230,8 @@ class QueueRouter
     unsigned writeParity = 0;
     /** outboxes[parity][src * numSockets + dst], staged deliveries. */
     std::vector<Outbox> outboxes[2];
+    /** lanes[src]: the staged minima of source @c src. */
+    std::vector<SourceLane> lanes;
 };
 
 } // namespace c3d

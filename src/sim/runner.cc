@@ -136,18 +136,21 @@ Runner::run(std::uint64_t warmup_ops, std::uint64_t measure_ops)
     }
 
     CellExecutor exec(*m, threads);
-    exec.run([&](Tick q) -> bool {
+    exec.run([&](Tick q) {
         if (warm_pending.exchange(false)) {
             m->stats().resetAll();
             measure_start = q;
         }
+        CellExecutor::BoundaryResult step;
         if (use_barrier) {
-            barrier.quantRelease(q, [this](CoreId c) -> EventQueue & {
-                return m->queueAt(
-                    c / m->config().coresPerSocket);
-            });
+            step.scheduled = barrier.quantRelease(
+                q, [this](CoreId c) -> EventQueue & {
+                    return m->queueAt(c / m->config().coresPerSocket);
+                });
         }
-        return done_remaining.load(std::memory_order_acquire) == 0;
+        step.workDone =
+            done_remaining.load(std::memory_order_acquire) == 0;
+        return step;
     });
 
     // The executor already quiesced the machine (it stops only once

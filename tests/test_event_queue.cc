@@ -9,6 +9,7 @@
 #include <array>
 #include <cstring>
 #include <functional>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -544,12 +545,73 @@ TEST(EventNode, RouterInjectFlushRunNeverMovesTheCallable)
     EXPECT_EQ(rt.minPending(0), 10u);
     rt.flipParity();
     rt.flushTo(1, 0);
-    EXPECT_TRUE(rt.parityEmpty(0));
+    rt.flipParity(); // reopens parity 0, now flushed
+    EXPECT_EQ(rt.minPending(0), MaxTick);
     EXPECT_TRUE(q1.run());
     EXPECT_EQ(t.runs, 1);
     EXPECT_EQ(t.movesAtRun, 1);
     EXPECT_EQ(t.moves, 1);
     EXPECT_EQ(t.drops, 1);
+}
+
+TEST(QueueRouter, StagedMinimumIsExactPerParity)
+{
+    // The barrier master reads minPending() instead of walking the
+    // outboxes: it must equal the earliest staged `when` across every
+    // (source, destination) pair, whatever order the ticks arrive in.
+    EventQueue q0, q1, q2;
+    QueueRouter rt;
+    rt.initMulti({&q0, &q1, &q2});
+    EXPECT_EQ(rt.minPending(0), MaxTick);
+    EXPECT_EQ(rt.minPending(1), MaxTick);
+
+    ASSERT_EQ(rt.currentParity(), 0u);
+    const std::vector<std::tuple<SocketId, SocketId, Tick>> even = {
+        {0, 1, 500}, {2, 0, 140}, {1, 2, 300}, {0, 2, 90},
+        {2, 1, 700}, {1, 0, 120}, {0, 1, 95}};
+    Tick want = MaxTick;
+    for (const auto &[src, dst, when] : even) {
+        rt.inject(src, dst, when, [] {});
+        want = std::min(want, when);
+        EXPECT_EQ(rt.minPending(0), want);
+    }
+    EXPECT_EQ(rt.minPending(1), MaxTick);
+
+    // Seal parity 0, stage into parity 1 while parity 0 is flushed:
+    // the flush leaves parity 1's minimum alone (and parity 0's stays
+    // as it was until the flip that reopens it).
+    rt.flipParity();
+    ASSERT_EQ(rt.currentParity(), 1u);
+    EXPECT_EQ(rt.minPending(1), MaxTick);
+    rt.inject(2, 0, 260, [] {});
+    rt.inject(1, 2, 230, [] {});
+    for (SocketId dst = 0; dst < 3; ++dst)
+        rt.flushTo(dst, 0);
+    EXPECT_EQ(q0.pending() + q1.pending() + q2.pending(), even.size());
+    EXPECT_EQ(rt.minPending(1), 230u);
+    EXPECT_EQ(rt.minPending(0), 90u);
+
+    // Reopening parity 0 resets its minimum; parity 1 keeps its own.
+    rt.flipParity();
+    EXPECT_EQ(rt.minPending(0), MaxTick);
+    EXPECT_EQ(rt.minPending(1), 230u);
+    rt.inject(0, 1, 400, [] {});
+    EXPECT_EQ(rt.minPending(0), 400u);
+    for (SocketId dst = 0; dst < 3; ++dst)
+        rt.flushTo(dst, 1);
+    rt.flipParity();
+    EXPECT_EQ(rt.minPending(1), MaxTick);
+    EXPECT_EQ(rt.minPending(0), 400u);
+}
+
+TEST(QueueRouter, SingleQueueStagesNothing)
+{
+    EventQueue q;
+    QueueRouter rt;
+    rt.initSingle(q, 4);
+    rt.inject(0, 3, 50, [] {});
+    EXPECT_EQ(q.pending(), 1u);
+    EXPECT_EQ(rt.minPending(rt.currentParity()), MaxTick);
 }
 
 TEST(EventNode, RunFreesTheNodeAfterTheCall)
@@ -605,8 +667,8 @@ TEST(EventNode, RouterDestructionFreesStagedEventsInBothParities)
         rt.inject(0, 1, 100, LifeProbe(even));
         rt.flipParity();
         rt.inject(1, 0, 100, LifeProbe(odd));
-        EXPECT_FALSE(rt.parityEmpty(0));
-        EXPECT_FALSE(rt.parityEmpty(1));
+        EXPECT_NE(rt.minPending(0), MaxTick);
+        EXPECT_NE(rt.minPending(1), MaxTick);
     }
     EXPECT_EQ(even.drops, 1);
     EXPECT_EQ(odd.drops, 1);

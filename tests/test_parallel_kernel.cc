@@ -241,6 +241,69 @@ TEST(ParallelKernel, IneligibleConfigsRunOnOneQueueAtAnyThreadCount)
     }
 }
 
+/**
+ * Each core reads a few blocks of its own, so after the first touches
+ * every access is an L1 hit and a core leaves no event behind when it
+ * parks at the barrier. Cores run at different speeds, so the last
+ * arrival of an episode leaves every queue and outbox empty: the
+ * boundary hook's release is then the only pending work in the
+ * machine.
+ */
+class ParkedAtBarrierWorkload : public Workload
+{
+  public:
+    explicit ParkedAtBarrierWorkload(std::uint32_t cores)
+        : cursor(cores, 0)
+    {}
+    const std::string &name() const override { return label; }
+    TraceOp
+    next(CoreId core) override
+    {
+        TraceOp op;
+        op.gap = 5 + 37 * core;
+        op.op = MemOp::Read;
+        op.addr = 0x400000 + core * 0x10000 +
+            (cursor[core]++ % 4) * BlockBytes;
+        return op;
+    }
+    std::uint64_t barrierInterval() const override { return 10; }
+
+  private:
+    std::string label = "parked-at-barrier";
+    std::vector<std::uint64_t> cursor;
+};
+
+TEST(ParallelKernel, BarrierReleaseIsTheOnlyWakeupAtEveryThreadCount)
+{
+    // The executor finds the next cell from what the workers published
+    // and what the router staged; only the hook's own report tells it
+    // about the resumes a barrier release schedules. If it missed them
+    // here it would see a drained machine and panic (lost wakeup), or
+    // run the resumes in the wrong cell.
+    const SystemConfig cfg = test::tinyConfig(Design::C3D, 4, 1);
+    ASSERT_TRUE(Machine::parallelKernelEligible(cfg));
+    auto run_with = [&cfg](unsigned threads, std::uint64_t &episodes) {
+        ParkedAtBarrierWorkload wl(cfg.totalCores());
+        KernelOptions k;
+        k.parallel = threads > 1;
+        k.threads = threads;
+        Runner r(cfg, wl, RunOptions(k));
+        const RunResult res = r.run(20, 200);
+        episodes = r.machine().stats().valueOf("barrier.episodes");
+        return res;
+    };
+    std::uint64_t ref_episodes = 0;
+    const RunResult ref = run_with(1, ref_episodes);
+    EXPECT_GT(ref.instructions, 0u);
+    EXPECT_GE(ref_episodes, 15u);
+    for (unsigned t : {2u, 4u}) {
+        std::uint64_t episodes = 0;
+        expectSameResult(ref, run_with(t, episodes),
+                         std::to_string(t) + " threads");
+        EXPECT_EQ(episodes, ref_episodes);
+    }
+}
+
 TEST(ParallelKernel, ThreadCountDoesNotChangeEligibleRunResults)
 {
     // Direct runWorkload-level check (no sweep emitters in the

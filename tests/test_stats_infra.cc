@@ -14,6 +14,7 @@
 #include "common/log.hh"
 #include "common/sim_error.hh"
 #include "common/stats.hh"
+#include "common/types.hh"
 
 namespace c3d
 {
@@ -213,6 +214,52 @@ TEST(StatsInfra, ShardsSumAndMergeExtrema)
     EXPECT_EQ(h.count(), 0u);
     EXPECT_EQ(h.min(), 0u);
     EXPECT_EQ(h.max(), 0u);
+}
+
+// Shards of one stat sit in an array; a shard type that is aligned to
+// a host line and a whole number of lines long puts every shard at the
+// start of a line of its own, so no two workers' shards share a line.
+static_assert(alignof(Counter::Shard) >= HostLineBytes &&
+                  sizeof(Counter::Shard) % HostLineBytes == 0,
+              "adjacent Counter shards must not share a host line");
+static_assert(alignof(Histogram::Shard) >= HostLineBytes &&
+                  sizeof(Histogram::Shard) % HostLineBytes == 0,
+              "adjacent Histogram shards must not share a host line");
+static_assert(sizeof(Counter) >= MaxStatShards * HostLineBytes,
+              "a Counter holds one host line per shard");
+
+TEST(StatsInfra, FourWorkersCountingConcurrentlyGiveExactTotals)
+{
+    // Four threads hammer one counter and one histogram at once, each
+    // on its own shard, as four kernel workers do inside a cell.
+    constexpr unsigned Workers = 4;
+    constexpr std::uint64_t Iters = 200000;
+    StatGroup g("g");
+    Counter c;
+    c.init(&g, "c");
+    Histogram h;
+    h.init(&g, "h");
+    std::vector<std::thread> workers;
+    for (unsigned w = 0; w < Workers; ++w) {
+        workers.emplace_back([&, w] {
+            statShard = w;
+            for (std::uint64_t i = 0; i < Iters; ++i) {
+                ++c;
+                h.sample(i % 1000);
+            }
+        });
+    }
+    for (auto &t : workers)
+        t.join();
+    EXPECT_EQ(c.value(), Workers * Iters);
+    EXPECT_EQ(h.count(), Workers * Iters);
+    std::uint64_t per_worker = 0;
+    for (std::uint64_t i = 0; i < Iters; ++i)
+        per_worker += i % 1000;
+    EXPECT_EQ(h.sum(), Workers * per_worker);
+    EXPECT_EQ(h.min(), 0u);
+    EXPECT_EQ(h.max(), 999u);
+    EXPECT_EQ(h.bucket(0), Workers * (Iters / 1000));
 }
 
 TEST(WatchInfra, MatchesOnlyTheWatchedBlock)
