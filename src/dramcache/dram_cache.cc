@@ -22,7 +22,7 @@ DramCache::DramCache(EventQueue &eq, const SystemConfig &cfg,
 {
     const std::uint64_t frames =
         std::max<std::uint64_t>(cfg.dramCacheBytes / BlockBytes, 1);
-    slots.assign(frames, 0);
+    slots = ZeroedArray<std::uint64_t>(frames);
     slotsArePow2 = (frames & (frames - 1)) == 0;
     slotMask = slotsArePow2 ? frames - 1 : 0;
 
@@ -60,7 +60,7 @@ DramCache::enableTenantTracking(std::uint32_t tenants)
 {
     c3d_assert(tenantBlocks.empty(), "tenant tracking enabled twice");
     tenantBlocks.assign(tenants, 0);
-    owners.assign(slots.size(), 0);
+    owners = ZeroedArray<std::uint32_t>(slots.size());
     tenantHits = std::vector<Counter>(tenants);
     tenantMisses = std::vector<Counter>(tenants);
     for (std::uint32_t t = 0; t < tenants; ++t) {
@@ -247,8 +247,12 @@ DramCache::invalidate(Addr addr, InvalidateDone done)
     const bool present = holds(word, blk);
 
     if (predictorEnabled && !predictPresent(addr, present)) {
-        eventq.scheduleAt(now + predictorLatency,
-                          [done = std::move(done)] { done(false, false); });
+        if (done) {
+            eventq.scheduleAt(now + predictorLatency,
+                              [done = std::move(done)] {
+                                  done(false, false);
+                              });
+        }
         return;
     }
 
@@ -268,10 +272,12 @@ DramCache::invalidate(Addr addr, InvalidateDone done)
     // §III-A: invalidating a (possibly) present block requires the
     // DRAM access -- to check dirtiness and clear the tag.
     const Tick ready = chargeChannel(addr, access_start + accessLatency);
-    eventq.scheduleAt(ready,
-                      [done = std::move(done), present, dirty] {
-                          done(present, dirty);
-                      });
+    if (done) {
+        eventq.scheduleAt(ready,
+                          [done = std::move(done), present, dirty] {
+                              done(present, dirty);
+                          });
+    }
 }
 
 DramCacheVictim

@@ -23,14 +23,27 @@
  * otherwise. Each probe, fill, invalidation and clean update reads
  * its frame once. Tenant owners live in a parallel array that exists
  * only while tenant tracking is on.
+ *
+ * Both arrays come zeroed from std::calloc, which hands out fresh
+ * memory as untouched zero pages: a page becomes resident only when
+ * a fill, clean update or owner change first writes one of its
+ * frames, and a never-written frame reads 0 (empty). A row leaves
+ * most frames of a paper-sized store unwritten (Table II's 1 GB
+ * cache is a 128 MB tag store per socket), and pays host memory only
+ * for the pages it writes. The allocator, not an mmap per machine,
+ * decides whether a freed store's pages go back to the kernel, so a
+ * many-row sweep does not fault every row's store in afresh.
  */
 
 #ifndef C3DSIM_DRAMCACHE_DRAM_CACHE_HH
 #define C3DSIM_DRAMCACHE_DRAM_CACHE_HH
 
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
+#include <new>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "cache/tag_array.hh" // CacheState
@@ -121,7 +134,9 @@ class DramCache
     /**
      * Invalidate @p addr if present. @p done receives
      * (wasPresent, wasDirty) when the invalidation has completed;
-     * predicted-absent blocks complete in predictor latency.
+     * predicted-absent blocks complete in predictor latency. An empty
+     * @p done schedules nothing: the slot is cleared and the channel
+     * charged at call time either way.
      */
     void invalidate(Addr addr, InvalidateDone done);
 
@@ -160,6 +175,8 @@ class DramCache
     }
 
     std::uint64_t capacityBlocks() const { return slots.size(); }
+    /** The tag store, capacityBlocks() slot words (tests/inspection). */
+    const std::uint64_t *tagStore() const { return slots.begin(); }
     /** Count of resident blocks (linear scan; tests/inspection). */
     std::uint64_t validBlocks() const;
 
@@ -202,6 +219,42 @@ class DramCache
     }
 
   private:
+    /**
+     * Fixed-size owning array of @p T over std::calloc/std::free (see
+     * the file comment): elements start as zero bytes and stay
+     * untouched pages until written.
+     */
+    template <typename T>
+    class ZeroedArray
+    {
+        static_assert(std::is_trivially_copyable_v<T>,
+                      "calloc's zero bytes must be a valid T");
+
+      public:
+        ZeroedArray() = default;
+        explicit ZeroedArray(std::size_t n)
+            : ptr(static_cast<T *>(std::calloc(n, sizeof(T)))), count(n)
+        {
+            if (!ptr)
+                throw std::bad_alloc();
+        }
+
+        T &operator[](std::size_t i) { return ptr.get()[i]; }
+        const T &operator[](std::size_t i) const { return ptr.get()[i]; }
+        std::size_t size() const { return count; }
+        bool empty() const { return count == 0; }
+        const T *begin() const { return ptr.get(); }
+        const T *end() const { return ptr.get() + count; }
+
+      private:
+        struct Free
+        {
+            void operator()(T *p) const { std::free(p); }
+        };
+        std::unique_ptr<T, Free> ptr;
+        std::size_t count = 0;
+    };
+
     /** Slot word of @p blk resident in @p state. */
     static std::uint64_t
     slotWord(Addr blk, CacheState state)
@@ -259,7 +312,7 @@ class DramCache
 
     EventQueue &eventq;
     /** One slot word per block frame (see the file comment). */
-    std::vector<std::uint64_t> slots;
+    ZeroedArray<std::uint64_t> slots;
     bool slotsArePow2 = false;
     std::uint64_t slotMask = 0;
     std::unique_ptr<PresencePredictor> predictor;
@@ -292,7 +345,7 @@ class DramCache
     std::vector<Counter> tenantMisses;
     std::vector<std::uint64_t> tenantBlocks;
     /** Per-frame owner, tenant+1 (0 = unowned). */
-    std::vector<std::uint32_t> owners;
+    ZeroedArray<std::uint32_t> owners;
 };
 
 } // namespace c3d

@@ -238,9 +238,9 @@ Socket::issueGetX(std::uint32_t core, Addr blk, bool upgrade,
                    [this, core, blk, start, done = std::move(done)] {
         fillWrite(core, blk);
         // The local DRAM cache may hold a now-stale clean copy of the
-        // block; kill it off the critical path.
+        // block; kill it off the critical path (nobody waits for it).
         if (dcache && dcache->contains(blk)) {
-            dcache->invalidate(blk, [](bool, bool) {});
+            dcache->invalidate(blk, nullptr);
         }
         finishStore(core, start, done);
     });

@@ -4,6 +4,12 @@
  */
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <vector>
 
 #include "common/config.hh"
 #include "common/rng.hh"
@@ -194,6 +200,49 @@ TEST(DramCache, VictimAddressRoundTripsAtTopOfAddressSpace)
     }
 }
 
+/** Share of the host pages spanning [@p p, @p p + @p bytes) that
+ * are resident, by mincore. */
+double
+residentShare(const void *p, std::size_t bytes)
+{
+    const auto page = static_cast<std::uintptr_t>(sysconf(_SC_PAGESIZE));
+    const auto lo = reinterpret_cast<std::uintptr_t>(p) & ~(page - 1);
+    const auto hi = reinterpret_cast<std::uintptr_t>(p) + bytes;
+    std::vector<unsigned char> resident((hi - lo + page - 1) / page);
+    EXPECT_EQ(mincore(reinterpret_cast<void *>(lo), hi - lo,
+                      resident.data()),
+              0);
+    const auto touched = std::count_if(
+        resident.begin(), resident.end(),
+        [](unsigned char r) { return (r & 1) != 0; });
+    return static_cast<double>(touched) /
+           static_cast<double>(resident.size());
+}
+
+TEST(DramCache, TagStorePagesBecomeResidentOnlyWhenWritten)
+{
+    // Table II's 1 GB cache has a 128 MB tag store. Building it must
+    // not touch the store, and each fill makes only its own frame's
+    // page resident.
+    EventQueue eq;
+    StatGroup g("t");
+    SystemConfig cfg = dcConfig();
+    cfg.dramCacheBytes = 1ull << 30;
+    DramCache dc(eq, cfg, 0, &g);
+    const std::size_t bytes =
+        dc.capacityBlocks() * sizeof(*dc.tagStore());
+    ASSERT_EQ(bytes, 128ull << 20);
+    EXPECT_LT(residentShare(dc.tagStore(), bytes), 0.01);
+
+    const Addr quarter = cfg.dramCacheBytes / 4;
+    for (int i = 0; i < 4; ++i)
+        dc.insert(i * quarter + 0x40, false);
+    EXPECT_LT(residentShare(dc.tagStore(), bytes), 0.01);
+    for (int i = 0; i < 4; ++i)
+        EXPECT_TRUE(dc.contains(i * quarter + 0x40));
+    EXPECT_FALSE(dc.contains(0x80));
+}
+
 TEST(DramCache, InvalidateRemovesAndReports)
 {
     EventQueue eq;
@@ -225,6 +274,38 @@ TEST(DramCache, InvalidateAbsentIsFast)
     });
     eq.run();
     EXPECT_EQ(done, cfg.missPredictorLatency);
+}
+
+TEST(DramCache, InvalidateWithoutCompletionSchedulesNothing)
+{
+    // An empty completion (a stale copy dropped off the critical
+    // path) clears the frame and occupies the channel at call time,
+    // and puts no event on the queue.
+    EventQueue eq;
+    StatGroup g("t");
+    SystemConfig cfg = dcConfig(Design::FullDir);
+    cfg.dramCacheChannels = 1;
+    StatGroup fresh_stats("fresh");
+    DramCache dc(eq, cfg, 0, &g);
+    DramCache fresh(eq, cfg, 0, &fresh_stats);
+    dc.insert(0x2000, false);
+    fresh.insert(0x2000, false);
+    eq.run();
+
+    dc.invalidate(0x2000, nullptr);
+    EXPECT_FALSE(dc.contains(0x2000));
+    EXPECT_EQ(eq.pending(), 0u);
+
+    // The invalidation's burst delays the next access on its channel.
+    Tick after_invalidate = 0;
+    Tick untouched = 0;
+    dc.probe(0x4000,
+             [&](DramCacheProbe r) { after_invalidate = r.readyAt; },
+             true);
+    fresh.probe(0x4000, [&](DramCacheProbe r) { untouched = r.readyAt; },
+                true);
+    eq.run();
+    EXPECT_GT(after_invalidate, untouched);
 }
 
 TEST(DramCache, UpdateCleanRefreshesDirtyBlock)
