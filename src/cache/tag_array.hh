@@ -127,46 +127,41 @@ class TagArray
     {
         AllocResult res;
         const Addr blk = blockNumber(addr);
-        TagEntry *set = &entries[setIndex(blk)];
-
-        // One pass finds the hit, the first invalid way, and the
-        // true-LRU victim: hit wins, then invalid, then LRU. Ties on
-        // lastUse keep the lowest way, matching the two-pass scan
-        // this replaces.
-        TagEntry *invalid = nullptr;
-        TagEntry *lru = nullptr;
-        for (std::uint32_t w = 0; w < numWays; ++w) {
-            TagEntry &e = set[w];
-            if (!e.valid()) {
-                if (!invalid)
-                    invalid = &e;
-                continue;
-            }
-            if (e.tag == blk) {
-                e.state = state;
-                touch(&e);
-                res.entry = &e;
-                return res;
-            }
-            if (!lru || e.lastUse < lru->lastUse)
-                lru = &e;
+        WayKind kind;
+        TagEntry *way = chooseWay(&entries[setIndex(blk)], blk, kind);
+        if (kind == WayKind::Hit) {
+            way->state = state;
+            touch(way);
+            res.entry = way;
+            return res;
         }
-
-        TagEntry *victim = invalid;
-        if (!victim) {
-            victim = lru;
+        if (kind == WayKind::Victim) {
             res.evictedValid = true;
-            res.victimAddr = victim->tag << BlockShift;
-            res.victimState = victim->state;
-            res.victimAux = victim->aux;
+            res.victimAddr = way->tag << BlockShift;
+            res.victimState = way->state;
+            res.victimAux = way->aux;
         }
-
-        victim->tag = blk;
-        victim->state = state;
-        victim->aux = 0;
-        touch(victim);
-        res.entry = victim;
+        way->tag = blk;
+        way->state = state;
+        way->aux = 0;
+        touch(way);
+        res.entry = way;
         return res;
+    }
+
+    /**
+     * The valid block that allocate(@p addr) would displace now, or
+     * nullptr when it would hit or fill a free way. Reads only; the
+     * socket uses it to host-prefetch the victim's DRAM-cache slot.
+     */
+    const TagEntry *
+    victimFor(Addr addr) const
+    {
+        const Addr blk = blockNumber(addr);
+        WayKind kind;
+        const TagEntry *way =
+            chooseWay(&entries[setIndex(blk)], blk, kind);
+        return kind == WayKind::Victim ? way : nullptr;
     }
 
     /** Invalidate the block containing @p addr if present. */
@@ -204,6 +199,39 @@ class TagArray
     }
 
   private:
+    /** Why allocate() takes the way chooseWay() picked. */
+    enum class WayKind : std::uint8_t { Hit, Free, Victim };
+
+    /**
+     * The way allocate() takes in @p set for @p blk. One pass finds
+     * the hit, the first invalid way and the true-LRU victim: hit
+     * wins, then invalid, then LRU. Ties on lastUse keep the lowest
+     * way. @p kind says which it is.
+     */
+    template <typename Entry>
+    Entry *
+    chooseWay(Entry *set, Addr blk, WayKind &kind) const
+    {
+        Entry *invalid = nullptr;
+        Entry *lru = nullptr;
+        for (std::uint32_t w = 0; w < numWays; ++w) {
+            Entry &e = set[w];
+            if (!e.valid()) {
+                if (!invalid)
+                    invalid = &e;
+                continue;
+            }
+            if (e.tag == blk) {
+                kind = WayKind::Hit;
+                return &e;
+            }
+            if (!lru || e.lastUse < lru->lastUse)
+                lru = &e;
+        }
+        kind = invalid ? WayKind::Free : WayKind::Victim;
+        return invalid ? invalid : lru;
+    }
+
     /** First-entry index of @p blk's set. */
     std::size_t
     setIndex(Addr blk) const

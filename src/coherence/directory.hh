@@ -14,11 +14,16 @@
  *
  *  - FullDirectory: an unbounded map with no recalls, modelling the
  *    paper's idealized inclusive directory (full-dir, c3d-full-dir)
- *    that optimistically keeps a 10-cycle access latency. It stays a
- *    node-based std::unordered_map: a DirectoryStore entry keeps its
- *    address until it is erased (as SparseDirectory's fixed rows do),
- *    which an open-addressed table that moves values as it grows
- *    would break.
+ *    that optimistically keeps a 10-cycle access latency. It is an
+ *    open-addressed FlatMap keyed by block number, so tracking a
+ *    block allocates nothing once the table has grown to the row's
+ *    working set.
+ *
+ * A DirEntry pointer from find() or allocate() is valid until the
+ * next allocate() or erase() on the same store (FullDirectory moves
+ * entries as it grows and as an erase closes a probe run). Every
+ * protocol handler uses its pointer within the one event that
+ * obtained it, before any further allocate or erase.
  */
 
 #ifndef C3DSIM_COHERENCE_DIRECTORY_HH
@@ -26,12 +31,12 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "common/log.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
+#include "sim/flat_map.hh"
 #include "sim/inline_function.hh"
 
 namespace c3d
@@ -80,7 +85,10 @@ class DirectoryStore
   public:
     virtual ~DirectoryStore() = default;
 
-    /** Look up @p addr; nullptr when untracked. */
+    /**
+     * Look up @p addr; nullptr when untracked. The pointer is valid
+     * until the next allocate() or erase() on this store.
+     */
     virtual DirEntry *find(Addr addr) = 0;
 
     /** Filter for recall victims (e.g. "block not locked"). */
@@ -91,6 +99,7 @@ class DirectoryStore
      * whose sharers the caller must invalidate. @p evictable, when
      * set, restricts which victims may be recalled -- a block with a
      * transaction in flight must not lose its entry mid-transaction.
+     * The pointer is valid until the next allocate() or erase().
      */
     virtual DirEntry *allocate(Addr addr, DirRecall &recall,
                                const Evictable &evictable = {}) = 0;
@@ -284,8 +293,7 @@ class FullDirectory : public DirectoryStore
     DirEntry *
     find(Addr addr) override
     {
-        auto it = map.find(blockNumber(addr));
-        return it == map.end() ? nullptr : &it->second;
+        return map.find(blockNumber(addr));
     }
 
     DirEntry *
@@ -293,14 +301,14 @@ class FullDirectory : public DirectoryStore
              const Evictable & = {}) override
     {
         recall.valid = false;
-        auto [it, inserted] = map.emplace(blockNumber(addr), DirEntry{});
+        auto [entry, inserted] = map.tryEmplace(blockNumber(addr));
         if (inserted) {
             ++allocations;
             if (map.size() > peakTracked.value()) {
                 peakTracked += map.size() - peakTracked.value();
             }
         }
-        return &it->second;
+        return entry;
     }
 
     void erase(Addr addr) override { map.erase(blockNumber(addr)); }
@@ -318,7 +326,7 @@ class FullDirectory : public DirectoryStore
 
   private:
     const std::uint32_t vectorBits;
-    std::unordered_map<Addr, DirEntry> map;
+    FlatMap<Addr, DirEntry> map;
     Counter allocations;
     Counter peakTracked;
 };

@@ -52,10 +52,45 @@ struct SnoopyProtocol::SnoopJoin
     bool completed = false;
 };
 
-HomeLineState &
-SnoopyProtocol::lineAt(SocketId home, Addr addr)
+const HomeLineState &
+SnoopyProtocol::lineAt(SocketId home, Addr addr) const
 {
-    return homeLines[home][blockAlign(addr)];
+    static constexpr HomeLineState Absent{};
+    const HomeLineState *line = homeLines[home].find(blockAlign(addr));
+    return line ? *line : Absent;
+}
+
+template <typename F>
+void
+SnoopyProtocol::updateLine(SocketId home, Addr addr, F &&change)
+{
+    FlatMap<Addr, HomeLineState> &lines = homeLines[home];
+    const Addr blk = blockAlign(addr);
+    HomeLineState &line = *lines.tryEmplace(blk).first;
+    change(line);
+    if (line.empty())
+        lines.erase(blk);
+}
+
+std::uint64_t
+SnoopyProtocol::homeLineCount() const
+{
+    std::uint64_t n = 0;
+    for (const auto &lines : homeLines)
+        n += lines.size();
+    return n;
+}
+
+std::uint64_t
+SnoopyProtocol::emptyHomeLines() const
+{
+    std::uint64_t n = 0;
+    for (const auto &lines : homeLines) {
+        lines.forEach([&n](Addr, const HomeLineState &line) {
+            n += line.empty();
+        });
+    }
+    return n;
 }
 
 void
@@ -130,12 +165,12 @@ SnoopyProtocol::commitAndRelease(SocketId home, SocketId req,
                                  Addr addr, bool is_write,
                                  bool update_copies)
 {
-    HomeLineState &line = lineAt(home, addr);
     if (update_copies) {
         // Dragon: the ordering point redistributes the new data to
         // every believed copy; they stay valid (update, not
         // invalidate). Pure timing traffic at the receiving socket.
-        const std::uint32_t stale = line.copies & ~(1u << req);
+        const std::uint32_t stale =
+            lineAt(home, addr).copies & ~(1u << req);
         for (SocketId t = 0; t < m.numSockets(); ++t) {
             if (stale & (1u << t)) {
                 ++updatesSent;
@@ -143,7 +178,9 @@ SnoopyProtocol::commitAndRelease(SocketId home, SocketId req,
             }
         }
     }
-    variant->complete(line, req, is_write);
+    updateLine(home, addr, [&](HomeLineState &line) {
+        variant->complete(line, req, is_write);
+    });
     homeLocks[home].release(addr);
 }
 
@@ -179,7 +216,10 @@ SnoopyProtocol::runBroadcast(SocketId req, SocketId home, Addr addr,
         const bool is_supplier =
             plan.supplier == static_cast<std::int32_t>(t);
         // Probes fan out from the ordering point; the home "probing
-        // itself" is a local action (no interconnect traffic).
+        // itself" is a local action (no interconnect traffic). The
+        // probe reads t's DRAM-cache slot word one hop later.
+        if (const DramCache *dc = m.socket(t).dramCache())
+            dc->prefetch(addr);
         sendCtrl(home, t, [this, req, home, t, addr, probe_invalidate,
                            retain, reflective, is_supplier,
                            join]() mutable {
@@ -278,7 +318,9 @@ SnoopyProtocol::putX(SocketId req, Addr addr)
     // home's books.
     const SocketId home = m.homeOf(addr, req);
     sendData(req, home, [this, req, home, addr] {
-        variant->evicted(lineAt(home, addr), req);
+        updateLine(home, addr, [&](HomeLineState &line) {
+            variant->evicted(line, req);
+        });
         memWrite(home, addr, req != home);
     });
 }
@@ -290,7 +332,9 @@ SnoopyProtocol::dramCacheEvicted(SocketId req, Addr addr, bool dirty)
         return; // silent clean eviction (home state goes stale)
     const SocketId home = m.homeOf(addr, req);
     sendData(req, home, [this, req, home, addr] {
-        variant->evicted(lineAt(home, addr), req);
+        updateLine(home, addr, [&](HomeLineState &line) {
+            variant->evicted(line, req);
+        });
         memWrite(home, addr, req != home);
     });
 }

@@ -19,12 +19,12 @@
 #define C3DSIM_COHERENCE_SNOOPY_PROTOCOL_HH
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "coherence/protocol_base.hh"
 #include "coherence/snoopy_variants.hh"
 #include "coherence/store_buffer.hh"
+#include "sim/flat_map.hh"
 
 namespace c3d
 {
@@ -43,6 +43,12 @@ class SnoopyProtocol : public ProtocolBase
     void dramCacheEvicted(SocketId req, Addr addr, bool dirty) override;
 
     const char *name() const override { return variant->name(); }
+
+    /** Home lines held over every home (tests/inspection). */
+    std::uint64_t homeLineCount() const;
+
+    /** Held home lines that are empty; always 0 (tests/inspection). */
+    std::uint64_t emptyHomeLines() const;
 
   private:
     /** Route to the home ordering point, plan, then broadcast. */
@@ -68,14 +74,27 @@ class SnoopyProtocol : public ProtocolBase
     void commitAndRelease(SocketId home, SocketId req, Addr addr,
                           bool is_write, bool update_copies);
 
-    /** Home-side per-line state (home-queue events only). */
-    HomeLineState &lineAt(SocketId home, Addr addr);
+    /**
+     * Home-side per-line state (home-queue events only); an absent
+     * line reads as empty. Valid until the next updateLine() at
+     * @p home.
+     */
+    const HomeLineState &lineAt(SocketId home, Addr addr) const;
+
+    /**
+     * Apply @p change to the home-side state of @p addr's line and
+     * drop the line if that leaves it empty, so the table holds only
+     * lines some socket is believed to cache.
+     */
+    template <typename F>
+    void updateLine(SocketId home, Addr addr, F &&change);
 
     /** Route a home-side memory write through the store buffer. */
     void memWrite(SocketId home, Addr addr, bool remote);
 
     std::unique_ptr<SnoopVariant> variant;
-    std::vector<std::unordered_map<Addr, HomeLineState>> homeLines;
+    /** Per home: the non-empty lines, keyed by block address. */
+    std::vector<FlatMap<Addr, HomeLineState>> homeLines;
     std::vector<StoreBuffer> writeBuffers;
 
     Counter snoops;

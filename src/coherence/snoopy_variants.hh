@@ -44,6 +44,11 @@ struct HomeLineState
     std::int32_t forwarder = -1; //!< believed clean supplier (-1: none)
 
     bool holds(SocketId s) const { return copies & (1u << s); }
+    /** Nothing believed: reads exactly as a line never touched. */
+    bool empty() const
+    {
+        return copies == 0 && owner < 0 && forwarder < 0;
+    }
     void add(SocketId s) { copies |= 1u << s; }
     void remove(SocketId s)
     {

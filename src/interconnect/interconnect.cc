@@ -34,6 +34,22 @@ Interconnect::Interconnect(QueueRouter &rt, const SystemConfig &cfg,
         ? Bandwidth()
         : Bandwidth::fromGBps(cfg.linkGBps);
 
+    // Next hop of every (from, dst) pair: P2P goes straight to dst;
+    // the ring steps toward the shorter arc, clockwise on a tie.
+    nextHop.resize(static_cast<std::size_t>(numSockets) * numSockets);
+    for (SocketId s = 0; s < numSockets; ++s) {
+        for (SocketId d = 0; d < numSockets; ++d) {
+            SocketId next = d;
+            if (numSockets > 2 && s != d) {
+                const std::uint32_t cw = (d + numSockets - s) % numSockets;
+                const std::uint32_t ccw = (s + numSockets - d) % numSockets;
+                next = cw <= ccw ? (s + 1) % numSockets
+                                 : (s + numSockets - 1) % numSockets;
+            }
+            nextHop[linkIndex(s, d)] = next;
+        }
+    }
+
     links.resize(static_cast<std::size_t>(numSockets) * numSockets);
     for (SocketId s = 0; s < numSockets; ++s) {
         for (SocketId d = 0; d < numSockets; ++d) {
@@ -68,14 +84,7 @@ SocketId
 Interconnect::nextOnPath(SocketId from, SocketId dst) const
 {
     c3d_assert(from != dst, "no path needed");
-    if (numSockets <= 2)
-        return dst;
-    // Bidirectional ring: step in the direction of the shorter arc.
-    const std::uint32_t cw = (dst + numSockets - from) % numSockets;
-    const std::uint32_t ccw = (from + numSockets - dst) % numSockets;
-    if (cw <= ccw)
-        return (from + 1) % numSockets;
-    return (from + numSockets - 1) % numSockets;
+    return nextHop[linkIndex(from, dst)];
 }
 
 std::uint32_t

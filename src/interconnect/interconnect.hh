@@ -115,12 +115,13 @@ class Interconnect
     std::uint64_t dataBytes() const { return dataBytesStat.value(); }
     std::uint64_t packetsSent() const { return packets.value(); }
 
+    /** Next socket along the shortest path from @p from to @p dst
+     * (from != dst); a ring tie takes the clockwise step. */
+    SocketId nextOnPath(SocketId from, SocketId dst) const;
+
   private:
     /** Index of the directed link from @p from toward @p to (1 hop). */
     std::uint32_t linkIndex(SocketId from, SocketId to) const;
-
-    /** Next socket along the shortest path from @p from to @p dst. */
-    SocketId nextOnPath(SocketId from, SocketId dst) const;
 
     /**
      * Fault-injection gate and traffic accounting for an inter-socket
@@ -146,6 +147,10 @@ class Interconnect
      * single peer link (P2P). links[from * numSockets + to] for
      * adjacent pairs. */
     std::vector<Channel> links;
+
+    /** nextHop[linkIndex(from, dst)]: nextOnPath's answer, built once
+     * so a hop costs no division. */
+    std::vector<SocketId> nextHop;
 
     Counter packets;
     Counter ctrlBytes;

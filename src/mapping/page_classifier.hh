@@ -15,10 +15,10 @@
 #define C3DSIM_MAPPING_PAGE_CLASSIFIER_HH
 
 #include <cstdint>
-#include <unordered_map>
 
 #include "common/stats.hh"
 #include "common/types.hh"
+#include "sim/flat_map.hh"
 
 namespace c3d
 {
@@ -48,16 +48,15 @@ class PageClassifier
     accessAndClassify(Addr addr, CoreId core, bool &trapped)
     {
         trapped = false;
-        const Addr page = pageNumber(addr);
-        auto it = table.find(page);
-        if (it == table.end()) {
-            table.emplace(page, Entry{core, /*shared=*/false});
+        auto [slot, first_touch] = table.tryEmplace(
+            pageNumber(addr), Entry{core, /*shared=*/false});
+        if (first_touch) {
             ++classifiedPrivate;
             ++trapCount;
             trapped = true;
             return true;
         }
-        Entry &e = it->second;
+        Entry &e = *slot;
         if (e.shared)
             return false;
         if (e.owner == core)
@@ -75,9 +74,8 @@ class PageClassifier
     bool
     isPrivateTo(Addr addr, CoreId core) const
     {
-        auto it = table.find(pageNumber(addr));
-        return it != table.end() && !it->second.shared &&
-            it->second.owner == core;
+        const Entry *e = table.find(pageNumber(addr));
+        return e && !e->shared && e->owner == core;
     }
 
     std::uint64_t privatePages() const
@@ -96,7 +94,7 @@ class PageClassifier
         bool shared;
     };
 
-    std::unordered_map<Addr, Entry> table;
+    FlatMap<Addr, Entry> table;
     Counter classifiedPrivate;
     Counter reclassified;
     Counter trapCount;

@@ -1,8 +1,9 @@
 /**
  * @file
- * Open-addressed hash map for the per-block and per-page tables on
- * the request path (outstanding reads, in-flight invalidations, block
- * locks, page homes).
+ * Open-addressed hash map for every per-block and per-page table on
+ * the request path: outstanding reads, in-flight invalidations, block
+ * locks, page homes, page classifications, the full directory's
+ * entries and snoopy's home lines.
  *
  * Keys are unsigned integers (block or page numbers) and the all-ones
  * key marks a free slot, so a table is two flat arrays: a key row
@@ -17,8 +18,9 @@
  *
  * Values move when the table grows and when an erase shifts a run
  * back: a pointer from find() or tryEmplace() is valid only until the
- * next insert or erase. Tables that promise stable entry addresses
- * (FullDirectory, snoopy's home lines) stay on std::unordered_map.
+ * next insert or erase. Every user holds such a pointer within one
+ * event, before its next insert or erase on that table (for the
+ * directory, DirectoryStore states this contract).
  */
 
 #ifndef C3DSIM_SIM_FLAT_MAP_HH
@@ -123,6 +125,17 @@ class FlatMap
     }
 
     std::size_t size() const { return count; }
+
+    /** Visit every (key, value) pair in slot order. */
+    template <typename Fn>
+    void
+    forEach(Fn &&fn) const
+    {
+        for (std::size_t i = 0; i < cap; ++i) {
+            if (keys[i] != EmptyKey)
+                fn(keys[i], static_cast<const V &>(vals[i]));
+        }
+    }
 
     /** Slot count (a power of two; 0 before the first insert). */
     std::size_t capacity() const { return cap; }

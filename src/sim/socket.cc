@@ -115,9 +115,13 @@ Socket::accessLlcForRead(std::uint32_t core, Addr blk, Tick start,
 
     ++llcMissCount;
     // Tag miss known after the tag access; the DRAM-cache probe then
-    // reads the block's slot word.
-    if (dcache)
+    // reads the block's slot word, and the fill sinks the LLC's
+    // victim into the DRAM cache through the victim's slot word.
+    if (dcache) {
         dcache->prefetch(blk);
+        if (const TagEntry *victim = llc.victimFor(blk))
+            dcache->prefetch(victim->tag << BlockShift);
+    }
     eventq.schedule(cfg.llcTagLatency, [this, core, blk, start,
                                         done = std::move(done)]() mutable {
         if (dcache) {

@@ -65,17 +65,20 @@ constexpr std::uint64_t MeasureOps = 10000;
 
 /**
  * Allocations per memory operation any row may make. Measured on
- * these rows (x86-64, gcc 12.2, Release): 0.006 (c3d) and 0.007
- * (baseline) to 0.207 (snoopy; full-dir and c3d-full-dir 0.206) per
- * op. What remains is per-block state first touched (snoopy's home
- * line states, the full directory's entries) and the slab's first
- * fills. With vector-backed wheel buckets, whose growth to working
- * size was most of the count, the same rows made 0.33 to 0.61; before
- * the request path stopped allocating they made 11 to 21, and
- * restoring just the std::deque per block lock puts every row at 2.4
- * or more.
+ * these rows (x86-64, gcc 12.2, Release): 0.003 (baseline, c3d) and
+ * 0.004 (snoopy and each of its four variants, full-dir,
+ * c3d-full-dir) per op -- the slab's first fills and the open-
+ * addressed per-block tables doubling to their working size. While
+ * snoopy's home lines and the full directory's entries were nodes of
+ * a std::unordered_map, those rows made 0.203 to 0.204: one node per
+ * block first touched, so a node-based table back on the path fails
+ * here by design name. With vector-backed wheel buckets, whose
+ * growth to working size was most of the count, the rows made 0.33
+ * to 0.61; before the request path stopped allocating they made 11
+ * to 21, and restoring just the std::deque per block lock puts every
+ * row at 2.4 or more.
  */
-constexpr double MaxAllocsPerOp = 0.3;
+constexpr double MaxAllocsPerOp = 0.02;
 
 /** Allocations inside Runner::run for one row, per memory op. */
 double

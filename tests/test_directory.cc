@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "coherence/blocking.hh"
@@ -337,6 +339,60 @@ TEST(FullDirectory, EraseUntracks)
     dir.erase(0x40);
     EXPECT_EQ(dir.find(0x40), nullptr);
     EXPECT_EQ(dir.trackedBlocks(), 0u);
+}
+
+TEST(FullDirectory, MatchesNodeMapOnSeededStream)
+{
+    // The open-addressed table against a std::unordered_map reference
+    // through growth, backward-shift erases and re-allocation of
+    // erased blocks, with every entry checked after every step.
+    StatGroup g("t");
+    FullDirectory dir(8, &g, "d");
+    std::unordered_map<Addr, DirEntry> oracle;
+    std::uint64_t peak = 0;
+    Rng rng(25);
+    const std::uint64_t blocks = 3000;
+    for (int step = 0; step < 60000; ++step) {
+        const Addr addr = rng.below(blocks) * BlockBytes +
+            rng.below(BlockBytes);
+        const Addr blk = blockNumber(addr);
+        // Erase-heavy phases let the table drain and refill.
+        const std::uint64_t op = rng.below((step / 10000) % 2 ? 12 : 8);
+        if (op < 3) {
+            auto it = oracle.find(blk);
+            expectSameEntry(dir.find(addr),
+                            it == oracle.end() ? nullptr : &it->second,
+                            step);
+        } else if (op < 7) {
+            DirRecall recall;
+            DirEntry *got = dir.allocate(addr, recall);
+            ASSERT_FALSE(recall.valid) << step;
+            DirEntry &want = oracle[blk];
+            peak = std::max<std::uint64_t>(peak, oracle.size());
+            expectSameEntry(got, &want, step);
+            const auto state = static_cast<DirState>(rng.below(3));
+            const SocketId owner = static_cast<SocketId>(rng.below(8));
+            const std::uint64_t sharers = rng.below(256);
+            for (DirEntry *e : {got, &want}) {
+                e->state = state;
+                e->owner = owner;
+                e->sharers = sharers;
+            }
+        } else {
+            dir.erase(addr);
+            oracle.erase(blk);
+        }
+        ASSERT_EQ(dir.trackedBlocks(), oracle.size()) << step;
+    }
+    for (Addr b = 0; b < blocks; ++b) {
+        auto it = oracle.find(b);
+        expectSameEntry(dir.find(b * BlockBytes),
+                        it == oracle.end() ? nullptr : &it->second, -1);
+    }
+    EXPECT_GT(peak, 1000u);
+    EXPECT_LT(oracle.size(), peak);
+    // Tag (48 - BlockShift) + 2 state bits + an 8-socket vector.
+    EXPECT_EQ(dir.storageBits(), peak * (48 - BlockShift + 2 + 8));
 }
 
 TEST(DirEntry, SharerVectorOps)

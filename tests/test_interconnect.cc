@@ -88,6 +88,44 @@ TEST_F(InterconnectTest, P2PSingleHop)
     EXPECT_EQ(noc.hopCount(1, 0), 1u);
 }
 
+TEST_F(InterconnectTest, NextHopTableWalksShortestPaths)
+{
+    // Following nextOnPath from any source reaches any destination in
+    // exactly hopCount steps, and on a ring tie (an even ring's
+    // opposite socket) the first step is clockwise.
+    for (std::uint32_t n = 2; n <= 8; ++n) {
+        EventQueue eq;
+        StatGroup g("t");
+        QueueRouter rt;
+        rt.initSingle(eq, n);
+        Interconnect noc(rt, config(n), &g);
+        for (SocketId src = 0; src < n; ++src) {
+            for (SocketId dst = 0; dst < n; ++dst) {
+                if (src == dst)
+                    continue;
+                std::uint32_t hops = 0;
+                for (SocketId at = src; at != dst; ++hops) {
+                    const SocketId next = noc.nextOnPath(at, dst);
+                    ASSERT_LT(next, n);
+                    if (n > 2) {
+                        EXPECT_TRUE(next == (at + 1) % n ||
+                                    next == (at + n - 1) % n)
+                            << n << ": " << at << " -> " << next;
+                    }
+                    ASSERT_LE(hops, n) << n << ": " << src << "->" << dst;
+                    at = next;
+                }
+                EXPECT_EQ(hops, noc.hopCount(src, dst))
+                    << n << ": " << src << " -> " << dst;
+                if (n > 2 && 2 * ((dst + n - src) % n) == n) {
+                    EXPECT_EQ(noc.nextOnPath(src, dst), (src + 1) % n)
+                        << n << ": tie " << src << " -> " << dst;
+                }
+            }
+        }
+    }
+}
+
 TEST_F(InterconnectTest, BaseLatencyIsHopTimesDelay)
 {
     EventQueue eq;

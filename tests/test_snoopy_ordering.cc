@@ -10,10 +10,13 @@
 
 #include <gtest/gtest.h>
 
+#include "coherence/snoopy_protocol.hh"
 #include "coherence/store_buffer.hh"
 #include "common/log.hh"
 #include "sim/machine.hh"
+#include "sim/runner.hh"
 #include "test_helpers.hh"
+#include "trace/workload.hh"
 
 namespace c3d
 {
@@ -137,6 +140,29 @@ TEST(SnoopyOrdering, EverySnoopPaysTheDramCacheAccess)
     // The furthest probe (2 ring hops away) plus its DRAM-cache
     // access bounds the completion from below.
     EXPECT_GE(lat, 4 * cfg.hopLatency + cfg.dramCacheLatency);
+}
+
+TEST(SnoopyOrdering, HomeKeepsOnlyNonEmptyLines)
+{
+    // A line that a dirty eviction leaves with no believed holder is
+    // dropped from its home's table: an absent line plans exactly as
+    // an empty one, so the table need hold only lines some socket is
+    // believed to cache. A DRAM cache four times the LLC keeps dirty
+    // evictions frequent.
+    setQuiet(true);
+    for (const Protocol p : AllProtocols) {
+        SystemConfig cfg = test::tinyConfig(Design::Snoopy);
+        cfg.protocol = p;
+        cfg.dramCacheBytes = 4 * cfg.llcBytes;
+        SyntheticWorkload wl(test::tinyProfile(), cfg.totalCores(),
+                             cfg.coresPerSocket);
+        Runner r(cfg, wl);
+        r.run(1000, 4000);
+        const auto &proto =
+            static_cast<const SnoopyProtocol &>(r.machine().protocol());
+        EXPECT_GT(proto.homeLineCount(), 0u) << protocolName(p);
+        EXPECT_EQ(proto.emptyHomeLines(), 0u) << protocolName(p);
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -113,6 +113,27 @@ TEST(TagArray, LruEviction)
     EXPECT_EQ(t.find(blockAddr(2)), nullptr);
 }
 
+TEST(TagArray, VictimForNamesWhatAllocateEvicts)
+{
+    TagArray t;
+    t.init(4 * BlockBytes, 2); // two sets, two ways
+    // A set with a free way, or a hit, displaces nothing.
+    EXPECT_EQ(t.victimFor(blockAddr(0)), nullptr);
+    t.allocate(blockAddr(0), CacheState::Shared);
+    t.allocate(blockAddr(2), CacheState::Shared);
+    EXPECT_EQ(t.victimFor(blockAddr(2)), nullptr);
+    EXPECT_EQ(t.victimFor(blockAddr(1)), nullptr); // other set
+    t.touch(t.find(blockAddr(0)));
+    for (std::uint64_t n : {4, 6, 8}) {
+        const TagEntry *v = t.victimFor(blockAddr(n));
+        ASSERT_NE(v, nullptr);
+        const Addr predicted = v->tag << BlockShift;
+        AllocResult ar = t.allocate(blockAddr(n), CacheState::Shared);
+        EXPECT_TRUE(ar.evictedValid);
+        EXPECT_EQ(ar.victimAddr, predicted) << n;
+    }
+}
+
 TEST(TagArray, EvictionReportsVictimState)
 {
     TagArray t;
