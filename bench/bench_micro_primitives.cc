@@ -1,8 +1,8 @@
 /**
  * @file
  * Google-benchmark microbenchmarks of the simulator primitives: the
- * event queue and the queue router's outboxes, tag array, miss
- * predictor and RNG. These bound the simulator's own throughput
+ * event queue and the queue router's outboxes, the event-path slab,
+ * tag array, miss predictor and RNG. These bound the simulator's own throughput
  * (events/second), which determines how large a machine/trace the
  * harness can afford.
  */
@@ -15,6 +15,7 @@
 #include "sim/event_queue.hh"
 #include "sim/inline_function.hh"
 #include "sim/queue_router.hh"
+#include "sim/slab.hh"
 #include "sim/watchdog.hh"
 
 namespace
@@ -122,6 +123,28 @@ BM_QueueRouterInjectFlush(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 1024);
 }
 BENCHMARK(BM_QueueRouterInjectFlush);
+
+/**
+ * One slab allocation and free per item, 64 live nodes per iteration
+ * in the event node's 128-byte class: the warm inline fast path
+ * (free-list pop and push) that every event node and spilled capture
+ * takes.
+ */
+void
+BM_SlabAllocFree(benchmark::State &state)
+{
+    constexpr std::size_t Bytes = sizeof(c3d::EventQueue::Event);
+    void *live[64];
+    for (auto _ : state) {
+        for (void *&p : live)
+            p = c3d::slab::allocFixed<Bytes>();
+        benchmark::DoNotOptimize(live);
+        for (void *p : live)
+            c3d::slab::freeFixed<Bytes>(p);
+    }
+    state.SetItemsProcessed(state.iterations() * 64);
+}
+BENCHMARK(BM_SlabAllocFree);
 
 void
 BM_TagArrayLookup(benchmark::State &state)

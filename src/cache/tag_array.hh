@@ -50,6 +50,13 @@ struct AllocResult
     std::uint64_t victimAux = 0;
 };
 
+/** Result of TagArray::lookup(). */
+struct TagLookup
+{
+    TagEntry *hit = nullptr;          //!< the block's entry, on a hit
+    const TagEntry *victim = nullptr; //!< on a miss: what a fill evicts
+};
+
 /** Set-associative tag store. */
 class TagArray
 {
@@ -150,18 +157,24 @@ class TagArray
     }
 
     /**
-     * The valid block that allocate(@p addr) would displace now, or
-     * nullptr when it would hit or fill a free way. Reads only; the
-     * socket uses it to host-prefetch the victim's DRAM-cache slot.
+     * find() and the victim in one pass over the set: the entry
+     * holding @p addr, or on a miss the valid block that
+     * allocate(@p addr) would displace now (nullptr when it would
+     * fill a free way). Does NOT update LRU. The socket uses the
+     * victim to host-prefetch its DRAM-cache slot.
      */
-    const TagEntry *
-    victimFor(Addr addr) const
+    TagLookup
+    lookup(Addr addr)
     {
         const Addr blk = blockNumber(addr);
         WayKind kind;
-        const TagEntry *way =
-            chooseWay(&entries[setIndex(blk)], blk, kind);
-        return kind == WayKind::Victim ? way : nullptr;
+        TagEntry *way = chooseWay(&entries[setIndex(blk)], blk, kind);
+        TagLookup res;
+        if (kind == WayKind::Hit)
+            res.hit = way;
+        else if (kind == WayKind::Victim)
+            res.victim = way;
+        return res;
     }
 
     /** Invalidate the block containing @p addr if present. */
@@ -206,16 +219,17 @@ class TagArray
      * The way allocate() takes in @p set for @p blk. One pass finds
      * the hit, the first invalid way and the true-LRU victim: hit
      * wins, then invalid, then LRU. Ties on lastUse keep the lowest
-     * way. @p kind says which it is.
+     * way. @p kind says which it is. The oldest stamp so far stays in
+     * a local; no stamp reaches its initial maximum.
      */
-    template <typename Entry>
-    Entry *
-    chooseWay(Entry *set, Addr blk, WayKind &kind) const
+    TagEntry *
+    chooseWay(TagEntry *set, Addr blk, WayKind &kind) const
     {
-        Entry *invalid = nullptr;
-        Entry *lru = nullptr;
+        TagEntry *invalid = nullptr;
+        TagEntry *lru = nullptr;
+        std::uint64_t lru_use = ~std::uint64_t{0};
         for (std::uint32_t w = 0; w < numWays; ++w) {
-            Entry &e = set[w];
+            TagEntry &e = set[w];
             if (!e.valid()) {
                 if (!invalid)
                     invalid = &e;
@@ -225,8 +239,10 @@ class TagArray
                 kind = WayKind::Hit;
                 return &e;
             }
-            if (!lru || e.lastUse < lru->lastUse)
+            if (e.lastUse < lru_use) {
                 lru = &e;
+                lru_use = e.lastUse;
+            }
         }
         kind = invalid ? WayKind::Free : WayKind::Victim;
         return invalid ? invalid : lru;

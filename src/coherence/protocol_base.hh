@@ -87,30 +87,43 @@ class ProtocolBase : public GlobalProtocol
     }
 
     /**
+     * Completion of invalidateSockets(). It lives in the fan-in's
+     * slab node, never in an event capture, so its budget holds a
+     * caller's whole transaction state (`this`, requester, home,
+     * block, a flag and the caller's 32-byte continuation).
+     */
+    using InvalidationsDone = InlineFunction<void(bool), 64>;
+
+    /**
      * Fan out invalidation probes to @p targets; @p done runs at the
      * home socket once every ack has returned, with whether any
      * probe found a dirty copy (at most one in a correct run).
      */
     void
     invalidateSockets(SocketId home, SocketMask targets, Addr addr,
-                      Continuation<void(bool)> done)
+                      InvalidationsDone done)
     {
         if (!targets) {
-            queueAt(home).schedule(0,
-                                   [done = std::move(done)] {
-                                       done(false);
-                                   });
+            // No probe: the fan-in's one branch completes it next.
+            auto fan = slab::Shared<FanIn>::makeBranches(
+                1, 0u, false, queueAt(home).now(), std::move(done));
+            queueAt(home).schedule(0, [state = fan.take()] {
+                state->done(false);
+            });
             return;
         }
-        auto state = slab::Shared<FanIn>::make(
-            static_cast<std::uint32_t>(__builtin_popcountll(targets)),
-            false, queueAt(home).now(), std::move(done));
+        // One reference per probe, each handed over by move.
+        const auto probes =
+            static_cast<std::uint32_t>(__builtin_popcountll(targets));
+        auto fan = slab::Shared<FanIn>::makeBranches(
+            probes, probes, false, queueAt(home).now(), std::move(done));
         forEachSocket(targets, [&](SocketId t) {
             ++invsSent;
             // The probe reads t's DRAM-cache slot word one hop later.
             if (const DramCache *dc = m.socket(t).dramCache())
                 dc->prefetch(addr);
-            sendCtrl(home, t, [this, t, addr, home, state]() mutable {
+            sendCtrl(home, t, [this, t, addr, home,
+                               state = fan.take()]() mutable {
                 m.socket(t).probeInvalidate(addr,
                                             [this, t, home,
                                              state = std::move(state)]
@@ -219,7 +232,7 @@ class ProtocolBase : public GlobalProtocol
         std::uint32_t remaining;
         bool sawDirty;
         Tick phaseStart;
-        Continuation<void(bool)> done;
+        InvalidationsDone done;
     };
 };
 

@@ -156,6 +156,14 @@ void
 DramCache::probe(Addr addr, Continuation<void(DramCacheProbe)> done,
                  bool always_access, std::uint32_t tenant)
 {
+    const DramCacheProbe res = access(addr, always_access, tenant);
+    eventq.scheduleAt(res.readyAt,
+                      [done = std::move(done), res] { done(res); });
+}
+
+DramCacheProbe
+DramCache::access(Addr addr, bool always_access, std::uint32_t tenant)
+{
     const Tick now = eventq.now();
     const Addr blk = blockNumber(addr);
     const std::size_t slot = slotOf(blk);
@@ -172,9 +180,7 @@ DramCache::probe(Addr addr, Continuation<void(DramCacheProbe)> done,
         predictor->trainOnProbe(addr, tenant, false);
         DramCacheProbe res;
         res.readyAt = now + predictorLatency;
-        eventq.scheduleAt(res.readyAt,
-                          [done = std::move(done), res] { done(res); });
-        return;
+        return res;
     }
 
     const Tick access_start =
@@ -199,7 +205,7 @@ DramCache::probe(Addr addr, Continuation<void(DramCacheProbe)> done,
     if (!always_access)
         predictor->trainOnProbe(addr, tenant, present);
     res.readyAt = ready;
-    eventq.scheduleAt(ready, [done = std::move(done), res] { done(res); });
+    return res;
 }
 
 DramCacheVictim

@@ -112,6 +112,16 @@ class DramCache
                std::uint32_t tenant = NoTenant);
 
     /**
+     * The probe without its completion event: look up, count, train
+     * and charge the channel now, and return the outcome with the
+     * tick it is known at (readyAt). probe() schedules @p done there;
+     * a caller whose continuation outgrows probe()'s budget schedules
+     * its own event at readyAt instead.
+     */
+    DramCacheProbe access(Addr addr, bool always_access = false,
+                          std::uint32_t tenant = NoTenant);
+
+    /**
      * Insert the block at @p addr (an LLC victim).
      * If the block is already present its state is updated in place.
      * The write occupies a DRAM channel but completes asynchronously

@@ -16,8 +16,9 @@
  * throwing move) spills to one node of the event-path slab
  * (sim/slab.hh), which recycles it without calling malloc once warm;
  * only callables above the slab's largest size class or with
- * extended alignment reach operator new. onHeap() flags a spill so
- * benchmarks and tests can assert that events never pay for one.
+ * extended alignment reach operator new. onHeap() flags a spill and
+ * inlineFunctionSpills counts them, so benchmarks and tests can
+ * assert that events and the request path never pay for one.
  * docs/perf.md lists the budget of each signature.
  */
 
@@ -25,6 +26,7 @@
 #define C3DSIM_SIM_INLINE_FUNCTION_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
 #include <new>
 #include <type_traits>
@@ -35,6 +37,14 @@
 
 namespace c3d
 {
+
+/**
+ * Callables that spilled out of an InlineFunction's inline buffer on
+ * the calling thread, since the thread started. Only the spill path
+ * touches it; a test reads it to pin how often the request path
+ * spills (Runner.NoContinuationSpillsInAnyDesign).
+ */
+inline thread_local std::uint64_t inlineFunctionSpills = 0;
 
 template <typename Sig, std::size_t Bytes = 64>
 class InlineFunction;
@@ -171,6 +181,7 @@ class InlineFunction<R(Args...), Bytes>
         static Fn *
         make(F &&f)
         {
+            ++inlineFunctionSpills;
             if constexpr (slabBacked)
                 return slab::create<Fn>(std::forward<F>(f));
             else

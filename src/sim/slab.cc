@@ -7,43 +7,20 @@ namespace c3d
 {
 namespace slab
 {
+namespace detail
+{
 namespace
 {
-
-constexpr std::size_t kClassSizes[] = {64, 128, 256};
-constexpr std::size_t kNumClasses = 3;
-
-// Donate half the high-water mark per trip so a produce-on-A /
-// free-on-B pattern settles into batched handoffs instead of
-// ping-ponging single nodes through the global lock.
-constexpr std::size_t kLocalHighWater = 1024;
-constexpr std::size_t kBatch = 512;
-
-struct FreeNode
-{
-    FreeNode *next;
-};
-
-// Returns kNumClasses for sizes that pass through to operator new.
-inline std::size_t
-classOf(std::size_t size)
-{
-    for (std::size_t c = 0; c < kNumClasses; ++c) {
-        if (size <= kClassSizes[c])
-            return c;
-    }
-    return kNumClasses;
-}
 
 struct GlobalPool
 {
     std::mutex mtx;
-    FreeNode *head[kNumClasses] = {};
-    std::size_t count[kNumClasses] = {};
+    FreeNode *head[NumClasses] = {};
+    std::size_t count[NumClasses] = {};
 
     ~GlobalPool()
     {
-        for (std::size_t c = 0; c < kNumClasses; ++c) {
+        for (std::size_t c = 0; c < NumClasses; ++c) {
             while (head[c]) {
                 FreeNode *n = head[c];
                 head[c] = n->next;
@@ -60,52 +37,54 @@ globalPool()
     return pool;
 }
 
-struct ThreadCache
+/**
+ * Returns the thread's cached nodes straight to the allocator at
+ * thread exit. Worker threads come and go per sweep row; draining
+ * here keeps shutdown independent of global-pool destruction order
+ * and leak-clean. A node freed after the drain (by a later
+ * thread-local destructor) passes through to operator delete.
+ */
+struct ThreadDrain
 {
-    FreeNode *head[kNumClasses] = {};
-    std::size_t count[kNumClasses] = {};
-
-    ~ThreadCache()
+    ~ThreadDrain()
     {
-        // Worker threads come and go per sweep row; returning their
-        // cache straight to the allocator keeps shutdown independent
-        // of global-pool destruction order and leak-clean.
-        for (std::size_t c = 0; c < kNumClasses; ++c) {
-            while (head[c]) {
-                FreeNode *n = head[c];
-                head[c] = n->next;
+        ThreadLists &tl = threadLists;
+        for (std::size_t c = 0; c < NumClasses; ++c) {
+            while (tl.head[c]) {
+                FreeNode *n = tl.head[c];
+                tl.head[c] = n->next;
                 ::operator delete(n);
             }
+            tl.count[c] = 0;
         }
+        tl.highWater = 0;
+        tl.exited = true;
     }
 };
 
-ThreadCache &
-threadCache()
+/** Register the thread's drain (once per thread) and lift the
+ * high-water mark off 0, so frees stay on the inline path. */
+void
+arm(ThreadLists &tl)
 {
-    thread_local ThreadCache cache;
-    return cache;
+    thread_local ThreadDrain drain;
+    (void)drain;
+    tl.highWater = LocalHighWater;
 }
 
 } // namespace
 
 void *
-alloc(std::size_t size)
+refill(std::size_t c)
 {
-    const std::size_t c = classOf(size);
-    if (c == kNumClasses)
-        return ::operator new(size);
+    ThreadLists &tl = threadLists;
+    if (tl.exited)
+        return ::operator new(ClassBytes[c]);
+    if (tl.highWater == 0)
+        arm(tl);
 
-    ThreadCache &tc = threadCache();
-    if (tc.head[c]) {
-        FreeNode *n = tc.head[c];
-        tc.head[c] = n->next;
-        --tc.count[c];
-        return n;
-    }
-
-    // Local miss: take one node for the caller plus up to a batch
-    // for the local cache, all under a single lock acquisition.
+    // Take one node for the caller plus up to a batch for the local
+    // lists, all under a single lock acquisition.
     GlobalPool &gp = globalPool();
     {
         std::lock_guard<std::mutex> lock(gp.mtx);
@@ -113,65 +92,68 @@ alloc(std::size_t size)
             FreeNode *n = gp.head[c];
             gp.head[c] = n->next;
             --gp.count[c];
-            std::size_t moved = 0;
-            while (gp.head[c] && moved + 1 < kBatch) {
+            std::uint32_t moved = 0;
+            while (gp.head[c] && moved + 1 < Batch) {
                 FreeNode *m = gp.head[c];
                 gp.head[c] = m->next;
                 --gp.count[c];
-                m->next = tc.head[c];
-                tc.head[c] = m;
-                ++tc.count[c];
+                m->next = tl.head[c];
+                tl.head[c] = m;
+                ++tl.count[c];
                 ++moved;
             }
             return n;
         }
     }
-    return ::operator new(kClassSizes[c]);
+    return ::operator new(ClassBytes[c]);
 }
 
 void
-free(void *ptr, std::size_t size)
+overflowLocal(std::size_t c)
 {
-    const std::size_t c = classOf(size);
-    if (c == kNumClasses) {
-        ::operator delete(ptr);
-        return;
+    ThreadLists &tl = threadLists;
+    if (tl.highWater == 0) {
+        if (tl.exited) {
+            // Past the drain: hand the node just pushed back.
+            FreeNode *n = tl.head[c];
+            tl.head[c] = n->next;
+            --tl.count[c];
+            ::operator delete(n);
+            return;
+        }
+        arm(tl);
+        if (tl.count[c] <= tl.highWater)
+            return;
     }
 
-    ThreadCache &tc = threadCache();
-    FreeNode *n = static_cast<FreeNode *>(ptr);
-    n->next = tc.head[c];
-    tc.head[c] = n;
-    ++tc.count[c];
-
-    if (tc.count[c] <= kLocalHighWater)
-        return;
-
     // Donate a batch to the global pool.
-    FreeNode *batch_head = tc.head[c];
+    FreeNode *batch_head = tl.head[c];
     FreeNode *batch_tail = batch_head;
-    for (std::size_t i = 1; i < kBatch; ++i)
+    for (std::uint32_t i = 1; i < Batch; ++i)
         batch_tail = batch_tail->next;
-    tc.head[c] = batch_tail->next;
-    tc.count[c] -= kBatch;
+    tl.head[c] = batch_tail->next;
+    tl.count[c] -= Batch;
 
     GlobalPool &gp = globalPool();
     std::lock_guard<std::mutex> lock(gp.mtx);
     batch_tail->next = gp.head[c];
     gp.head[c] = batch_head;
-    gp.count[c] += kBatch;
+    gp.count[c] += Batch;
 }
+
+} // namespace detail
 
 std::size_t
 cachedNodes()
 {
+    using namespace detail;
     std::size_t n = 0;
-    ThreadCache &tc = threadCache();
-    for (std::size_t c = 0; c < kNumClasses; ++c)
-        n += tc.count[c];
+    const ThreadLists &tl = threadLists;
+    for (std::size_t c = 0; c < NumClasses; ++c)
+        n += tl.count[c];
     GlobalPool &gp = globalPool();
     std::lock_guard<std::mutex> lock(gp.mtx);
-    for (std::size_t c = 0; c < kNumClasses; ++c)
+    for (std::size_t c = 0; c < NumClasses; ++c)
         n += gp.count[c];
     return n;
 }

@@ -25,6 +25,16 @@
  * threads. All memory is released at thread exit (local caches) and
  * process exit (global pool), keeping LeakSanitizer clean.
  *
+ * The fast path is inline in this header: create()/Delete fix the
+ * size class at compile time, and the free-list heads are a
+ * trivially destructible thread_local, so an allocation is a pop and
+ * a free a push with no call and no thread-local initialization
+ * guard. Everything else stays out of line in slab.cc: the refill
+ * from the global pool, the donation to it, and the arming of the
+ * thread-exit drain, which the first refill or the first free on a
+ * thread does (until then the thread's high-water mark reads 0, so
+ * that first free overflows into the slow path).
+ *
  * On top of the raw interface: Allocator (for standard containers),
  * Unique (sole owner) and Shared (intrusively counted owner). Events
  * that may be dropped unrun — a row torn down mid-flight — must hold
@@ -41,10 +51,96 @@
 #include <new>
 #include <utility>
 
+#include "common/log.hh"
+
 namespace c3d
 {
 namespace slab
 {
+
+namespace detail
+{
+
+/** Size classes in bytes; larger requests pass through to operator
+ * new. */
+inline constexpr std::size_t ClassBytes[] = {64, 128, 256};
+inline constexpr std::size_t NumClasses = 3;
+
+/**
+ * A thread's list of one class donates a batch of Batch nodes to the
+ * global pool when it grows past LocalHighWater; a local miss refills
+ * up to a batch. Donating half the high-water mark per trip lets a
+ * produce-on-A / free-on-B pattern settle into batched handoffs
+ * instead of ping-ponging single nodes through the global lock.
+ */
+inline constexpr std::uint32_t LocalHighWater = 1024;
+inline constexpr std::uint32_t Batch = 512;
+
+/** Class of @p size; NumClasses for pass-through sizes. */
+constexpr std::size_t
+classOf(std::size_t size)
+{
+    return size <= ClassBytes[0] ? 0
+        : size <= ClassBytes[1] ? 1
+        : size <= ClassBytes[2] ? 2
+        : NumClasses;
+}
+
+struct FreeNode
+{
+    FreeNode *next;
+};
+
+/**
+ * The calling thread's free lists. Constant-initialized and trivially
+ * destructible, so every access is a plain thread-local load with no
+ * initialization guard. @c highWater is 0 until the thread's drain is
+ * armed, so the first free on a thread overflows into
+ * overflowLocal(), which arms it; refill() arms it too.
+ */
+struct ThreadLists
+{
+    FreeNode *head[NumClasses];
+    std::uint32_t count[NumClasses];
+    std::uint32_t highWater; //!< 0 until armed
+    bool exited;             //!< drained at thread exit: pass through
+};
+
+inline thread_local ThreadLists threadLists{};
+
+/** Local miss: refill from the global pool or operator new. */
+void *refill(std::size_t c);
+
+/** A free pushed class @p c past the high-water mark (or found the
+ * drain unarmed): arm it, or donate a batch to the global pool. */
+void overflowLocal(std::size_t c);
+
+/** Pop a node of class @p c (< NumClasses) off this thread's list. */
+inline void *
+allocClass(std::size_t c)
+{
+    ThreadLists &tl = threadLists;
+    if (FreeNode *n = tl.head[c]) {
+        tl.head[c] = n->next;
+        --tl.count[c];
+        return n;
+    }
+    return refill(c);
+}
+
+/** Push @p ptr, a node of class @p c, onto this thread's list. */
+inline void
+freeClass(void *ptr, std::size_t c)
+{
+    ThreadLists &tl = threadLists;
+    FreeNode *n = static_cast<FreeNode *>(ptr);
+    n->next = tl.head[c];
+    tl.head[c] = n;
+    if (++tl.count[c] > tl.highWater)
+        overflowLocal(c);
+}
+
+} // namespace detail
 
 /**
  * Allocate @p size bytes (alignment suitable for any object of
@@ -52,12 +148,51 @@ namespace slab
  * thread's cache; sizes above the largest class fall through to
  * ::operator new.
  */
-void *alloc(std::size_t size);
+inline void *
+alloc(std::size_t size)
+{
+    const std::size_t c = detail::classOf(size);
+    return c == detail::NumClasses ? ::operator new(size)
+                                   : detail::allocClass(c);
+}
 
 /** Return memory obtained from alloc(); @p size must match. */
-void free(void *ptr, std::size_t size);
+inline void
+free(void *ptr, std::size_t size)
+{
+    const std::size_t c = detail::classOf(size);
+    if (c == detail::NumClasses)
+        ::operator delete(ptr);
+    else
+        detail::freeClass(ptr, c);
+}
 
-/** Nodes currently cached (local + global), for tests. */
+/** alloc() with the size class fixed at compile time. */
+template <std::size_t Size>
+inline void *
+allocFixed()
+{
+    constexpr std::size_t c = detail::classOf(Size);
+    if constexpr (c == detail::NumClasses)
+        return ::operator new(Size);
+    else
+        return detail::allocClass(c);
+}
+
+/** free() with the size class fixed at compile time. */
+template <std::size_t Size>
+inline void
+freeFixed(void *ptr)
+{
+    constexpr std::size_t c = detail::classOf(Size);
+    if constexpr (c == detail::NumClasses)
+        ::operator delete(ptr);
+    else
+        detail::freeClass(ptr, c);
+}
+
+/** Nodes currently cached (the calling thread's lists + the global
+ * pool), for tests. */
 std::size_t cachedNodes();
 
 /** Standard-library allocator over alloc()/free(). */
@@ -89,11 +224,11 @@ template <typename T, typename... A>
 T *
 create(A &&...args)
 {
-    void *mem = alloc(sizeof(T));
+    void *mem = allocFixed<sizeof(T)>();
     try {
         return ::new (mem) T(std::forward<A>(args)...);
     } catch (...) {
-        free(mem, sizeof(T));
+        freeFixed<sizeof(T)>(mem);
         throw;
     }
 }
@@ -106,7 +241,7 @@ struct Delete
     operator()(T *p) const noexcept
     {
         p->~T();
-        free(p, sizeof(T));
+        freeFixed<sizeof(T)>(p);
     }
 };
 
@@ -125,20 +260,74 @@ makeUnique(A &&...args)
  * Shared owner of a slab-allocated T, one pointer wide. The count is
  * atomic: a fan-in's handles ride packets to other sockets' kernel
  * threads and may be dropped there.
+ *
+ * A fan-out that knows its branch count up front takes its handles
+ * from makeBranches() instead of copying one: the node is born
+ * holding one reference per branch, and each branch receives its
+ * handle by move, so no copy's atomic increment is paid per target.
  */
 template <typename T>
 class Shared
 {
+    struct Node;
+
   public:
+    /**
+     * The not-yet-taken handles of a node made by makeBranches().
+     * take() hands out one per branch with no count traffic; handles
+     * never taken are released when this goes out of scope.
+     */
+    class Branches
+    {
+      public:
+        Branches(const Branches &) = delete;
+        Branches &operator=(const Branches &) = delete;
+
+        ~Branches()
+        {
+            if (left)
+                release(node, left);
+        }
+
+        /** The next branch's handle, by move. */
+        Shared
+        take()
+        {
+            c3d_assert(left != 0, "more branches taken than made");
+            --left;
+            return Shared(node);
+        }
+
+      private:
+        friend class Shared;
+        Branches(Node *n, std::uint32_t branches) noexcept
+            : node(n), left(branches)
+        {
+        }
+
+        Node *node;
+        std::uint32_t left;
+    };
+
     Shared() noexcept = default;
 
     template <typename... A>
     static Shared
     make(A &&...args)
     {
-        Shared s;
-        s.node = create<Node>(std::forward<A>(args)...);
-        return s;
+        return Shared(create<Node>(std::uint32_t{1},
+                                   std::forward<A>(args)...));
+    }
+
+    /** A T owned by @p branches (>= 1) handles, each to be take()n
+     * once. */
+    template <typename... A>
+    static Branches
+    makeBranches(std::uint32_t branches, A &&...args)
+    {
+        c3d_assert(branches != 0, "a fan-out needs a branch");
+        return Branches(create<Node>(branches, std::forward<A>(args)...),
+                        branches);
     }
 
     Shared(const Shared &o) noexcept : node(o.node)
@@ -157,8 +346,8 @@ class Shared
 
     ~Shared()
     {
-        if (node && node->refs.fetch_sub(1, std::memory_order_acq_rel) == 1)
-            Delete{}(node);
+        if (node)
+            release(node, 1);
     }
 
     T *operator->() const noexcept { return &node->value; }
@@ -168,13 +357,24 @@ class Shared
     struct Node
     {
         template <typename... A>
-        explicit Node(A &&...args) : value{std::forward<A>(args)...}
+        explicit Node(std::uint32_t refs, A &&...args)
+            : refs(refs), value{std::forward<A>(args)...}
         {
         }
 
-        std::atomic<std::uint32_t> refs{1};
+        std::atomic<std::uint32_t> refs;
         T value;
     };
+
+    explicit Shared(Node *n) noexcept : node(n) {}
+
+    /** Drop @p n references; the last one destroys the node. */
+    static void
+    release(Node *node, std::uint32_t n) noexcept
+    {
+        if (node->refs.fetch_sub(n, std::memory_order_acq_rel) == n)
+            Delete{}(node);
+    }
 
     Node *node = nullptr;
 };

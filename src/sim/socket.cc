@@ -11,6 +11,8 @@ Socket::Socket(EventQueue &eq, const SystemConfig &cfg, SocketId id,
       mem(eq, cfg, id, stats)
 {
     l1s.resize(cfg.coresPerSocket);
+    loadOps.resize(cfg.coresPerSocket);
+    storeOps.resize(cfg.coresPerSocket);
     for (auto &l1 : l1s)
         l1.init(cfg.l1Bytes, cfg.l1Ways);
     llc.init(cfg.llcBytes, cfg.llcWays);
@@ -41,24 +43,26 @@ Socket::Socket(EventQueue &eq, const SystemConfig &cfg, SocketId id,
 // --------------------------------------------------------------------
 
 void
-Socket::finishLoad(std::uint32_t core, Tick start,
-                   const Continuation<void()> &done)
+Socket::beginOp(InFlightOp &op, const char *kind,
+                Continuation<void()> done)
 {
-    const Tick lat = eventq.now() - start;
-    loadLatency.sample(lat);
-    if (TenantStatSet *t = tenantFor(core))
-        t->memLatency.sample(lat);
-    done();
+    c3d_assert(done, "a %s needs a completion", kind);
+    c3d_assert(!op.done, "socket %u: a core issued a second %s while "
+               "one is outstanding", socketId, kind);
+    op.start = eventq.now();
+    op.done = std::move(done);
 }
 
 void
-Socket::finishStore(std::uint32_t core, Tick start,
-                    const Continuation<void()> &done)
+Socket::finishOp(InFlightOp &op, Histogram &latency, std::uint32_t core)
 {
-    const Tick lat = eventq.now() - start;
-    storeLatency.sample(lat);
+    const Tick lat = eventq.now() - op.start;
+    latency.sample(lat);
     if (TenantStatSet *t = tenantFor(core))
         t->memLatency.sample(lat);
+    // Free the record before completing: the completion may issue
+    // the core's next op of the same kind.
+    const Continuation<void()> done = std::move(op.done);
     done();
 }
 
@@ -69,30 +73,28 @@ Socket::load(std::uint32_t core, Addr addr, Continuation<void()> done)
     if (TenantStatSet *t = tenantFor(core))
         ++t->loads;
     const Addr blk = blockAlign(addr);
-    const Tick start = eventq.now();
+    beginOp(loadOps[core], "load", std::move(done));
 
     TagArray &l1 = l1s[core];
     if (TagEntry *e = l1.find(blk)) {
         ++l1HitCount;
         l1.touch(e);
-        eventq.schedule(cfg.l1Latency,
-                        [this, core, start, done = std::move(done)] {
-            finishLoad(core, start, done);
-        });
+        eventq.schedule(cfg.l1Latency, [this, core] { finishLoad(core); });
         return;
     }
     ++l1MissCount;
-    eventq.schedule(cfg.l1Latency, [this, core, blk, start,
-                                    done = std::move(done)]() mutable {
-        accessLlcForRead(core, blk, start, std::move(done));
+    eventq.schedule(cfg.l1Latency, [this, core, blk] {
+        accessLlcForRead(core, blk);
     });
 }
 
 void
-Socket::accessLlcForRead(std::uint32_t core, Addr blk, Tick start,
-                         Continuation<void()> done)
+Socket::accessLlcForRead(std::uint32_t core, Addr blk)
 {
-    if (TagEntry *e = llc.find(blk)) {
+    // One pass over the set finds the hit or, on a miss, the way the
+    // fill will displace.
+    const TagLookup look = llc.lookup(blk);
+    if (TagEntry *e = look.hit) {
         ++llcHitCount;
         llc.touch(e);
         e->aux |= (1ull << core);
@@ -101,14 +103,13 @@ Socket::accessLlcForRead(std::uint32_t core, Addr blk, Tick start,
             ? CacheState::Modified : CacheState::Shared;
         // Data hit: tag + data access.
         eventq.schedule(cfg.llcTagLatency + cfg.llcDataLatency,
-                        [this, core, l1_state, blk, start,
-                         done = std::move(done)] {
+                        [this, core, l1_state, blk] {
             // Install into the L1 as Shared unless this core is the
             // sole owner of a Modified block.
             fillL1(core, blk,
                    l1_state == CacheState::Modified
                    ? CacheState::Modified : CacheState::Shared);
-            finishLoad(core, start, done);
+            finishLoad(core);
         });
         return;
     }
@@ -119,18 +120,15 @@ Socket::accessLlcForRead(std::uint32_t core, Addr blk, Tick start,
     // victim into the DRAM cache through the victim's slot word.
     if (dcache) {
         dcache->prefetch(blk);
-        if (const TagEntry *victim = llc.victimFor(blk))
-            dcache->prefetch(victim->tag << BlockShift);
+        if (look.victim)
+            dcache->prefetch(look.victim->tag << BlockShift);
     }
-    eventq.schedule(cfg.llcTagLatency, [this, core, blk, start,
-                                        done = std::move(done)]() mutable {
+    eventq.schedule(cfg.llcTagLatency, [this, core, blk] {
         if (dcache) {
             // The tenant tag rides into the cache so hits/misses are
             // counted exactly where the cache's own counters tick
             // (exact attribution even under racing invalidations).
-            dcache->probe(blk, [this, core, blk, start,
-                                done = std::move(done)]
-                          (DramCacheProbe res) mutable {
+            dcache->probe(blk, [this, core, blk](DramCacheProbe res) {
                 // Re-validate at fill time: an invalidation may have
                 // raced with the probe (the in-flight access is
                 // squashed, as a transient MSHR state would).
@@ -138,45 +136,43 @@ Socket::accessLlcForRead(std::uint32_t core, Addr blk, Tick start,
                     // Local DRAM-cache hit: the fast path that makes
                     // private DRAM caches attack the NUMA bottleneck.
                     fillRead(core, blk);
-                    finishLoad(core, start, done);
+                    finishLoad(core);
                 } else {
-                    issueGetS(core, blk, start, std::move(done));
+                    issueGetS(core, blk);
                 }
             }, /*always_access=*/false, tenantIdxFor(core));
         } else {
-            issueGetS(core, blk, start, std::move(done));
+            issueGetS(core, blk);
         }
     });
 }
 
 void
-Socket::issueGetS(std::uint32_t core, Addr blk, Tick start,
-                  Continuation<void()> done)
+Socket::issueGetS(std::uint32_t core, Addr blk)
 {
     if (PendingRead *outstanding = pendingReads.find(blk)) {
         // Merge with the outstanding GetS (MSHR hit).
         ++mergedReads;
-        outstanding->merged.push_back({core, start, std::move(done)});
+        outstanding->merged.push_back(core);
         return;
     }
 
     ++getSIssued;
-    pendingReads[blk].primary = {core, start, std::move(done)};
+    pendingReads[blk].primary = core;
     protocol->getS(socketId, blk, [this, blk] {
         PendingRead pending = std::move(*pendingReads.find(blk));
         pendingReads.erase(blk);
         // A racing invalidation poisoned the fill: the loads still
         // complete with the pre-write value, but nothing is cached.
-        const PendingRead::Waiter &first = pending.primary;
         if (!pending.poisoned)
-            fillRead(first.core, blk);
-        finishLoad(first.core, first.start, first.done);
-        for (const PendingRead::Waiter &w : pending.merged) {
+            fillRead(pending.primary, blk);
+        finishLoad(pending.primary);
+        for (const std::uint32_t core : pending.merged) {
             // The primary requester filled the LLC unless the fill
             // was squashed by a racing invalidation.
             if (llc.find(blk))
-                fillL1(w.core, blk, CacheState::Shared);
-            finishLoad(w.core, w.start, w.done);
+                fillL1(core, blk, CacheState::Shared);
+            finishLoad(core);
         }
     });
 }
@@ -189,24 +185,20 @@ Socket::store(std::uint32_t core, Addr addr, bool private_page,
     if (TenantStatSet *t = tenantFor(core))
         ++t->stores;
     const Addr blk = blockAlign(addr);
-    const Tick start = eventq.now();
+    beginOp(storeOps[core], "store", std::move(done));
 
     TagArray &l1 = l1s[core];
     if (TagEntry *e = l1.find(blk);
         e && e->state == CacheState::Modified) {
         l1.touch(e);
-        eventq.schedule(cfg.l1Latency,
-                        [this, core, start, done = std::move(done)] {
-            finishStore(core, start, done);
-        });
+        eventq.schedule(cfg.l1Latency, [this, core] { finishStore(core); });
         return;
     }
 
     // Need the LLC's view (local directory, 7-cycle embedded tag).
     // The capture order packs the bool into core's padding.
     eventq.schedule(cfg.l1Latency + cfg.localDirLatency,
-                    [this, core, private_page, blk, start,
-                     done = std::move(done)]() mutable {
+                    [this, core, private_page, blk] {
         TagEntry *e = llc.find(blk);
         if (e && e->state == CacheState::Modified) {
             // Socket already owns the block: invalidate sibling L1
@@ -217,21 +209,17 @@ Socket::store(std::uint32_t core, Addr addr, bool private_page,
             e->aux = (1ull << core);
             fillL1(core, blk, CacheState::Modified);
             eventq.schedule(cfg.llcDataLatency,
-                            [this, core, start, done = std::move(done)] {
-                finishStore(core, start, done);
-            });
+                            [this, core] { finishStore(core); });
             return;
         }
         const bool upgrade = e && e->state == CacheState::Shared;
-        issueGetX(core, blk, upgrade, private_page, start,
-                  std::move(done));
+        issueGetX(core, blk, upgrade, private_page);
     });
 }
 
 void
 Socket::issueGetX(std::uint32_t core, Addr blk, bool upgrade,
-                  bool private_page, Tick start,
-                  Continuation<void()> done)
+                  bool private_page)
 {
     if (upgrade)
         ++upgradesIssued;
@@ -239,14 +227,14 @@ Socket::issueGetX(std::uint32_t core, Addr blk, bool upgrade,
         ++getXIssued;
 
     protocol->getX(socketId, blk, upgrade, private_page,
-                   [this, core, blk, start, done = std::move(done)] {
+                   [this, core, blk] {
         fillWrite(core, blk);
         // The local DRAM cache may hold a now-stale clean copy of the
         // block; kill it off the critical path (nobody waits for it).
         if (dcache && dcache->contains(blk)) {
             dcache->invalidate(blk, nullptr);
         }
-        finishStore(core, start, done);
+        finishStore(core);
     });
 }
 
@@ -469,16 +457,19 @@ Socket::probeDowngrade(Addr addr, Continuation<void(bool)> done)
         // Not modified on chip; dirty designs may hold the dirty
         // block in the DRAM cache.
         if (dcache && cfg.dirtyDramCache()) {
-            dcache->probe(blk, [this, blk, done = std::move(done)]
-                          (DramCacheProbe res) mutable {
-                if (res.present && res.dirty) {
+            // The probe's completion event is scheduled here, where
+            // it holds the whole capture.
+            const DramCacheProbe res = dcache->access(blk);
+            eventq.scheduleAt(res.readyAt,
+                              [this, blk,
+                               dirty = res.present && res.dirty,
+                               done = std::move(done)] {
+                if (dirty) {
                     // Supply data and keep a clean copy.
                     DramCacheVictim dv = dcache->updateClean(blk);
                     (void)dv; // update of resident block: no victim
-                    done(true);
-                } else {
-                    done(false);
                 }
+                done(dirty);
             });
             return;
         }
@@ -493,76 +484,82 @@ Socket::snoopProbe(Addr addr, bool is_write,
 {
     const Addr blk = blockAlign(addr);
 
-    auto on_chip = [this, blk, is_write, retain_dirty,
-                    done = std::move(done)](bool dc_present,
-                                            bool dc_dirty) mutable {
-        eventq.schedule(cfg.localDirLatency,
-                        [this, blk, is_write, retain_dirty,
-                         dc_present, dc_dirty,
-                         done = std::move(done)]() mutable {
-            SnoopResult res;
-            res.present = dc_present;
-            res.suppliedDirty = dc_dirty;
-            TagEntry *e = llc.find(blk);
-            if (e) {
-                res.present = true;
-                if (e->state == CacheState::Modified)
-                    res.suppliedDirty = true;
-                if (is_write) {
-                    invalidateOnChip(blk);
-                } else if (e->state == CacheState::Modified) {
-                    e->state = CacheState::Shared;
-                    downgradeL1Sharers(blk, e->aux);
-                    if (retain_dirty && dcache) {
-                        // MOESI owned state: the supplier forwards
-                        // the data but stays responsible for the
-                        // dirty block. The LLC downgrades (so local
-                        // stores re-arbitrate), and the dirtiness
-                        // parks in the DRAM cache until evicted.
-                        DramCacheVictim dv = dcache->insert(blk,
-                                                            true);
-                        if (dv.valid)
-                            protocol->dramCacheEvicted(socketId,
-                                                       dv.addr,
-                                                       dv.dirty);
-                    }
-                }
-            }
-            if (is_write && dcache) {
-                // Close the insert-squash window opened below only
-                // after the on-chip invalidation has applied.
-                std::uint32_t *probes = invInFlight.find(blk);
-                if (probes && --*probes == 0)
-                    invInFlight.erase(blk);
-            }
-            done(res);
-        });
-    };
-
-    if (dcache) {
-        if (is_write) {
-            ++invInFlight[blk];
-            dcache->invalidate(blk, [on_chip = std::move(on_chip)]
-                               (bool present, bool dirty) mutable {
-                on_chip(present, dirty);
-            });
-        } else {
-            // §III-A: a snoop must search the DRAM cache; the full
-            // access sits on the requester's critical path.
-            dcache->probe(blk, [this, blk, retain_dirty,
-                                on_chip = std::move(on_chip)]
-                          (DramCacheProbe res) mutable {
-                if (res.present && res.dirty && !retain_dirty) {
-                    // Forwarding a dirty block cleans it (memory is
-                    // updated by the requester-side protocol).
-                    dcache->updateClean(blk);
-                }
-                on_chip(res.present, res.present && res.dirty);
-            }, /*always_access=*/true);
-        }
-    } else {
-        on_chip(false, false);
+    if (!dcache) {
+        snoopOnChip(blk, is_write, retain_dirty, false, false,
+                    std::move(done));
+        return;
     }
+    if (is_write) {
+        // retain_dirty only shapes a read probe.
+        ++invInFlight[blk];
+        dcache->invalidate(blk, [this, blk, done = std::move(done)]
+                           (bool present, bool dirty) mutable {
+            snoopOnChip(blk, true, false, present, dirty,
+                        std::move(done));
+        });
+        return;
+    }
+    // §III-A: a snoop must search the DRAM cache; the full access
+    // sits on the requester's critical path. The probe's completion
+    // event is scheduled here, where it holds the whole capture.
+    const DramCacheProbe res = dcache->access(blk, /*always_access=*/true);
+    eventq.scheduleAt(res.readyAt,
+                      [this, blk, retain_dirty, present = res.present,
+                       dirty = res.present && res.dirty,
+                       done = std::move(done)]() mutable {
+        if (dirty && !retain_dirty) {
+            // Forwarding a dirty block cleans it (memory is updated
+            // by the requester-side protocol).
+            dcache->updateClean(blk);
+        }
+        snoopOnChip(blk, false, retain_dirty, present, dirty,
+                    std::move(done));
+    });
+}
+
+void
+Socket::snoopOnChip(Addr blk, bool is_write, bool retain_dirty,
+                    bool dc_present, bool dc_dirty,
+                    Continuation<void(SnoopResult)> done)
+{
+    eventq.schedule(cfg.localDirLatency,
+                    [this, blk, is_write, retain_dirty, dc_present,
+                     dc_dirty, done = std::move(done)] {
+        SnoopResult res;
+        res.present = dc_present;
+        res.suppliedDirty = dc_dirty;
+        TagEntry *e = llc.find(blk);
+        if (e) {
+            res.present = true;
+            if (e->state == CacheState::Modified)
+                res.suppliedDirty = true;
+            if (is_write) {
+                invalidateOnChip(blk);
+            } else if (e->state == CacheState::Modified) {
+                e->state = CacheState::Shared;
+                downgradeL1Sharers(blk, e->aux);
+                if (retain_dirty && dcache) {
+                    // MOESI owned state: the supplier forwards the
+                    // data but stays responsible for the dirty
+                    // block. The LLC downgrades (so local stores
+                    // re-arbitrate), and the dirtiness parks in the
+                    // DRAM cache until evicted.
+                    DramCacheVictim dv = dcache->insert(blk, true);
+                    if (dv.valid)
+                        protocol->dramCacheEvicted(socketId, dv.addr,
+                                                   dv.dirty);
+                }
+            }
+        }
+        if (is_write && dcache) {
+            // Close the insert-squash window opened in snoopProbe
+            // only after the on-chip invalidation has applied.
+            std::uint32_t *probes = invInFlight.find(blk);
+            if (probes && --*probes == 0)
+                invInFlight.erase(blk);
+        }
+        done(res);
+    });
 }
 
 CacheState

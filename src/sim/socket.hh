@@ -77,14 +77,16 @@ class Socket
 
     /**
      * Core @p core (socket-local index) loads the block at @p addr.
-     * @p done fires when the data is available to the core.
+     * @p done fires when the data is available to the core. A core
+     * has at most one load outstanding (asserted).
      */
     void load(std::uint32_t core, Addr addr, Continuation<void()> done);
 
     /**
      * Core @p core stores to the block at @p addr. @p done fires when
      * the store has acquired write permission and retired from the
-     * store queue's perspective.
+     * store queue's perspective. A core has at most one store
+     * outstanding (asserted).
      * @param private_page TLB classification hint (§IV-D).
      */
     void store(std::uint32_t core, Addr addr, bool private_page,
@@ -145,22 +147,52 @@ class Socket
 
   private:
     /**
-     * Common read path after the L1 misses. @p start is the load's
-     * issue tick: the request path carries it (and calls
-     * finishLoad()) rather than wrapping @p done in a sampling
-     * closure, which would not fit a continuation's inline budget.
+     * A core's outstanding load or store: its issue tick and its
+     * completion. The request path parks them here and each hop
+     * captures only the core and the block, so no hop's capture
+     * outgrows a continuation's inline budget.
      */
-    void accessLlcForRead(std::uint32_t core, Addr addr, Tick start,
-                          Continuation<void()> done);
+    struct InFlightOp
+    {
+        Tick start = 0;
+        Continuation<void()> done;
+    };
+
+    /** Park a new @p kind ("load"/"store") op in @p op. */
+    void beginOp(InFlightOp &op, const char *kind,
+                 Continuation<void()> done);
+
+    /** Sample @p latency (and the tenant's), then complete @p op. */
+    void finishOp(InFlightOp &op, Histogram &latency,
+                  std::uint32_t core);
+
+    void
+    finishLoad(std::uint32_t core)
+    {
+        finishOp(loadOps[core], loadLatency, core);
+    }
+
+    void
+    finishStore(std::uint32_t core)
+    {
+        finishOp(storeOps[core], storeLatency, core);
+    }
+
+    /** Common read path after the L1 misses. */
+    void accessLlcForRead(std::uint32_t core, Addr addr);
 
     /** Issue a GetS, merging with an outstanding one if present. */
-    void issueGetS(std::uint32_t core, Addr addr, Tick start,
-                   Continuation<void()> done);
+    void issueGetS(std::uint32_t core, Addr addr);
 
     /** Issue a GetX/Upgrade (writes are not merged). */
     void issueGetX(std::uint32_t core, Addr addr, bool upgrade,
-                   bool private_page, Tick start,
-                   Continuation<void()> done);
+                   bool private_page);
+
+    /** A snoop probe's on-chip step, one local-directory access
+     * after the DRAM-cache step found (@p dc_present, @p dc_dirty). */
+    void snoopOnChip(Addr blk, bool is_write, bool retain_dirty,
+                     bool dc_present, bool dc_dirty,
+                     Continuation<void(SnoopResult)> done);
 
     /** Install @p addr into @p core's L1 with @p state. */
     void fillL1(std::uint32_t core, Addr addr, CacheState state);
@@ -195,14 +227,6 @@ class Socket
                                        : DramCache::NoTenant;
     }
 
-    /** Sample socket + tenant load latency, then complete the load. */
-    void finishLoad(std::uint32_t core, Tick start,
-                    const Continuation<void()> &done);
-
-    /** Sample socket + tenant store latency, then complete the store. */
-    void finishStore(std::uint32_t core, Tick start,
-                     const Continuation<void()> &done);
-
     EventQueue &eventq;
     const SystemConfig &cfg;
     const SocketId socketId;
@@ -213,22 +237,19 @@ class Socket
     std::unique_ptr<DramCache> dcache;
     MemoryController mem;
 
+    /** Outstanding load and store of each local core. */
+    std::vector<InFlightOp> loadOps;
+    std::vector<InFlightOp> storeOps;
+
     /** One outstanding GetS with merged waiters. A concurrent
      * remote invalidation poisons the entry: the loads still
      * complete (they are ordered before the invalidating write) but
      * the fill is squashed, as an MSHR transient state would do. */
     struct PendingRead
     {
-        /** A load waiting on the GetS. */
-        struct Waiter
-        {
-            std::uint32_t core;
-            Tick start;
-            Continuation<void()> done;
-        };
-
-        Waiter primary;  //!< the load that issued the GetS
-        std::vector<Waiter, slab::Allocator<Waiter>> merged;
+        std::uint32_t primary = 0; //!< core whose load issued the GetS
+        /** Cores whose loads merged in, in arrival order. */
+        std::vector<std::uint32_t, slab::Allocator<std::uint32_t>> merged;
         bool poisoned = false;
     };
 

@@ -715,5 +715,36 @@ TEST(EventNode, InsertingIntoThePastFreesTheNode)
     EXPECT_EQ(eq.pending(), 0u);
 }
 
+TEST(EventQueueWatchdog, StallCountCarriesAcrossStepsRunsAndThrows)
+{
+    // run() keeps the armed watchdog's counts in locals and writes
+    // them back on return and on throw: the stall trip point is the
+    // same whether one tick's events run in one call or several.
+    WatchdogState wd;
+    wd.arm(WatchdogLimits{/*wallMs=*/0, /*maxEvents=*/0,
+                          /*stallEvents=*/10});
+    EventQueue eq;
+    eq.attachWatchdog(&wd);
+    int ran = 0;
+    for (int i = 0; i < 14; ++i)
+        eq.schedule(3, [&ran] { ++ran; });
+    for (int i = 0; i < 4; ++i)
+        EXPECT_TRUE(eq.step());
+    // Events 5..10 at tick 3 pass; the 11th trips, before it runs.
+    EXPECT_THROW(eq.run(), SimError);
+    EXPECT_EQ(ran, 10);
+    EXPECT_EQ(eq.eventsExecuted(), 11u);
+    // The count survived the throw: the next event at the tick trips
+    // at once.
+    EXPECT_THROW(eq.run(), SimError);
+    EXPECT_EQ(ran, 10);
+    EXPECT_EQ(eq.eventsExecuted(), 12u);
+    // Disarmed, the rest runs.
+    eq.schedule(1, [&ran] { ++ran; });
+    eq.attachWatchdog(nullptr);
+    EXPECT_TRUE(eq.run());
+    EXPECT_EQ(ran, 13);
+}
+
 } // namespace
 } // namespace c3d

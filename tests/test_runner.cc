@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/log.hh"
+#include "sim/inline_function.hh"
 #include "sim/runner.hh"
 #include "test_helpers.hh"
 
@@ -51,6 +54,43 @@ TEST(Runner, NoCallbackHeapFallbacksInAnyDesign)
         r.run(300, 1200);
         EXPECT_EQ(r.machine().totalHeapCallbackEvents(), 0u)
             << "design " << designName(d);
+    }
+}
+
+TEST(Runner, NoContinuationSpillsInAnyDesign)
+{
+    // Perf contract (docs/perf.md "Spill rule"): request-path
+    // continuations fit their inline budgets. The one spill left is
+    // an owner forward's probe continuation (a 32-byte request
+    // continuation cannot nest in a 24-byte one), so a run spills
+    // exactly once per `proto.forwards`. The Socket's DRAM-cache
+    // probe and write-completion continuations, which spilled on
+    // every LLC miss and every GetX, and the snoop probe's DRAM-cache
+    // step, which spilled on every snoop, must not come back. A
+    // 1-thread kernel runs every event on this thread, where the
+    // spill counter lives.
+    setQuiet(true);
+    std::vector<SystemConfig> cfgs;
+    for (const Design d :
+         {Design::Baseline, Design::Snoopy, Design::FullDir,
+          Design::C3D, Design::C3DFullDir})
+        cfgs.push_back(tinyConfig(d));
+    for (const Protocol p :
+         {Protocol::Mesif, Protocol::Moesi, Protocol::Dragon}) {
+        cfgs.push_back(tinyConfig(Design::Snoopy));
+        cfgs.back().protocol = p;
+    }
+    for (const SystemConfig &cfg : cfgs) {
+        SyntheticWorkload wl(tinyProfile(), cfg.totalCores(),
+                             cfg.coresPerSocket);
+        Runner r(cfg, wl);
+        const std::uint64_t before = inlineFunctionSpills;
+        const RunResult res = r.run(0, 1500);
+        EXPECT_GT(res.memReads, 0u);
+        EXPECT_EQ(inlineFunctionSpills - before,
+                  r.machine().stats().valueOf("proto.forwards"))
+            << designName(cfg.design) << "/"
+            << protocolName(cfg.protocol);
     }
 }
 

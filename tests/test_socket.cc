@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/sim_error.hh"
 #include "sim/machine.hh"
 #include "test_helpers.hh"
 
@@ -216,6 +217,31 @@ TEST(Socket, ReadMissesMergeIntoOneGetS)
     EXPECT_EQ(m.stats().valueOf("socket0.merged_reads"), 1u);
     EXPECT_EQ(m.socket(0).l1State(0, 0x7000), CacheState::Shared);
     EXPECT_EQ(m.socket(0).l1State(1, 0x7000), CacheState::Shared);
+}
+
+TEST(Socket, CoreKeepsOneLoadAndOneStoreInFlight)
+{
+    // Each core parks its outstanding load and store in the socket's
+    // in-flight records: one of each may overlap, and the completion
+    // may issue the core's next op of the same kind at once.
+    Machine m(tinyConfig(Design::C3D));
+    int loads = 0;
+    int stores = 0;
+    m.socket(0).load(0, 0x9000, [&] {
+        if (++loads == 1)
+            m.socket(0).load(0, 0x9040, [&] { ++loads; });
+    });
+    m.socket(0).store(0, 0xA000, false, [&] { ++stores; });
+    m.eventQueue().run();
+    EXPECT_EQ(loads, 2);
+    EXPECT_EQ(stores, 1);
+
+    // A second load (or store) while one is outstanding is a bug in
+    // the core model, caught at issue.
+    m.socket(0).load(1, 0xB000, [] {});
+    EXPECT_THROW(m.socket(0).load(1, 0xB040, [] {}), SimError);
+    m.socket(0).store(1, 0xC000, false, [] {});
+    EXPECT_THROW(m.socket(0).store(1, 0xC040, false, [] {}), SimError);
 }
 
 TEST(Socket, SnoopProbeFindsNothingQuickly)

@@ -117,21 +117,37 @@ TEST(TagArray, VictimForNamesWhatAllocateEvicts)
 {
     TagArray t;
     t.init(4 * BlockBytes, 2); // two sets, two ways
-    // A set with a free way, or a hit, displaces nothing.
-    EXPECT_EQ(t.victimFor(blockAddr(0)), nullptr);
+    // A set with a free way displaces nothing, and a miss has no hit.
+    TagLookup look = t.lookup(blockAddr(0));
+    EXPECT_EQ(look.hit, nullptr);
+    EXPECT_EQ(look.victim, nullptr);
     t.allocate(blockAddr(0), CacheState::Shared);
     t.allocate(blockAddr(2), CacheState::Shared);
-    EXPECT_EQ(t.victimFor(blockAddr(2)), nullptr);
-    EXPECT_EQ(t.victimFor(blockAddr(1)), nullptr); // other set
+    // A hit names the entry find() names, and no victim.
+    look = t.lookup(blockAddr(2));
+    EXPECT_EQ(look.hit, t.find(blockAddr(2)));
+    EXPECT_NE(look.hit, nullptr);
+    EXPECT_EQ(look.victim, nullptr);
+    look = t.lookup(blockAddr(1)); // other set, still free
+    EXPECT_EQ(look.hit, nullptr);
+    EXPECT_EQ(look.victim, nullptr);
     t.touch(t.find(blockAddr(0)));
     for (std::uint64_t n : {4, 6, 8}) {
-        const TagEntry *v = t.victimFor(blockAddr(n));
-        ASSERT_NE(v, nullptr);
-        const Addr predicted = v->tag << BlockShift;
+        look = t.lookup(blockAddr(n));
+        EXPECT_EQ(look.hit, nullptr) << n;
+        ASSERT_NE(look.victim, nullptr);
+        const Addr predicted = look.victim->tag << BlockShift;
         AllocResult ar = t.allocate(blockAddr(n), CacheState::Shared);
         EXPECT_TRUE(ar.evictedValid);
         EXPECT_EQ(ar.victimAddr, predicted) << n;
+        // The filled block now hits.
+        EXPECT_EQ(t.lookup(blockAddr(n)).hit, ar.entry) << n;
     }
+    // An invalidated way is free again: a miss into it names no victim.
+    t.invalidate(blockAddr(8));
+    look = t.lookup(blockAddr(10));
+    EXPECT_EQ(look.hit, nullptr);
+    EXPECT_EQ(look.victim, nullptr);
 }
 
 TEST(TagArray, EvictionReportsVictimState)
