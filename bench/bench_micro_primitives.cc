@@ -137,10 +137,10 @@ BM_SlabAllocFree(benchmark::State &state)
     void *live[64];
     for (auto _ : state) {
         for (void *&p : live)
-            p = c3d::slab::allocFixed<Bytes>();
+            p = c3d::slab::alloc(Bytes);
         benchmark::DoNotOptimize(live);
         for (void *p : live)
-            c3d::slab::freeFixed<Bytes>(p);
+            c3d::slab::free(p, Bytes);
     }
     state.SetItemsProcessed(state.iterations() * 64);
 }

@@ -361,25 +361,21 @@ DirectoryProtocol::handleGetX(SocketId req, SocketId home, Addr addr,
             // memory flag at the *requester* and could fire the
             // write completion at the home with zero flight time
             // when the acks were the laggard.
-            // The join holds one reference per half, each handed
-            // over by move.
             ++broadcasts;
-            auto halves = slab::Shared<WriteJoin>::makeBranches(
-                with_data ? 2 : 1, req, home, addr, with_data,
-                /*memPending=*/with_data, /*acksPending=*/true,
-                std::move(done));
+            auto join = slab::Shared<WriteJoin>::make(
+                req, home, addr, with_data, /*memPending=*/with_data,
+                /*acksPending=*/true, std::move(done));
             if (with_data) {
                 ++readsFromMemory;
                 m.socket(home).memory().read(
-                    addr, req != home, [this, join = halves.take()] {
+                    addr, req != home, [this, join] {
                     join->memPending = false;
                     if (!join->acksPending)
                         finishBroadcastWrite(*join);
                 });
             }
             invalidateSockets(home, othersThan(req), addr,
-                              [this, join = halves.take()]
-                              (bool saw_dirty) {
+                              [this, join](bool saw_dirty) {
                 if (saw_dirty) {
                     // Clean DRAM caches can never hold dirty data;
                     // a dirty find here means an on-chip M copy

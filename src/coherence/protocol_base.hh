@@ -104,26 +104,24 @@ class ProtocolBase : public GlobalProtocol
                       InvalidationsDone done)
     {
         if (!targets) {
-            // No probe: the fan-in's one branch completes it next.
-            auto fan = slab::Shared<FanIn>::makeBranches(
-                1, 0u, false, queueAt(home).now(), std::move(done));
-            queueAt(home).schedule(0, [state = fan.take()] {
+            // No probe: complete next, through a fan-in node, since
+            // the completion outgrows an event's capture budget.
+            auto state = slab::Shared<FanIn>::make(
+                0u, false, queueAt(home).now(), std::move(done));
+            queueAt(home).schedule(0, [state = std::move(state)] {
                 state->done(false);
             });
             return;
         }
-        // One reference per probe, each handed over by move.
-        const auto probes =
-            static_cast<std::uint32_t>(__builtin_popcountll(targets));
-        auto fan = slab::Shared<FanIn>::makeBranches(
-            probes, probes, false, queueAt(home).now(), std::move(done));
+        auto state = slab::Shared<FanIn>::make(
+            static_cast<std::uint32_t>(__builtin_popcountll(targets)),
+            false, queueAt(home).now(), std::move(done));
         forEachSocket(targets, [&](SocketId t) {
             ++invsSent;
             // The probe reads t's DRAM-cache slot word one hop later.
             if (const DramCache *dc = m.socket(t).dramCache())
                 dc->prefetch(addr);
-            sendCtrl(home, t, [this, t, addr, home,
-                               state = fan.take()]() mutable {
+            sendCtrl(home, t, [this, t, addr, home, state]() mutable {
                 m.socket(t).probeInvalidate(addr,
                                             [this, t, home,
                                              state = std::move(state)]

@@ -190,23 +190,17 @@ SnoopyProtocol::runBroadcast(SocketId req, SocketId home, Addr addr,
                              ReadDone done)
 {
     const SocketMask targets = othersThan(req);
-    const auto probes =
-        static_cast<std::uint32_t>(__builtin_popcountll(targets));
-    // One reference per branch (each probe, the memory read, or the
-    // lone completion of a probe-less transaction), each handed over
-    // by move.
-    const std::uint32_t branches = probes + plan.withMemoryRead;
-    auto fan = slab::Shared<SnoopJoin>::makeBranches(
-        branches ? branches : 1,
-        SnoopJoin{req, home, addr, is_write, plan.updateCopies,
-                  plan.withMemoryRead, probes, std::move(done)});
+    auto join = slab::Shared<SnoopJoin>::make(SnoopJoin{
+        req, home, addr, is_write, plan.updateCopies,
+        plan.withMemoryRead,
+        static_cast<std::uint32_t>(__builtin_popcountll(targets)),
+        std::move(done)});
 
     // Parallel memory access at the home socket (§V-A: "we access
     // the memory in parallel with probing remote caches").
     if (plan.withMemoryRead) {
         m.socket(home).memory().read(addr, req != home,
-                                     [this, req, home,
-                                      join = fan.take()]() mutable {
+                                     [this, req, home, join]() mutable {
             sendData(home, req, [this, join = std::move(join)] {
                 join->memPending = false;
                 tryComplete(*join);
@@ -228,7 +222,7 @@ SnoopyProtocol::runBroadcast(SocketId req, SocketId home, Addr addr,
             dc->prefetch(addr);
         sendCtrl(home, t, [this, req, home, t, addr, probe_invalidate,
                            retain, reflective, is_supplier,
-                           join = fan.take()]() mutable {
+                           join]() mutable {
             // The join's request fields are immutable, so reading
             // them here keeps this continuation within its budget.
             m.socket(t).snoopProbe(addr, probe_invalidate,
@@ -293,9 +287,7 @@ SnoopyProtocol::runBroadcast(SocketId req, SocketId home, Addr addr,
         // Single-socket machines only (othersThan(req) is never
         // empty otherwise), so this runs on a single-queue machine;
         // still pin to the home queue for uniformity.
-        queueAt(home).schedule(0, [this, join = fan.take()] {
-            tryComplete(*join);
-        });
+        queueAt(home).schedule(0, [this, join] { tryComplete(*join); });
     }
 }
 

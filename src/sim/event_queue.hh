@@ -190,15 +190,12 @@ class EventQueue
         // Publish this queue's clock so a panic raised from inside a
         // callback is stamped with the simulated time (SimError).
         TickSourceScope tick_scope(&currentTick);
-        if (wd)
-            return runWatched(maxTick);
         std::size_t idx;
         Tick t;
         while (peekNext(idx, t)) {
             if (t > maxTick)
                 return false;
-            const EventPtr e = popAt(idx, t);
-            e->cb();
+            executeAt(idx, t);
         }
         return true;
     }
@@ -212,12 +209,7 @@ class EventQueue
         if (!peekNext(idx, t))
             return false;
         TickSourceScope tick_scope(&currentTick);
-        // The owner frees the node after the call, also when it (or
-        // the watchdog) throws.
-        const EventPtr e = popAt(idx, t);
-        if (wd)
-            watchdogCheck(t, wdCursor, wd->budgets().stallEvents);
-        e->cb();
+        executeAt(idx, t);
         return true;
     }
 
@@ -232,7 +224,9 @@ class EventQueue
     attachWatchdog(WatchdogState *w)
     {
         wd = w;
-        wdCursor = WatchdogCursor{};
+        wdLastTick = 0;
+        wdSameTickRun = 0;
+        wdSinceBulk = 0;
     }
 
     /**
@@ -277,7 +271,9 @@ class EventQueue
         nextFarSequence = 0;
         executed = 0;
         heapEvents = 0;
-        wdCursor = WatchdogCursor{};
+        wdLastTick = 0;
+        wdSameTickRun = 0;
+        wdSinceBulk = 0;
     }
 
   private:
@@ -445,20 +441,20 @@ class EventQueue
         }
     }
 
-    /**
-     * Unlink the earliest event, as located by peekNext(), and
-     * finish all bookkeeping before the caller invokes it, so the
-     * callback may freely schedule further events (including into
-     * this same bucket). The returned owner frees the node after the
-     * call, also when it (or the watchdog) throws.
-     */
-    EventPtr
-    popAt(std::size_t idx, Tick t)
+    /** Pop and run the earliest event, as located by peekNext(). */
+    void
+    executeAt(std::size_t idx, Tick t)
     {
         currentTick = t;
         advanceTo(t); // fills bucket idx when t came from the heap
         Bucket &b = buckets[idx];
-        EventPtr e(b.head);
+
+        // Unlink the node -- and finish all bookkeeping -- before
+        // invoking it, so the callback may freely schedule further
+        // events (including into this same bucket). The owner frees
+        // the node after the call, also when it (or the watchdog)
+        // throws.
+        const EventPtr e(b.head);
         b.head = e->next;
         if (!b.head) {
             b.tail = nullptr;
@@ -466,7 +462,9 @@ class EventQueue
         }
         --wheelCount;
         ++executed;
-        return e;
+        if (wd)
+            watchdogCheck(t);
+        e->cb();
     }
 
     /** Free every pending node, unrun, and empty the wheel. */
@@ -486,96 +484,47 @@ class EventQueue
         overflow.clear();
     }
 
-    /** Armed-watchdog bookkeeping of one queue. */
-    struct WatchdogCursor
-    {
-        Tick lastTick = 0;             //!< tick of the last checked event
-        std::uint64_t sameTickRun = 0; //!< events run at lastTick
-        std::uint64_t sinceBulk = 0;   //!< events since the last bulk fold
-    };
-
-    /**
-     * run() with the watchdog armed. The cursor lives in a local for
-     * the loop, so the per-event bookkeeping stays in registers, and
-     * is written back on return and on throw: every check sees
-     * exactly the counts an in-place check would, and the stall trip
-     * point stays deterministic.
-     */
-    bool
-    runWatched(Tick maxTick)
-    {
-        struct WriteBack
-        {
-            WatchdogCursor &home;
-            WatchdogCursor cur;
-            ~WriteBack() { home = cur; }
-        } local{wdCursor, wdCursor};
-        const std::uint64_t stall = wd->budgets().stallEvents;
-        std::size_t idx;
-        Tick t;
-        while (peekNext(idx, t)) {
-            if (t > maxTick)
-                return false;
-            const EventPtr e = popAt(idx, t);
-            watchdogCheck(t, local.cur, stall);
-            e->cb();
-        }
-        return true;
-    }
-
     /**
      * Armed-watchdog bookkeeping, run before each event's callback.
      * The stall counter is per queue and exact (deterministic trip
      * point on a 1-worker run); the machine-wide event and
      * wall-clock budgets are folded in every BulkPeriod events.
-     * @p stall is the armed budgets' stallEvents (0: no detector).
      */
     void
-    watchdogCheck(Tick t, WatchdogCursor &cur, std::uint64_t stall)
-    {
-        if (stall) {
-            if (t != cur.lastTick) {
-                cur.lastTick = t;
-                cur.sameTickRun = 0;
-            }
-            if (++cur.sameTickRun > stall)
-                stallPanic(t, cur.sameTickRun - 1);
-        }
-        if (++cur.sinceBulk >= WatchdogState::BulkPeriod) {
-            const std::uint64_t n = cur.sinceBulk;
-            cur.sinceBulk = 0;
-            foldBulk(t, n);
-        }
-    }
-
-    // The two slow paths are cold, so the per-event check above stays
-    // small enough to inline into run()'s loop.
-    [[noreturn, gnu::cold]] void
-    stallPanic(Tick t, std::uint64_t run_length) const
-    {
-        c3d_panic("watchdog: no progress -- %" PRIu64
-                  " events executed at tick %" PRIu64
-                  " without the clock advancing (livelock); %s",
-                  run_length, static_cast<std::uint64_t>(t),
-                  pendingSummary().c_str());
-    }
-
-    /** Fold @p n events into the machine-wide budgets. */
-    [[gnu::cold]] void
-    foldBulk(Tick t, std::uint64_t n) const
+    watchdogCheck(Tick t)
     {
         const WatchdogLimits &l = wd->budgets();
-        if (wd->totalExceeded(n)) {
-            c3d_panic("watchdog: executed-event budget (%" PRIu64
-                      ") exceeded at tick %" PRIu64 "; %s",
-                      l.maxEvents, static_cast<std::uint64_t>(t),
-                      pendingSummary().c_str());
+        if (l.stallEvents) {
+            if (t != wdLastTick) {
+                wdLastTick = t;
+                wdSameTickRun = 0;
+            }
+            if (++wdSameTickRun > l.stallEvents) {
+                c3d_panic("watchdog: no progress -- %" PRIu64
+                          " events executed at tick %" PRIu64
+                          " without the clock advancing (livelock); "
+                          "%s",
+                          wdSameTickRun - 1,
+                          static_cast<std::uint64_t>(t),
+                          pendingSummary().c_str());
+            }
         }
-        if (wd->wallExpired()) {
-            c3d_panic("watchdog: wall-clock budget (%" PRIu64
-                      " ms) exceeded at tick %" PRIu64 "; %s",
-                      l.wallMs, static_cast<std::uint64_t>(t),
-                      pendingSummary().c_str());
+        if (++wdSinceBulk >= WatchdogState::BulkPeriod) {
+            const std::uint64_t n = wdSinceBulk;
+            wdSinceBulk = 0;
+            if (wd->totalExceeded(n)) {
+                c3d_panic("watchdog: executed-event budget (%" PRIu64
+                          ") exceeded at tick %" PRIu64 "; %s",
+                          l.maxEvents,
+                          static_cast<std::uint64_t>(t),
+                          pendingSummary().c_str());
+            }
+            if (wd->wallExpired()) {
+                c3d_panic("watchdog: wall-clock budget (%" PRIu64
+                          " ms) exceeded at tick %" PRIu64 "; %s",
+                          l.wallMs, static_cast<std::uint64_t>(t),
+                          pendingSummary().c_str());
+            }
         }
     }
 
@@ -597,8 +546,9 @@ class EventQueue
 
     /** Progress watchdog (sim/watchdog.hh); null = disarmed. */
     WatchdogState *wd = nullptr;
-    /** Armed-watchdog counts; run() works on a local copy. */
-    WatchdogCursor wdCursor;
+    Tick wdLastTick = 0;           //!< tick of the last checked event
+    std::uint64_t wdSameTickRun = 0; //!< events run at wdLastTick
+    std::uint64_t wdSinceBulk = 0; //!< events since the last bulk fold
 };
 
 static_assert(sizeof(EventQueue::Event) <= 128,

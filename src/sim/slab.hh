@@ -25,11 +25,11 @@
  * threads. All memory is released at thread exit (local caches) and
  * process exit (global pool), keeping LeakSanitizer clean.
  *
- * The fast path is inline in this header: create()/Delete fix the
- * size class at compile time, and the free-list heads are a
- * trivially destructible thread_local, so an allocation is a pop and
- * a free a push with no call and no thread-local initialization
- * guard. Everything else stays out of line in slab.cc: the refill
+ * The fast path is inline in this header: create()/Delete pass a
+ * constant size, so the class lookup folds away at compile time, and
+ * the free-list heads are a trivially destructible thread_local, so
+ * an allocation is a pop and a free a push with no call and no
+ * thread-local initialization guard. Everything else stays out of line in slab.cc: the refill
  * from the global pool, the donation to it, and the arming of the
  * thread-exit drain, which the first refill or the first free on a
  * thread does (until then the thread's high-water mark reads 0, so
@@ -50,8 +50,6 @@
 #include <memory>
 #include <new>
 #include <utility>
-
-#include "common/log.hh"
 
 namespace c3d
 {
@@ -167,30 +165,6 @@ free(void *ptr, std::size_t size)
         detail::freeClass(ptr, c);
 }
 
-/** alloc() with the size class fixed at compile time. */
-template <std::size_t Size>
-inline void *
-allocFixed()
-{
-    constexpr std::size_t c = detail::classOf(Size);
-    if constexpr (c == detail::NumClasses)
-        return ::operator new(Size);
-    else
-        return detail::allocClass(c);
-}
-
-/** free() with the size class fixed at compile time. */
-template <std::size_t Size>
-inline void
-freeFixed(void *ptr)
-{
-    constexpr std::size_t c = detail::classOf(Size);
-    if constexpr (c == detail::NumClasses)
-        ::operator delete(ptr);
-    else
-        detail::freeClass(ptr, c);
-}
-
 /** Nodes currently cached (the calling thread's lists + the global
  * pool), for tests. */
 std::size_t cachedNodes();
@@ -224,11 +198,11 @@ template <typename T, typename... A>
 T *
 create(A &&...args)
 {
-    void *mem = allocFixed<sizeof(T)>();
+    void *mem = alloc(sizeof(T));
     try {
         return ::new (mem) T(std::forward<A>(args)...);
     } catch (...) {
-        freeFixed<sizeof(T)>(mem);
+        free(mem, sizeof(T));
         throw;
     }
 }
@@ -241,7 +215,7 @@ struct Delete
     operator()(T *p) const noexcept
     {
         p->~T();
-        freeFixed<sizeof(T)>(p);
+        free(p, sizeof(T));
     }
 };
 
@@ -260,74 +234,20 @@ makeUnique(A &&...args)
  * Shared owner of a slab-allocated T, one pointer wide. The count is
  * atomic: a fan-in's handles ride packets to other sockets' kernel
  * threads and may be dropped there.
- *
- * A fan-out that knows its branch count up front takes its handles
- * from makeBranches() instead of copying one: the node is born
- * holding one reference per branch, and each branch receives its
- * handle by move, so no copy's atomic increment is paid per target.
  */
 template <typename T>
 class Shared
 {
-    struct Node;
-
   public:
-    /**
-     * The not-yet-taken handles of a node made by makeBranches().
-     * take() hands out one per branch with no count traffic; handles
-     * never taken are released when this goes out of scope.
-     */
-    class Branches
-    {
-      public:
-        Branches(const Branches &) = delete;
-        Branches &operator=(const Branches &) = delete;
-
-        ~Branches()
-        {
-            if (left)
-                release(node, left);
-        }
-
-        /** The next branch's handle, by move. */
-        Shared
-        take()
-        {
-            c3d_assert(left != 0, "more branches taken than made");
-            --left;
-            return Shared(node);
-        }
-
-      private:
-        friend class Shared;
-        Branches(Node *n, std::uint32_t branches) noexcept
-            : node(n), left(branches)
-        {
-        }
-
-        Node *node;
-        std::uint32_t left;
-    };
-
     Shared() noexcept = default;
 
     template <typename... A>
     static Shared
     make(A &&...args)
     {
-        return Shared(create<Node>(std::uint32_t{1},
-                                   std::forward<A>(args)...));
-    }
-
-    /** A T owned by @p branches (>= 1) handles, each to be take()n
-     * once. */
-    template <typename... A>
-    static Branches
-    makeBranches(std::uint32_t branches, A &&...args)
-    {
-        c3d_assert(branches != 0, "a fan-out needs a branch");
-        return Branches(create<Node>(branches, std::forward<A>(args)...),
-                        branches);
+        Shared s;
+        s.node = create<Node>(std::forward<A>(args)...);
+        return s;
     }
 
     Shared(const Shared &o) noexcept : node(o.node)
@@ -346,8 +266,8 @@ class Shared
 
     ~Shared()
     {
-        if (node)
-            release(node, 1);
+        if (node && node->refs.fetch_sub(1, std::memory_order_acq_rel) == 1)
+            Delete{}(node);
     }
 
     T *operator->() const noexcept { return &node->value; }
@@ -357,24 +277,13 @@ class Shared
     struct Node
     {
         template <typename... A>
-        explicit Node(std::uint32_t refs, A &&...args)
-            : refs(refs), value{std::forward<A>(args)...}
+        explicit Node(A &&...args) : value{std::forward<A>(args)...}
         {
         }
 
-        std::atomic<std::uint32_t> refs;
+        std::atomic<std::uint32_t> refs{1};
         T value;
     };
-
-    explicit Shared(Node *n) noexcept : node(n) {}
-
-    /** Drop @p n references; the last one destroys the node. */
-    static void
-    release(Node *node, std::uint32_t n) noexcept
-    {
-        if (node->refs.fetch_sub(n, std::memory_order_acq_rel) == n)
-            Delete{}(node);
-    }
 
     Node *node = nullptr;
 };

@@ -717,9 +717,9 @@ TEST(EventNode, InsertingIntoThePastFreesTheNode)
 
 TEST(EventQueueWatchdog, StallCountCarriesAcrossStepsRunsAndThrows)
 {
-    // run() keeps the armed watchdog's counts in locals and writes
-    // them back on return and on throw: the stall trip point is the
-    // same whether one tick's events run in one call or several.
+    // The armed watchdog's counts persist across step(), run() and a
+    // throw: the stall trip point is the same whether one tick's
+    // events run in one call or several.
     WatchdogState wd;
     wd.arm(WatchdogLimits{/*wallMs=*/0, /*maxEvents=*/0,
                           /*stallEvents=*/10});

@@ -3,7 +3,7 @@
  * Tests for the event-path slab (sim/slab.hh): the inline fast path
  * in every size class, cross-thread frees, donation to and refill
  * from the global pool, the thread-exit drain, cachedNodes()
- * accounting, and the fan-out handles of slab::Shared.
+ * accounting, and slab::Shared handles dropped on other threads.
  */
 
 #include <gtest/gtest.h>
@@ -79,16 +79,6 @@ TEST(Slab, RoundTripInEachSizeClass)
         EXPECT_EQ(slab::cachedNodes(), cached) << size;
         slab::free(q, size);
     }
-}
-
-TEST(Slab, CompileTimeClassMatchesRuntimeClass)
-{
-    void *p = slab::allocFixed<128>();
-    slab::free(p, 128);
-    EXPECT_EQ(slab::alloc(100), p); // same class, the node comes back
-    slab::freeFixed<100>(p);
-    EXPECT_EQ(slab::allocFixed<65>(), p);
-    slab::freeFixed<65>(p);
 }
 
 TEST(Slab, LargeRequestsPassThroughUncached)
@@ -221,57 +211,21 @@ struct Counted
     ~Counted() { --live; }
 };
 
-TEST(SlabShared, BranchesHandOutOneReferencePerBranch)
+TEST(SlabShared, CopiesDroppedOnOtherThreads)
 {
+    // A fan-in's handles ride packets to other kernel threads and may
+    // be dropped there: the last drop, wherever it happens, frees the
+    // node.
     Counted::live = 0;
     {
-        auto fan = slab::Shared<Counted>::makeBranches(3, 7);
-        EXPECT_EQ(Counted::live, 1);
-        slab::Shared<Counted> a = fan.take();
-        EXPECT_EQ(a->value, 7);
-        slab::Shared<Counted> b = fan.take();
-        {
-            slab::Shared<Counted> c = fan.take();
-            EXPECT_EQ(c->value, 7);
-        }
-        EXPECT_EQ(Counted::live, 1);
-        a = slab::Shared<Counted>();
-        EXPECT_EQ(Counted::live, 1);
-        EXPECT_EQ(b->value, 7);
-    }
-    EXPECT_EQ(Counted::live, 0);
-}
-
-TEST(SlabShared, UntakenBranchesAreReleased)
-{
-    Counted::live = 0;
-    slab::Shared<Counted> kept;
-    {
-        auto fan = slab::Shared<Counted>::makeBranches(4, 1);
-        kept = fan.take();
-    }
-    EXPECT_EQ(Counted::live, 1); // the taken handle keeps it alive
-    kept = slab::Shared<Counted>();
-    EXPECT_EQ(Counted::live, 0);
-    {
-        auto fan = slab::Shared<Counted>::makeBranches(2, 1);
-    }
-    EXPECT_EQ(Counted::live, 0); // nothing taken: freed with the fan
-}
-
-TEST(SlabShared, BranchesDroppedOnOtherThreads)
-{
-    // Handles ride packets to other kernel threads and may be dropped
-    // there: the last drop, wherever it happens, frees the node.
-    Counted::live = 0;
-    {
-        auto fan = slab::Shared<Counted>::makeBranches(4, 3);
+        auto fan = slab::Shared<Counted>::make(3);
         std::vector<std::thread> threads;
         for (int i = 0; i < 4; ++i) {
-            threads.emplace_back([h = fan.take()] {
+            threads.emplace_back([h = fan] {
                 EXPECT_EQ(h->value, 3);
             });
         }
+        fan = slab::Shared<Counted>();
         for (std::thread &t : threads)
             t.join();
     }
