@@ -20,21 +20,8 @@ SnoopyProtocol::SnoopyProtocol(Machine &machine, StatGroup *stats,
                            "lost the copy (fallback memory read)");
     updatesSent.init(stats, "proto.snoop_updates",
                      "update data packets sent to sharers (Dragon)");
-    wbEnqueued.init(stats, "proto.wb_enqueued",
-                    "writes accepted by a store write buffer");
-    wbDrained.init(stats, "proto.wb_drained",
-                   "writes drained from a store write buffer");
-    wbFullStalls.init(stats, "proto.wb_full_stalls",
-                      "store-buffer pushes that found it full");
 
     homeLines.resize(m.numSockets());
-    writeBuffers.resize(m.numSockets());
-    for (SocketId s = 0; s < m.numSockets(); ++s) {
-        writeBuffers[s].init(&m.queueAt(s), &m.socket(s).memory(),
-                             cfg().storeWriteBufferDepth,
-                             cfg().memLatency, &wbEnqueued,
-                             &wbDrained, &wbFullStalls);
-    }
 }
 
 /** Join state for a broadcast transaction (requester side). */
@@ -91,12 +78,6 @@ SnoopyProtocol::emptyHomeLines() const
         });
     }
     return n;
-}
-
-void
-SnoopyProtocol::memWrite(SocketId home, Addr addr, bool remote)
-{
-    writeBuffers[home].push(addr, remote);
 }
 
 void
@@ -250,7 +231,7 @@ SnoopyProtocol::runBroadcast(SocketId req, SocketId home, Addr addr,
                         // memory is refreshed reflectively.
                         const SocketId hm = m.homeOf(addr, req);
                         sendData(t, hm, [this, hm, addr] {
-                            memWrite(hm, addr, false);
+                            m.socket(hm).memory().write(addr, false);
                         });
                     }
                     sendData(t, req, answer(true));
@@ -321,7 +302,7 @@ SnoopyProtocol::putX(SocketId req, Addr addr)
         updateLine(home, addr, [&](HomeLineState &line) {
             variant->evicted(line, req);
         });
-        memWrite(home, addr, req != home);
+        m.socket(home).memory().write(addr, req != home);
     });
 }
 
@@ -335,7 +316,7 @@ SnoopyProtocol::dramCacheEvicted(SocketId req, Addr addr, bool dirty)
         updateLine(home, addr, [&](HomeLineState &line) {
             variant->evicted(line, req);
         });
-        memWrite(home, addr, req != home);
+        m.socket(home).memory().write(addr, req != home);
     });
 }
 

@@ -10,9 +10,8 @@
  *
  * One broadcast engine serves the whole protocol family: the
  * per-line state machine behind it (coherence/snoopy_variants.hh)
- * selects MESI, MESIF, MOESI or Dragon per SystemConfig::protocol,
- * and all variants share the per-home store write buffer
- * (coherence/store_buffer.hh). See docs/coherence.md.
+ * selects MESI, MESIF, MOESI or Dragon per SystemConfig::protocol.
+ * See docs/coherence.md.
  */
 
 #ifndef C3DSIM_COHERENCE_SNOOPY_PROTOCOL_HH
@@ -23,7 +22,6 @@
 
 #include "coherence/protocol_base.hh"
 #include "coherence/snoopy_variants.hh"
-#include "coherence/store_buffer.hh"
 #include "sim/flat_map.hh"
 
 namespace c3d
@@ -89,13 +87,9 @@ class SnoopyProtocol : public ProtocolBase
     template <typename F>
     void updateLine(SocketId home, Addr addr, F &&change);
 
-    /** Route a home-side memory write through the store buffer. */
-    void memWrite(SocketId home, Addr addr, bool remote);
-
     std::unique_ptr<SnoopVariant> variant;
     /** Per home: the non-empty lines, keyed by block address. */
     std::vector<FlatMap<Addr, HomeLineState>> homeLines;
-    std::vector<StoreBuffer> writeBuffers;
 
     Counter snoops;
     Counter snoopHitsDirty;
@@ -103,9 +97,6 @@ class SnoopyProtocol : public ProtocolBase
     Counter cleanForwards;
     Counter supplierFallbacks;
     Counter updatesSent;
-    Counter wbEnqueued;
-    Counter wbDrained;
-    Counter wbFullStalls;
 };
 
 std::unique_ptr<GlobalProtocol>

@@ -77,8 +77,6 @@ cliUsage()
         "  --cores-per-socket=N   (default 8)\n"
         "  --scale=N              shrink capacities & workload by N "
         "(default 32)\n"
-        "  --store-buffer=N       snoopy store write buffer depth "
-        "(default 0 = off)\n"
         "  --workload=NAME        paper profile name (default "
         "facesim)\n"
         "  --warmup=N --measure=N references per core\n"
@@ -97,10 +95,8 @@ parseCli(const std::vector<std::string> &args)
 
     exp::SweepGrid point; // the axis flags, applied once all are read
     std::uint64_t dram_ns = 0, hop_ns = 0, mem_ns = 0;
-    std::uint64_t store_buffer = raw.storeWriteBufferDepth;
     std::uint64_t cores = raw.coresPerSocket, scale = opt.scale;
     const std::vector<UnsignedFlag> numbers = {
-        {"store-buffer", 0, 4096, &store_buffer},
         {"cores-per-socket", 1, 64, &cores},
         {"scale", 1, UINT64_MAX, &scale},
         {"warmup", 0, UINT64_MAX, &opt.warmupOps},
@@ -132,7 +128,6 @@ parseCli(const std::vector<std::string> &args)
             return opt;
     }
 
-    raw.storeWriteBufferDepth = static_cast<std::uint32_t>(store_buffer);
     raw.coresPerSocket = static_cast<std::uint32_t>(cores);
     opt.scale = static_cast<std::uint32_t>(scale);
     // A one-point sweep; the sockets axis keeps --cores-per-socket.

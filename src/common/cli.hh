@@ -10,7 +10,6 @@
  *                             a single-value flag; exp::gridAxes())
  *   --cores-per-socket=N
  *   --scale=N                 (capacities /N; pair with workload scale)
- *   --store-buffer=N
  *   --workload=<profile name> --warmup=N --measure=N
  *   --dram-cache-ns=N --hop-ns=N --mem-ns=N
  *   --no-dram-cache --tlb-classification

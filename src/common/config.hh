@@ -206,15 +206,6 @@ struct SystemConfig
     // ---- core (Table II: 1 IPC, 32-entry store queue, TSO) ------------
     std::uint32_t storeQueueEntries = 32;
 
-    /**
-     * Store write buffer in front of each home memory controller
-     * (snoopy family only): writebacks and reflective writes queue
-     * here and drain one per memLatency. 0 disables the buffer --
-     * writes post to the controller immediately, which is the
-     * pre-buffer behavior bit for bit.
-     */
-    std::uint32_t storeWriteBufferDepth = 0;
-
     // ---- C3D options ---------------------------------------------------
     /** §IV-D: elide invalidation broadcasts for private pages. */
     bool tlbPageClassification = false;

@@ -1,7 +1,6 @@
 #include "exp/result_table.hh"
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "common/log.hh"
 #include "exp/json.hh"
@@ -19,21 +18,6 @@ formatIpc(double ipc)
     char buf[48];
     std::snprintf(buf, sizeof(buf), "%.9g", ipc);
     return buf;
-}
-
-/**
- * Validate a serialized ipc token. The value itself is recomputed
- * from the integer columns on emit, but a malformed token means the
- * input is not our schema: reject loudly instead of ignoring it.
- */
-bool
-validIpcToken(const std::string &s)
-{
-    if (s.empty())
-        return false;
-    char *end = nullptr;
-    std::strtod(s.c_str(), &end);
-    return end && *end == '\0';
 }
 
 /** A tenant's numeric QoS columns, in serialized order. */
@@ -170,82 +154,6 @@ csvField(const std::string &s)
     }
     out += '"';
     return out;
-}
-
-/** CSV header: every column, then the derived ipc and tenants. */
-std::vector<std::string>
-csvHeader()
-{
-    std::vector<std::string> names;
-    for (const RowColumn &c : rowColumns())
-        names.push_back(c.name);
-    names.push_back("ipc");
-    names.push_back("tenants");
-    return names;
-}
-
-/**
- * Split CSV text into records, honoring quoted fields: a '\n'
- * inside a quoted field belongs to the field, not the record
- * separator (toCsv emits such records for names containing
- * newlines, so the parser must accept them back).
- */
-std::vector<std::string>
-splitCsvRecords(const std::string &text)
-{
-    std::vector<std::string> records;
-    std::string cur;
-    // Flipping on every '"' tracks quoting exactly for emitter
-    // output: an escaped "" flips twice and stays inside the field.
-    bool quoted = false;
-    for (const char c : text) {
-        if (c == '\n' && !quoted) {
-            records.push_back(cur);
-            cur.clear();
-            continue;
-        }
-        if (c == '"')
-            quoted = !quoted;
-        cur += c;
-    }
-    if (!cur.empty())
-        records.push_back(cur);
-    return records;
-}
-
-/** Split one CSV record honoring quoted fields. */
-bool
-splitCsvLine(const std::string &line, std::vector<std::string> &out)
-{
-    out.clear();
-    std::string field;
-    bool quoted = false;
-    for (std::size_t i = 0; i < line.size(); ++i) {
-        const char c = line[i];
-        if (quoted) {
-            if (c == '"') {
-                if (i + 1 < line.size() && line[i + 1] == '"') {
-                    field += '"';
-                    ++i;
-                } else {
-                    quoted = false;
-                }
-            } else {
-                field += c;
-            }
-        } else if (c == '"' && field.empty()) {
-            quoted = true;
-        } else if (c == ',') {
-            out.push_back(field);
-            field.clear();
-        } else {
-            field += c;
-        }
-    }
-    if (quoted)
-        return false;
-    out.push_back(field);
-    return true;
 }
 
 } // namespace
@@ -501,10 +409,14 @@ ResultTable::toJson() const
 std::string
 ResultTable::toCsv() const
 {
+    // Header: every column, then the derived ipc and tenants.
     std::string out;
-    for (const std::string &name : csvHeader())
-        out += (out.empty() ? "" : ",") + name;
-    out += '\n';
+    for (const RowColumn &c : rowColumns()) {
+        if (&c != &rowColumns().front())
+            out += ',';
+        out += c.name;
+    }
+    out += ",ipc,tenants\n";
     for (const ResultRow &r : tableRows) {
         for (const RowColumn &c : rowColumns()) {
             if (&c != &rowColumns().front())
@@ -549,86 +461,6 @@ ResultTable::fromJson(const std::string &text, ResultTable &out,
         ResultRow row;
         if (!rowFromJson(rv, row, error))
             return false;
-        table.appendRow(std::move(row));
-    }
-    out = std::move(table);
-    return true;
-}
-
-bool
-ResultTable::fromCsv(const std::string &text, ResultTable &out,
-                     std::string &error)
-{
-    const std::vector<std::string> lines = splitCsvRecords(text);
-    if (lines.empty()) {
-        error = "empty csv";
-        return false;
-    }
-
-    std::vector<std::string> header;
-    if (!splitCsvLine(lines[0], header)) {
-        error = "malformed csv header";
-        return false;
-    }
-    const std::vector<std::string> expected = csvHeader();
-    const std::size_t expected_cols = expected.size();
-    if (header.size() != expected_cols) {
-        error = "unexpected csv column count";
-        return false;
-    }
-    for (std::size_t c = 0; c < expected_cols; ++c) {
-        if (header[c] != expected[c]) {
-            error = "unexpected csv header '" + header[c] + "'";
-            return false;
-        }
-    }
-
-    ResultTable table;
-    for (std::size_t l = 1; l < lines.size(); ++l) {
-        if (lines[l].empty())
-            continue;
-        std::vector<std::string> fields;
-        if (!splitCsvLine(lines[l], fields) ||
-            fields.size() != expected_cols) {
-            error = "malformed csv row " + std::to_string(l);
-            return false;
-        }
-        ResultRow row;
-        for (std::size_t c = 0; c < rowColumns().size(); ++c) {
-            const RowColumn &col = rowColumns()[c];
-            const std::string &field = fields[c];
-            if (col.str) {
-                row.*col.str = field;
-                continue;
-            }
-            // strtoull alone accepts "" (returns 0) and "-5" (wraps);
-            // require a plain non-empty digit string.
-            if (field.empty() ||
-                field.find_first_not_of("0123456789") !=
-                    std::string::npos) {
-                error = "bad integer in csv row " + std::to_string(l);
-                return false;
-            }
-            col.setNumber(row, std::strtoull(field.c_str(), nullptr, 10));
-        }
-        // The ipc column is recomputed on emit, but reject tokens
-        // that are not numbers at all.
-        if (!validIpcToken(fields[expected_cols - 2])) {
-            error = "bad ipc in csv row " + std::to_string(l);
-            return false;
-        }
-        // Trailing tenants column: empty for plain rows, otherwise
-        // the JSON array tenantsToJson emitted.
-        if (!fields.back().empty()) {
-            JsonValue tenants;
-            if (!parseJson(fields.back(), tenants, error) ||
-                !tenantsFromJson(tenants, row.metrics.tenants,
-                                 error)) {
-                error = "bad tenants in csv row " +
-                    std::to_string(l) + " (" + error + ")";
-                return false;
-            }
-        }
         table.appendRow(std::move(row));
     }
     out = std::move(table);

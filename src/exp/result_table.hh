@@ -1,8 +1,8 @@
 /**
  * @file
  * Structured sweep results: one ResultRow per grid point, collected
- * into a ResultTable with deterministic JSON and CSV emitters and
- * matching parsers (round-trip safe).
+ * into a ResultTable with deterministic JSON and CSV emitters and a
+ * matching JSON parser (round-trip safe).
  *
  * The serialized schema is documented in docs/sweeps.md. Emission is
  * fully deterministic -- fixed key order, fixed number formatting --
@@ -64,7 +64,7 @@ struct ResultRow : AxisIndices
 /**
  * One serialized column of a result row. rowColumns() lists them in
  * schema order (docs/sweeps.md "Output schema"); the JSON and CSV
- * emitters and parsers, sameAs() and identityKey() all walk it. A
+ * emitters, the JSON parser, sameAs() and identityKey() all walk it. A
  * column is a string or an unsigned integer; the ResultRow fields
  * are the identity columns, the RunResult fields the metrics.
  */
@@ -176,8 +176,6 @@ class ResultTable
     /** Parse; false + @p error on malformed input. */
     static bool fromJson(const std::string &text, ResultTable &out,
                          std::string &error);
-    static bool fromCsv(const std::string &text, ResultTable &out,
-                        std::string &error);
 
     /** Serialized schema identifier. */
     static const char *schemaName();

@@ -123,20 +123,13 @@ class SweepEngine
     unsigned jobs() const { return workerCount; }
 
     /**
-     * Kernel selection forwarded to every simulated run. NOT part of
-     * row identity: the parallel kernel reproduces the sequential
-     * oracle's rows byte-for-byte (tests/test_parallel_kernel.cc),
-     * so rows do not record which kernel produced them — exactly as
-     * --jobs does not appear in rows.
-     */
-    void setKernelOptions(KernelOptions k) { runOpts.kernel = k; }
-    KernelOptions kernelOptions() const { return runOpts.kernel; }
-
-    /**
-     * Full run options (kernel + watchdog budgets + fault plan)
-     * forwarded to every simulated run. Like the kernel choice, none
-     * of it is row identity: the watchdog only observes and faults
-     * only make rows fail.
+     * Run options (kernel + watchdog budgets + fault plan) forwarded
+     * to every simulated run. None of it is row identity: the
+     * parallel kernel reproduces the sequential oracle's rows
+     * byte-for-byte (tests/test_parallel_kernel.cc), so rows do not
+     * record which kernel produced them -- exactly as --jobs does not
+     * appear in rows -- the watchdog only observes and faults only
+     * make rows fail.
      */
     void setRunOptions(const RunOptions &o) { runOpts = o; }
     const RunOptions &runOptions() const { return runOpts; }

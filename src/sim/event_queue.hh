@@ -487,8 +487,9 @@ class EventQueue
     /**
      * Armed-watchdog bookkeeping, run before each event's callback.
      * The stall counter is per queue and exact (deterministic trip
-     * point on a 1-worker run); the machine-wide event and
-     * wall-clock budgets are folded in every BulkPeriod events.
+     * point on a 1-worker run); the machine-wide event budget and
+     * the sibling watchdog's wall-clock expiry flag are checked
+     * every BulkPeriod events.
      */
     void
     watchdogCheck(Tick t)
@@ -519,7 +520,7 @@ class EventQueue
                           static_cast<std::uint64_t>(t),
                           pendingSummary().c_str());
             }
-            if (wd->wallExpired()) {
+            if (wd->wallExpiryRaised()) {
                 c3d_panic("watchdog: wall-clock budget (%" PRIu64
                           " ms) exceeded at tick %" PRIu64 "; %s",
                           l.wallMs, static_cast<std::uint64_t>(t),

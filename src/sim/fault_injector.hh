@@ -20,13 +20,15 @@
  *  - StallMsg: the `at`-th inter-socket packet's delivery is
  *    replaced by a zero-delay self-rescheduling event, so the queue
  *    executes events forever without the clock advancing. Models a
- *    livelock; caught by the watchdog's no-progress detector.
+ *    livelock; caught by the watchdog's no-progress detector, or,
+ *    with that off, by the wall-clock budget's expiry flag.
  *  - Block: the first inter-socket send at tick >= `at` blocks the
  *    executing kernel thread *inside the current event* until
  *    releaseInjectedBlocks() is called. Models a hard deadlock in a
  *    single callback -- invisible to every in-band watchdog check
- *    (those only run between events); only the sibling wall-clock
- *    watchdog (runWithSiblingWatchdog) can contain it.
+ *    (those only run between events, so the wall-clock expiry flag
+ *    is never read); the sibling watchdog (runWithSiblingWatchdog)
+ *    abandons the thread one budget after raising that flag.
  *
  * Determinism: on a 1-worker run (every single-queue run, and the
  * multi-queue oracle) send order is fully deterministic, so

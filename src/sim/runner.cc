@@ -259,10 +259,9 @@ struct GuardedRun
 
 /**
  * Drive @p box->runner under the sibling wall-clock watchdog when a
- * wall budget is set. The in-band wall check (WatchdogState) stays
- * armed too and usually fires first; the sibling path exists for
- * hard stalls inside a single event, which the in-band check can
- * never observe.
+ * wall budget is set. A run still executing events when the budget
+ * runs out stops at its next bulk fold with the in-band wall-clock
+ * SimError; one stalled inside a single event is abandoned.
  */
 RunResult
 runGuarded(std::shared_ptr<GuardedRun> box, const RunOptions &opts,
@@ -271,7 +270,7 @@ runGuarded(std::shared_ptr<GuardedRun> box, const RunOptions &opts,
     if (!opts.watchdog.wallMs)
         return box->runner->run(warmup_ops, measure_ops);
     runWithSiblingWatchdog(
-        opts.watchdog.wallMs,
+        box->runner->watchdogState(),
         [box, warmup_ops, measure_ops] {
             box->result = box->runner->run(warmup_ops, measure_ops);
         },

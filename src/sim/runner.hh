@@ -119,17 +119,12 @@ struct KernelOptions
  * of row identity: the kernel choice reproduces the sequential
  * oracle byte-for-byte, the watchdog only observes, and the fault
  * plan exists to make runs fail, not to change surviving results.
- * Implicitly constructible from KernelOptions so pre-existing call
- * sites that only select a kernel keep working.
  */
 struct RunOptions
 {
     KernelOptions kernel;
     WatchdogLimits watchdog; //!< progress budgets; default all off
     FaultPlan fault;         //!< injected fault; default none
-
-    RunOptions() = default;
-    RunOptions(const KernelOptions &k) : kernel(k) {}
 };
 
 /** Drives a full simulation. */
@@ -164,6 +159,8 @@ class Runner
                               std::vector<std::string> names);
 
     Machine &machine() { return *m; }
+    /** The run's progress accounting (the sibling watchdog's flag). */
+    WatchdogState &watchdogState() { return watchdog; }
     const std::vector<std::unique_ptr<TraceCpu>> &cores() const
     {
         return cpus;

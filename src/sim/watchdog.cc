@@ -1,5 +1,6 @@
 #include "sim/watchdog.hh"
 
+#include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <thread>
@@ -49,14 +50,10 @@ abandonedRegistry()
 } // namespace
 
 void
-runWithSiblingWatchdog(std::uint64_t wall_ms,
-                       std::function<void()> body,
+runWithSiblingWatchdog(WatchdogState &state, std::function<void()> body,
                        std::shared_ptr<void> keep_alive)
 {
-    if (!wall_ms) {
-        body();
-        return;
-    }
+    const std::uint64_t wall_ms = state.budgets().wallMs;
 
     auto run = std::make_shared<SiblingRun>();
     std::thread worker([run, body = std::move(body)] {
@@ -72,13 +69,19 @@ runWithSiblingWatchdog(std::uint64_t wall_ms,
         run->cv.notify_all();
     });
 
+    const auto budget = std::chrono::milliseconds(wall_ms);
     std::unique_lock<std::mutex> lock(run->mu);
-    const bool finished = run->cv.wait_for(
-        lock, std::chrono::milliseconds(wall_ms),
-        [&] { return run->done; });
+    const auto finished = [&] { return run->done; };
+    if (!run->cv.wait_for(lock, budget, finished)) {
+        // A run still executing events stops at its next bulk fold
+        // (EventQueue::watchdogCheck) and finishes with that SimError.
+        state.raiseWallExpiry();
+        run->cv.wait_for(lock, budget, finished);
+    }
+    const bool done = run->done;
     lock.unlock();
 
-    if (finished) {
+    if (done) {
         worker.join();
         if (run->error)
             std::rethrow_exception(run->error);
@@ -90,9 +93,11 @@ runWithSiblingWatchdog(std::uint64_t wall_ms,
         abandonedRegistry().push_back(
             Abandoned{std::move(worker), run, std::move(keep_alive)});
     }
-    c3d_panic("sibling watchdog: no completion after %llu ms wall "
-              "clock; the run is stalled inside a single event and "
-              "has been abandoned on its worker thread",
+    c3d_panic("sibling watchdog: no completion %llu ms after the "
+              "%llu ms wall-clock budget ran out; the run is stalled "
+              "inside a single event and has been abandoned on its "
+              "worker thread",
+              static_cast<unsigned long long>(wall_ms),
               static_cast<unsigned long long>(wall_ms));
 }
 

@@ -14,12 +14,12 @@
  * The checks are built to preserve the repo's byte-identity
  * invariant: the watchdog only *observes* execution (it never
  * schedules events or perturbs ordering), the per-event cost when
- * armed is one branch plus a counter, and the wall-clock/total-event
- * budgets are checked only every BulkPeriod events so the hot loop
- * stays hot. A tripped budget raises c3d_panic -- i.e. a catchable
- * SimError naming the stuck queue's pending work (see
- * EventQueue::watchdogCheck) -- which the sweep layer contains to
- * the row.
+ * armed is one branch plus a counter, and the total-event budget and
+ * the wall-clock expiry flag are checked only every BulkPeriod
+ * events so the hot loop stays hot. A tripped budget raises
+ * c3d_panic -- i.e. a catchable SimError naming the stuck queue's
+ * pending work (see EventQueue::watchdogCheck) -- which the sweep
+ * layer contains to the row.
  *
  * Stall-detector determinism: the same-tick run length is counted
  * per queue in execution order, so on a 1-worker run the trip point
@@ -27,23 +27,25 @@
  * inherently timing-dependent; they exist as a last-resort budget,
  * not a differential surface.
  *
- * All of the above is *in-band*: the budgets are checked between
- * events, so a hard stall inside a single event callback (a blocking
- * wait, an unbounded loop that never returns to the kernel) escapes
- * every check. runWithSiblingWatchdog() closes that hole: the run
+ * The wall clock has one reader: runWithSiblingWatchdog(). The run
  * body executes on a sacrificial sibling thread while the calling
  * thread waits out the wall budget independently of event progress.
- * A run that blows the budget is *abandoned* -- the stuck thread
- * cannot be interrupted safely, so it is parked in a registry
- * together with a keep-alive reference to everything it may still
- * touch, and the caller gets a SimError it can contain per row.
+ * When the budget runs out, the caller raises the run's expiry flag;
+ * a run still executing events sees it at its next bulk fold and
+ * unwinds with the in-band "wall-clock budget" SimError naming the
+ * tick. A run that does not finish within one more budget is stalled
+ * inside a single event (a blocking wait, an unbounded loop that
+ * never returns to the kernel), which no in-band check can observe.
+ * It is *abandoned* -- the stuck thread cannot be interrupted
+ * safely, so it is parked in a registry together with a keep-alive
+ * reference to everything it may still touch, and the caller gets a
+ * SimError it can contain per row.
  */
 
 #ifndef C3DSIM_SIM_WATCHDOG_HH
 #define C3DSIM_SIM_WATCHDOG_HH
 
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -55,7 +57,11 @@ namespace c3d
 /** Per-row progress budgets; 0 disables the corresponding check. */
 struct WatchdogLimits
 {
-    /** Wall-clock budget for the whole run, in milliseconds. */
+    /**
+     * Wall-clock budget for the whole run, in milliseconds; timed by
+     * runWithSiblingWatchdog() (runWorkload arms it), so a Runner
+     * driven directly only ever sees the expiry flag unraised.
+     */
     std::uint64_t wallMs = 0;
     /** Total executed-event budget across all kernel queues. */
     std::uint64_t maxEvents = 0;
@@ -75,16 +81,13 @@ class WatchdogState
     /** Queues fold their local counts in every this many events. */
     static constexpr std::uint64_t BulkPeriod = 1024;
 
-    /** Reset counters and start the wall clock for a new run. */
+    /** Reset counters and the expiry flag for a new run. */
     void
     arm(const WatchdogLimits &l)
     {
         limits = l;
         totalEvents.store(0, std::memory_order_relaxed);
-        if (limits.wallMs) {
-            deadline = std::chrono::steady_clock::now() +
-                std::chrono::milliseconds(limits.wallMs);
-        }
+        wallExpiry.store(false, std::memory_order_relaxed);
     }
 
     const WatchdogLimits &budgets() const { return limits; }
@@ -102,34 +105,44 @@ class WatchdogState
             n > limits.maxEvents;
     }
 
-    /** True when the wall-clock budget has expired. */
-    bool
-    wallExpired() const
+    /** Mark the wall-clock budget spent (the sibling watchdog). */
+    void
+    raiseWallExpiry()
     {
-        return limits.wallMs &&
-            std::chrono::steady_clock::now() > deadline;
+        wallExpiry.store(true, std::memory_order_relaxed);
+    }
+
+    /** True once raiseWallExpiry() was called for this run. */
+    bool
+    wallExpiryRaised() const
+    {
+        return wallExpiry.load(std::memory_order_relaxed);
     }
 
   private:
     WatchdogLimits limits;
     std::atomic<std::uint64_t> totalEvents{0};
-    std::chrono::steady_clock::time_point deadline{};
+    std::atomic<bool> wallExpiry{false};
 };
 
 /**
- * Execute @p body on a sacrificial sibling thread, waiting at most
- * @p wall_ms milliseconds for it to finish (0: run inline, no
- * watchdog). Completion within budget behaves exactly like a direct
- * call -- the sibling runs the identical code, so armed runs stay
- * bit-identical -- and any exception the body raises is rethrown
- * here. On timeout the stuck thread is abandoned into a registry
- * (holding @p keep_alive so the state it references outlives the
- * caller) and c3d_panic raises a catchable SimError on the calling
- * thread, which still holds the row's ErrorIdentityScope.
+ * Execute @p body on a sacrificial sibling thread under @p state's
+ * wall budget (budgets().wallMs, which must be nonzero). Completion
+ * within budget behaves exactly like a direct call -- the sibling
+ * runs the identical code, so armed runs stay bit-identical -- and
+ * any exception the body raises is rethrown here. When the budget
+ * runs out, the caller raises @p state's expiry flag and waits at
+ * most one more budget: a run still executing events unwinds with
+ * its in-band SimError, which is rethrown here. A run that does not
+ * finish is abandoned into a registry (holding @p keep_alive, which
+ * must keep @p state and everything the body references alive
+ * beyond the caller) and c3d_panic raises a catchable SimError on
+ * the calling thread, which still holds the row's
+ * ErrorIdentityScope.
  */
-void runWithSiblingWatchdog(std::uint64_t wall_ms,
+void runWithSiblingWatchdog(WatchdogState &state,
                             std::function<void()> body,
-                            std::shared_ptr<void> keep_alive = nullptr);
+                            std::shared_ptr<void> keep_alive);
 
 /** Number of abandoned sibling-watchdog threads still parked. */
 std::size_t abandonedWatchdogThreads();

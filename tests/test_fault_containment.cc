@@ -181,6 +181,31 @@ TEST(FaultContainment, InjectedStallTripsWatchdog)
     }
 }
 
+TEST(FaultContainment, WallBudgetStopsARunThatKeepsExecuting)
+{
+    // With the stall detector off, a livelocked run keeps executing
+    // events; the sibling watchdog raises the expiry flag when the
+    // wall budget runs out and the run unwinds at its next bulk
+    // check -- no thread is abandoned.
+    FaultPlan fault;
+    fault.kind = FaultKind::StallMsg;
+    fault.at = 3;
+    WatchdogLimits wd;
+    wd.wallMs = 50;
+    try {
+        runWithFault(fault, wd);
+        FAIL() << "expected SimError";
+    } catch (const SimError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("watchdog: wall-clock budget (50 ms) "
+                            "exceeded at tick "),
+                  std::string::npos)
+            << what;
+        EXPECT_TRUE(e.tickKnown());
+    }
+    EXPECT_EQ(abandonedWatchdogThreads(), 0u);
+}
+
 TEST(FaultContainment, EventBudgetTripsWatchdog)
 {
     WatchdogLimits wd;
@@ -410,8 +435,8 @@ TEST(SweepFailPolicy, SharedRetryRecoversEveryRow)
 void
 releaseAndReap()
 {
-    // The released thread resumes its run, hits the dropped-packet
-    // lost-wakeup panic, and finishes; poll until reap joins it.
+    // The released thread resumes its run, panics on the raised
+    // wall-clock expiry flag, and finishes; poll until reap joins it.
     for (int i = 0; i < 2000; ++i) {
         releaseInjectedBlocks();
         if (abandonedWatchdogThreads() == 0)

@@ -54,12 +54,21 @@ fullDesignGrid()
     return grid;
 }
 
+/** Run options that select @p kernel and leave the rest default. */
+RunOptions
+withKernel(const KernelOptions &kernel)
+{
+    RunOptions opts;
+    opts.kernel = kernel;
+    return opts;
+}
+
 /** Run @p grid with the given kernel options, single sweep worker. */
 exp::ResultTable
-runGrid(const exp::SweepGrid &grid, KernelOptions kernel)
+runGrid(const exp::SweepGrid &grid, const KernelOptions &kernel)
 {
     exp::SweepEngine engine(1);
-    engine.setKernelOptions(kernel);
+    engine.setRunOptions(withKernel(kernel));
     return engine.run(grid);
 }
 
@@ -227,13 +236,15 @@ TEST(ParallelKernel, IneligibleConfigsRunOnOneQueueAtAnyThreadCount)
     for (const SystemConfig &cfg : {one_socket, zero_hop, tlb}) {
         ASSERT_FALSE(Machine::parallelKernelEligible(cfg));
         const RunResult ref =
-            runWorkload(cfg, prof, 100, 400, KernelOptions{});
+            runWorkload(cfg, prof, 100, 400);
         EXPECT_GT(ref.instructions, 0u);
         for (unsigned t : {1u, 2u, 4u}) {
             KernelOptions k;
             k.parallel = true;
             k.threads = t;
-            expectSameResult(ref, runWorkload(cfg, prof, 100, 400, k),
+            expectSameResult(ref,
+                             runWorkload(cfg, prof, 100, 400,
+                                         withKernel(k)),
                              std::to_string(cfg.numSockets) +
                                  " sockets, " + std::to_string(t) +
                                  " threads");
@@ -287,7 +298,7 @@ TEST(ParallelKernel, BarrierReleaseIsTheOnlyWakeupAtEveryThreadCount)
         KernelOptions k;
         k.parallel = threads > 1;
         k.threads = threads;
-        Runner r(cfg, wl, RunOptions(k));
+        Runner r(cfg, wl, withKernel(k));
         const RunResult res = r.run(20, 200);
         episodes = r.machine().stats().valueOf("barrier.episodes");
         return res;
@@ -315,12 +326,14 @@ TEST(ParallelKernel, ThreadCountDoesNotChangeEligibleRunResults)
     WorkloadProfile prof = test::tinyProfile("threads");
 
     const RunResult ref =
-        runWorkload(cfg, prof, 200, 800, KernelOptions{});
+        runWorkload(cfg, prof, 200, 800);
     for (unsigned t : {2u, 3u, 8u}) {
         KernelOptions k;
         k.parallel = true;
         k.threads = t;
-        expectSameResult(ref, runWorkload(cfg, prof, 200, 800, k),
+        expectSameResult(ref,
+                         runWorkload(cfg, prof, 200, 800,
+                                     withKernel(k)),
                          std::to_string(t) + " threads");
     }
 }
@@ -343,7 +356,7 @@ snapshotStats(const SystemConfig &cfg, unsigned threads)
     KernelOptions k;
     k.parallel = true;
     k.threads = threads;
-    Runner r(cfg, wl, RunOptions(k));
+    Runner r(cfg, wl, withKernel(k));
     r.run(200, 800);
     StatSnapshot snap;
     const StatGroup &sg = r.machine().stats();

@@ -211,11 +211,11 @@ TEST(PerceptronPredictor, ParallelKernelTrainingIsDeterministic)
     exp::SweepEngine seq(1);
     const exp::ResultTable ref = seq.run(grid);
 
-    KernelOptions kernel;
-    kernel.parallel = true;
-    kernel.threads = 4;
+    RunOptions opts;
+    opts.kernel.parallel = true;
+    opts.kernel.threads = 4;
     exp::SweepEngine par(1);
-    par.setKernelOptions(kernel);
+    par.setRunOptions(opts);
     const exp::ResultTable got = par.run(grid);
 
     EXPECT_EQ(ref.toJson(), got.toJson());

@@ -4,14 +4,12 @@
  * point (home-snoop), so concurrent conflicting transactions
  * serialize and leave exactly one owner. The ordering properties are
  * checked for every protocol variant of the family (MESI, MESIF,
- * MOESI, Dragon), and the store write buffer's total-FIFO drain is
- * pinned here too.
+ * MOESI, Dragon).
  */
 
 #include <gtest/gtest.h>
 
 #include "coherence/snoopy_protocol.hh"
-#include "coherence/store_buffer.hh"
 #include "common/log.hh"
 #include "sim/machine.hh"
 #include "sim/runner.hh"
@@ -163,92 +161,6 @@ TEST(SnoopyOrdering, HomeKeepsOnlyNonEmptyLines)
         EXPECT_GT(proto.homeLineCount(), 0u) << protocolName(p);
         EXPECT_EQ(proto.emptyHomeLines(), 0u) << protocolName(p);
     }
-}
-
-// ---------------------------------------------------------------------------
-// Store write buffer: total FIFO, paced drain, lossless force-drain.
-
-struct BufferRig
-{
-    EventQueue eq;
-    SystemConfig cfg = test::tinyConfig(Design::Snoopy, 4, 1);
-    MemoryController mem{eq, cfg, 0, nullptr};
-    Counter enq, drn, stalls;
-    StoreBuffer buf;
-
-    explicit BufferRig(std::uint32_t depth, Tick latency)
-    {
-        buf.init(&eq, &mem, depth, latency, &enq, &drn, &stalls);
-    }
-};
-
-TEST(StoreBufferModel, DepthZeroIsPassthrough)
-{
-    setQuiet(true);
-    BufferRig rig(0, 10);
-    for (int i = 0; i < 5; ++i)
-        rig.buf.push(0x40 * i, false);
-    // Bypass: writes hit the controller immediately, nothing queues,
-    // no buffer counter ever ticks.
-    EXPECT_EQ(rig.buf.pending(), 0u);
-    EXPECT_EQ(rig.mem.writes(), 5u);
-    EXPECT_EQ(rig.enq.value(), 0u);
-    EXPECT_EQ(rig.drn.value(), 0u);
-}
-
-TEST(StoreBufferModel, DrainsOnePerLatency)
-{
-    setQuiet(true);
-    BufferRig rig(8, 10);
-    for (int i = 0; i < 4; ++i)
-        rig.buf.push(0x40 * i, false);
-    EXPECT_EQ(rig.buf.pending(), 4u);
-    // Sample occupancy between drain events: one entry leaves every
-    // ten ticks, never a burst.
-    std::vector<std::size_t> samples;
-    for (const Tick t : {9, 11, 21, 31, 41})
-        rig.eq.schedule(t, [&] { samples.push_back(rig.buf.pending()); });
-    rig.eq.run();
-    const std::vector<std::size_t> expect = {4, 3, 2, 1, 0};
-    EXPECT_EQ(samples, expect);
-    EXPECT_EQ(rig.drn.value(), 4u);
-    EXPECT_EQ(rig.mem.writes(), 4u);
-    EXPECT_EQ(rig.stalls.value(), 0u);
-}
-
-TEST(StoreBufferModel, FullBufferForceDrainsOldest)
-{
-    setQuiet(true);
-    BufferRig rig(2, 10);
-    for (int i = 0; i < 4; ++i) {
-        rig.buf.push(0x40 * i, false);
-        EXPECT_LE(rig.buf.pending(), 2u);
-    }
-    // Pushes three and four each found the buffer full: the oldest
-    // entry was forced out at once instead of being dropped.
-    EXPECT_EQ(rig.stalls.value(), 2u);
-    EXPECT_EQ(rig.mem.writes(), 2u);
-    rig.eq.run();
-    EXPECT_EQ(rig.buf.pending(), 0u);
-    EXPECT_EQ(rig.mem.writes(), 4u);
-    EXPECT_EQ(rig.drn.value(), 4u);
-}
-
-TEST(StoreBufferModel, SameAddressStoresAreConserved)
-{
-    // The FIFO never merges, reorders, or drops same-address stores:
-    // N pushes reach the controller as exactly N writes even when the
-    // buffer wraps through full several times.
-    setQuiet(true);
-    BufferRig rig(3, 5);
-    constexpr int N = 32;
-    for (int i = 0; i < N; ++i)
-        rig.buf.push(0x0C0, i % 2 == 0);
-    rig.eq.run();
-    EXPECT_EQ(rig.buf.pending(), 0u);
-    EXPECT_EQ(rig.enq.value(), static_cast<std::uint64_t>(N));
-    EXPECT_EQ(rig.drn.value(), static_cast<std::uint64_t>(N));
-    EXPECT_EQ(rig.mem.writes(), static_cast<std::uint64_t>(N));
 }
 
 } // namespace

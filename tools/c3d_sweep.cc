@@ -119,7 +119,11 @@ const char *const UsageTail =
     "                         row up to N times (default 1) on the\n"
     "                         sequential fallback kernel before\n"
     "                         giving up as skip does\n"
-    "  --watchdog-wall-ms=N   per-row wall-clock budget (0 = off)\n"
+    "  --watchdog-wall-ms=N   per-row wall-clock budget (0 = off): a\n"
+    "                         row still running events when it\n"
+    "                         expires fails at its next check; one\n"
+    "                         stuck inside an event is abandoned\n"
+    "                         after one more budget\n"
     "  --watchdog-events=N    per-row executed-event budget (0 = off)\n"
     "  --watchdog-stall=N     per-queue same-tick event limit before\n"
     "                         a livelock is declared (default\n"
