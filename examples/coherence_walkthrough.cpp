@@ -102,15 +102,25 @@ main()
 
     std::printf("\nModel-checking the abstract protocol "
                 "(paper: Murphi, §IV-C):\n");
-    for (ModelVariant v : {ModelVariant::C3D, ModelVariant::C3DFullDir,
-                           ModelVariant::BugNoBroadcast,
-                           ModelVariant::BugNoWriteThrough}) {
+    struct Run
+    {
+        const char *label;
+        Design design;
+        Mutation mutation;
+    };
+    for (const Run &run :
+         {Run{"baseline", Design::Baseline, Mutation::None},
+          Run{"c3d", Design::C3D, Mutation::None},
+          Run{"c3d-full-dir", Design::C3DFullDir, Mutation::None},
+          Run{"c3d, no broadcast", Design::C3D, Mutation::DropBroadcast},
+          Run{"c3d, no write-through", Design::C3D,
+              Mutation::DropWriteThrough}}) {
         CheckConfig cc;
-        cc.variant = v;
+        cc.design = run.design;
+        cc.mutation = run.mutation;
         cc.numSockets = 3;
         const CheckResult res = checkProtocol(cc);
-        std::printf("  %-22s: %s (%llu states)%s%s\n",
-                    modelVariantName(v),
+        std::printf("  %-22s: %s (%llu states)%s%s\n", run.label,
                     res.ok ? "coherent" : "VIOLATION",
                     static_cast<unsigned long long>(
                         res.statesExplored),

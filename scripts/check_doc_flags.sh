@@ -1,10 +1,13 @@
 #!/usr/bin/env bash
 # Documentation drift guard: every `--flag` mentioned in docs/*.md
-# must appear in the --help output of a shipped binary, and every
-# figure a documented `./build/bench_paper` command names must be one
-# that `bench_paper --help` lists. A flag or figure that was renamed
-# (or removed) without a doc sweep, or documented before it exists,
-# fails here with the doc lines that reference it.
+# must appear in the --help output of a shipped binary, every figure a
+# documented `./build/bench_paper` command names must be one that
+# `bench_paper --help` lists, and every backticked repo path
+# (`src/...`, `tests/...`, `scripts/...`, a `:line` suffix dropped, a
+# `{a,b}` group expanded) must name a file or directory. A flag,
+# figure or file that was renamed (or removed) without a doc sweep,
+# or documented before it exists, fails here with the doc lines that
+# reference it.
 #
 # Usage: scripts/check_doc_flags.sh [BUILD_DIR]   (default: build)
 
@@ -47,7 +50,26 @@ for name in $(grep -rhoE -- '\./build/bench_paper( +[-a-z0-9=]+)*' docs/*.md |
     fi
 done
 
+for ref in $(grep -rhoE -- '`(src|tests|scripts)/[^` ]*`' docs/*.md |
+             tr -d '`' | sed -E 's/:[0-9][0-9,-]*$//' | sort -u); do
+    paths=$ref
+    if [[ $ref =~ ^([^{]*)\{([^}]*)\}(.*)$ ]]; then
+        paths=
+        IFS=, read -ra alts <<< "${BASH_REMATCH[2]}"
+        for alt in "${alts[@]}"; do
+            paths="$paths ${BASH_REMATCH[1]}$alt${BASH_REMATCH[3]}"
+        done
+    fi
+    for path in $paths; do
+        if [ ! -e "$path" ]; then
+            echo "doc drift: $path is documented but names no file" >&2
+            grep -rnF -- "$ref" docs/*.md | head -3 >&2
+            status=1
+        fi
+    done
+done
+
 if [ "$status" -eq 0 ]; then
-    echo "check_doc_flags: all documented flags and figures exist"
+    echo "check_doc_flags: all documented flags, figures and files exist"
 fi
 exit $status

@@ -1,30 +1,14 @@
 #include "check/model_checker.hh"
 
-#include <cstring>
 #include <deque>
 #include <unordered_set>
 #include <vector>
 
+#include "coherence/home_decisions.hh"
 #include "common/log.hh"
 
 namespace c3d
 {
-
-const char *
-modelVariantName(ModelVariant v)
-{
-    switch (v) {
-      case ModelVariant::C3D:
-        return "c3d";
-      case ModelVariant::C3DFullDir:
-        return "c3d-full-dir";
-      case ModelVariant::BugNoBroadcast:
-        return "bug-no-broadcast";
-      case ModelVariant::BugNoWriteThrough:
-        return "bug-no-write-through";
-    }
-    return "?";
-}
 
 namespace
 {
@@ -32,35 +16,37 @@ namespace
 constexpr std::uint32_t MaxSockets = 3;
 
 enum LlcState : std::uint8_t { LlcI = 0, LlcS = 1, LlcM = 2 };
-enum Pending : std::uint8_t
+
+/** A socket's request in flight: 0, or 1 + its HomeRequest. */
+constexpr std::uint8_t PendNone = 0;
+
+std::uint8_t
+pend(HomeRequest r)
 {
-    PendNone = 0,
-    PendGetS = 1,
-    PendGetX = 2,
-    PendUpg = 3,
-};
+    return static_cast<std::uint8_t>(1 + static_cast<int>(r));
+}
 
 /** Abstract machine state (one block). */
 struct State
 {
-    // Per socket.
+    // Per socket. A version field is 0 while its copy is invalid.
     std::uint8_t llc[MaxSockets] = {LlcI, LlcI, LlcI};
     std::uint8_t llcVer[MaxSockets] = {0, 0, 0};
     std::uint8_t dcValid[MaxSockets] = {0, 0, 0};
     std::uint8_t dcVer[MaxSockets] = {0, 0, 0};
     std::uint8_t pending[MaxSockets] = {PendNone, PendNone, PendNone};
 
-    // Global directory (blocking; non-atomic invalidation phase).
-    std::uint8_t dirState = 0; //!< 0=I 1=S 2=M
-    std::uint8_t sharers = 0;
-    std::uint8_t owner = 0;
-    std::uint8_t busy = 0;     //!< invalidation phase active
-    std::uint8_t busyReq = 0;
-    std::uint8_t busyUpg = 0;  //!< busy request was an Upgrade
+    // The home: its directory entry, and the invalidations in flight
+    // for the write of busyReq. As in DirectoryProtocol, the entry
+    // already holds the write's outcome while the block is busy.
+    DirEntry dir;
     std::uint8_t invMask = 0;
+    std::uint8_t busyReq = 0; //!< 0 while not busy
 
     std::uint8_t memVer = 0;
     std::uint8_t curVer = 0;
+
+    bool busy() const { return invMask != 0; }
 
     std::uint64_t
     pack() const
@@ -76,12 +62,10 @@ struct State
             push(dcVer[i], 2);
             push(pending[i], 2);
         }
-        push(dirState, 2);
-        push(sharers, 3);
-        push(owner, 2);
-        push(busy, 1);
+        push(static_cast<std::uint8_t>(dir.state), 2);
+        push(dir.sharers, 3);
+        push(dir.owner, 2); // InvalidSocket packs as 3
         push(busyReq, 2);
-        push(busyUpg, 1);
         push(invMask, 3);
         push(memVer, 2);
         push(curVer, 2);
@@ -95,25 +79,19 @@ class Model
   public:
     explicit Model(const CheckConfig &cfg)
         : n(cfg.numSockets), vmax(cfg.maxVersion),
-          variant(cfg.variant)
+          writeThrough(cfg.mutation != Mutation::DropWriteThrough),
+          dramCache(cfg.design != Design::Baseline)
     {
         c3d_assert(n >= 2 && n <= MaxSockets,
                    "checker supports 2 or 3 sockets");
         c3d_assert(vmax >= 1 && vmax <= 3, "version bound 1..3");
-    }
-
-    bool trackOnRead() const
-    {
-        return variant == ModelVariant::C3DFullDir;
-    }
-    bool broadcastOnI() const
-    {
-        return variant == ModelVariant::C3D ||
-            variant == ModelVariant::BugNoWriteThrough;
-    }
-    bool writeThrough() const
-    {
-        return variant != ModelVariant::BugNoWriteThrough;
+        c3d_assert(cfg.design == Design::Baseline ||
+                       cfg.design == Design::C3D ||
+                       cfg.design == Design::C3DFullDir,
+                   "checker covers baseline, c3d and c3d-full-dir");
+        policy = findDirDesign(cfg.design)->policy;
+        if (cfg.mutation == Mutation::DropBroadcast)
+            policy.broadcastOnUntrackedWrite = false;
     }
 
     /**
@@ -126,32 +104,31 @@ class Model
         out.clear();
 
         for (std::uint32_t i = 0; i < n; ++i) {
+            // One request per block per socket in flight: a write
+            // holds the socket until its invalidations are in. The
+            // real Socket lets a load send GetS behind another core's
+            // GetX (docs/coherence.md).
+            const bool idle = s.pending[i] == PendNone &&
+                !(s.busy() && s.busyReq == i);
             // Rule: local DRAM-cache read hit promotes into the LLC.
-            if (s.llc[i] == LlcI && s.dcValid[i] &&
-                s.pending[i] == PendNone) {
+            if (s.llc[i] == LlcI && s.dcValid[i] && idle) {
                 State t = s;
                 t.llc[i] = LlcS;
                 t.llcVer[i] = s.dcVer[i];
                 out.push_back(t);
             }
-            // Rule: issue GetS (LLC and DRAM cache both miss).
-            if (s.llc[i] == LlcI && !s.dcValid[i] &&
-                s.pending[i] == PendNone) {
+            // Rules: issue GetS (LLC and DRAM cache both miss), GetX
+            // (no copy) or Upgrade (Shared copy).
+            auto issue = [&](HomeRequest r) {
                 State t = s;
-                t.pending[i] = PendGetS;
+                t.pending[i] = pend(r);
                 out.push_back(t);
-            }
-            // Rule: issue GetX (no copy) / Upgrade (Shared copy).
-            if (s.pending[i] == PendNone && s.curVer < vmax) {
-                if (s.llc[i] == LlcI) {
-                    State t = s;
-                    t.pending[i] = PendGetX;
-                    out.push_back(t);
-                } else if (s.llc[i] == LlcS) {
-                    State t = s;
-                    t.pending[i] = PendUpg;
-                    out.push_back(t);
-                }
+            };
+            if (s.llc[i] == LlcI && !s.dcValid[i] && idle)
+                issue(HomeRequest::GetS);
+            if (s.llc[i] != LlcM && idle && s.curVer < vmax) {
+                issue(s.llc[i] == LlcI ? HomeRequest::GetX
+                                       : HomeRequest::Upgrade);
             }
             // Rule: store hit on a Modified block.
             if (s.llc[i] == LlcM && s.curVer < vmax) {
@@ -160,60 +137,52 @@ class Model
                 t.llcVer[i] = t.curVer;
                 out.push_back(t);
             }
-            // Rule: silent Shared LLC eviction into the DRAM cache.
+            // Rule: silent Shared LLC eviction, into the DRAM cache
+            // when the design has one.
             if (s.llc[i] == LlcS) {
                 State t = s;
-                t.llc[i] = LlcI;
-                t.dcValid[i] = 1;
-                t.dcVer[i] = s.llcVer[i];
+                evictLlc(t, i);
                 out.push_back(t);
             }
-            // Rule: silent DRAM-cache eviction.
+            // Rule: DRAM-cache eviction, with the home's part of its
+            // notice applied at once. The notice reaches the home
+            // before any later request of this socket (per-link FIFO),
+            // and it only drops a sharer that holds no copy, so its
+            // order against other sockets' requests changes nothing.
             if (s.dcValid[i]) {
                 State t = s;
                 t.dcValid[i] = 0;
                 t.dcVer[i] = 0;
+                t.dir = homeStep(policy, s.dir,
+                                 HomeRequest::CleanEviction, i, false,
+                                 s.llc[i] != LlcI)
+                            .next;
                 out.push_back(t);
             }
-            // Rule: Modified LLC eviction -> PutX (blocking dir).
-            if (s.llc[i] == LlcM && !s.busy) {
+            // Rule: Modified LLC eviction -> PutX (blocking home).
+            if (s.llc[i] == LlcM && !s.busy()) {
                 State t = s;
-                t.llc[i] = LlcI;
-                t.dcValid[i] = 1;
-                t.dcVer[i] = s.llcVer[i];
-                if (writeThrough())
+                evictLlc(t, i);
+                if (writeThrough)
                     t.memVer = s.llcVer[i];
-                // Directory: M -> I (c3d) or M -> S{i} (full-dir).
-                if (trackOnRead()) {
-                    t.dirState = 1;
-                    t.sharers = 1u << i;
-                    t.owner = 0;
-                } else {
-                    t.dirState = 0;
-                    t.sharers = 0;
-                    t.owner = 0;
-                }
+                t.dir = homeStep(policy, s.dir, HomeRequest::PutX, i)
+                            .next;
                 out.push_back(t);
             }
-            // Rule: directory processes a pending request.
-            if (s.pending[i] != PendNone && !s.busy)
+            // Rule: the home processes a pending request.
+            if (s.pending[i] != PendNone && !s.busy())
                 processRequest(s, i, out);
         }
 
         // Rule: deliver one pending invalidation.
-        if (s.busy) {
-            for (std::uint32_t j = 0; j < n; ++j) {
-                if (s.invMask & (1u << j)) {
-                    State t = s;
-                    t.llc[j] = LlcI;
-                    t.llcVer[j] = 0;
-                    t.dcValid[j] = 0;
-                    t.dcVer[j] = 0;
-                    t.invMask &= ~(1u << j);
-                    if (t.invMask == 0)
-                        completeWrite(t);
-                    out.push_back(t);
-                }
+        for (std::uint32_t j = 0; j < n; ++j) {
+            if (s.invMask & (1u << j)) {
+                State t = s;
+                invalidate(t, j);
+                t.invMask &= ~(1u << j);
+                if (!t.busy())
+                    completeWrite(t, s.busyReq);
+                out.push_back(t);
             }
         }
         return out.size();
@@ -256,14 +225,14 @@ class Model
         }
 
         // Clean property: memory fresh unless the dir tracks an owner.
-        if (s.dirState != 2 && s.memVer != s.curVer)
+        if (s.dir.state != DirState::Modified && s.memVer != s.curVer)
             return "clean: memory stale without a tracked owner";
 
         // Shared-state vector is a superset of all holders.
-        if (s.dirState == 1) {
+        if (s.dir.state == DirState::Shared) {
             for (std::uint32_t i = 0; i < n; ++i) {
                 const bool holds = s.llc[i] != LlcI || s.dcValid[i];
-                if (holds && !(s.sharers & (1u << i)))
+                if (holds && !s.dir.isSharer(i))
                     return "vector: holder missing from sharing vector";
             }
         }
@@ -273,7 +242,7 @@ class Model
     bool
     quiescent(const State &s) const
     {
-        if (s.busy)
+        if (s.busy())
             return false;
         for (std::uint32_t i = 0; i < n; ++i)
             if (s.pending[i] != PendNone)
@@ -281,108 +250,95 @@ class Model
         return true;
     }
 
-    std::uint32_t sockets() const { return n; }
-
   private:
-    /** Handle a pending request at the (idle) directory. */
+    /** The home takes @p i's pending request (it is not busy). */
     void
     processRequest(const State &s, std::uint32_t i,
                    std::vector<State> &out) const
     {
-        const std::uint8_t kind = s.pending[i];
+        State t = s;
+        t.pending[i] = PendNone;
+        const HomeStep step =
+            homeStep(policy, s.dir,
+                     static_cast<HomeRequest>(s.pending[i] - 1), i);
+        t.dir = step.next;
 
-        if (kind == PendGetS) {
-            State t = s;
-            t.pending[i] = PendNone;
-            if (s.dirState == 2) {
-                // M at owner j: forward; owner downgrades and writes
-                // through (DRAM-cache refresh + memory update).
-                const std::uint32_t j = s.owner;
-                t.llc[j] = (s.llc[j] == LlcM)
-                    ? static_cast<std::uint8_t>(LlcS) : s.llc[j];
+        switch (step.action) {
+          case HomeAction::ServeFromMemory:
+            // Memory is fresh: the clean property covers it.
+            t.llc[i] = LlcS;
+            t.llcVer[i] = s.memVer;
+            break;
+          case HomeAction::ForwardDowngrade: {
+            // The owner keeps a Shared copy and writes the block
+            // through to its DRAM cache and to memory.
+            const SocketId j = s.dir.owner;
+            c3d_assert(s.llc[j] == LlcM, "tracked owner holds M");
+            t.llc[j] = LlcS;
+            if (dramCache) {
                 t.dcValid[j] = 1;
                 t.dcVer[j] = s.llcVer[j];
-                t.memVer = s.llcVer[j];
-                t.llc[i] = LlcS;
-                t.llcVer[i] = s.llcVer[j];
-                t.dirState = 1;
-                t.sharers = (1u << i) | (1u << j);
-                t.owner = 0;
-            } else {
-                // I or S: memory is fresh (clean property).
-                t.llc[i] = LlcS;
-                t.llcVer[i] = s.memVer;
-                if (s.dirState == 1) {
-                    t.sharers |= (1u << i);
-                } else if (trackOnRead()) {
-                    t.dirState = 1;
-                    t.sharers = (1u << i);
-                }
             }
-            out.push_back(t);
-            return;
+            t.memVer = s.llcVer[j];
+            t.llc[i] = LlcS;
+            t.llcVer[i] = s.llcVer[j];
+            break;
+          }
+          case HomeAction::ForwardInvalidate:
+            // Atomic: a single target has no interleaving of
+            // interest, and the write overwrites its data anyway.
+            invalidate(t, s.dir.owner);
+            completeWrite(t, i);
+            break;
+          case HomeAction::Grant:
+            completeWrite(t, i);
+            break;
+          case HomeAction::InvalidateSharers:
+          case HomeAction::Broadcast: {
+            const std::uint8_t targets = static_cast<std::uint8_t>(
+                step.action == HomeAction::Broadcast
+                    ? ((1u << n) - 1) & ~(1u << i)
+                    : step.targets);
+            if (targets) {
+                t.invMask = targets;
+                t.busyReq = static_cast<std::uint8_t>(i);
+            } else {
+                completeWrite(t, i);
+            }
+            break;
+          }
+          case HomeAction::None:
+            c3d_panic("a request got no response");
         }
-
-        // GetX / Upgrade.
-        State t = s;
-        t.busyReq = i;
-        t.busyUpg = (kind == PendUpg) ? 1 : 0;
-        t.pending[i] = PendNone;
-
-        if (s.dirState == 2) {
-            // Owner transfer: invalidate the owner atomically (the
-            // single-target case has no interleaving of interest).
-            const std::uint32_t j = s.owner;
-            const std::uint8_t data_ver = s.llcVer[j];
-            t.llc[j] = LlcI;
-            t.llcVer[j] = 0;
-            t.dcValid[j] = 0;
-            t.dcVer[j] = 0;
-            (void)data_ver; // the write overwrites the data anyway
-            ++t.curVer;
-            t.llc[i] = LlcM;
-            t.llcVer[i] = t.curVer;
-            t.dirState = 2;
-            t.owner = i;
-            t.sharers = (1u << i);
-            out.push_back(t);
-            return;
-        }
-
-        std::uint8_t targets = 0;
-        if (s.dirState == 1) {
-            targets = s.sharers & ~(1u << i);
-        } else if (broadcastOnI() &&
-                   variant != ModelVariant::BugNoBroadcast) {
-            for (std::uint32_t j = 0; j < n; ++j)
-                if (j != i)
-                    targets |= (1u << j);
-        } else if (variant == ModelVariant::BugNoBroadcast ||
-                   !broadcastOnI()) {
-            targets = 0; // full-dir: I means nobody holds a copy
-        }
-
-        if (targets == 0) {
-            completeWriteInto(t, i);
-            out.push_back(t);
-            return;
-        }
-        t.busy = 1;
-        t.invMask = targets;
         out.push_back(t);
     }
 
-    /** Finish the busy write transaction in @p t. */
+    /** @p i's LLC drops its copy, kept clean in the DRAM cache when
+     * the design has one. */
     void
-    completeWrite(State &t) const
+    evictLlc(State &t, std::uint32_t i) const
     {
-        t.busy = 0;
-        t.invMask = 0;
-        completeWriteInto(t, t.busyReq);
+        if (dramCache) {
+            t.dcValid[i] = 1;
+            t.dcVer[i] = t.llcVer[i];
+        }
+        t.llc[i] = LlcI;
+        t.llcVer[i] = 0;
     }
 
-    void
-    completeWriteInto(State &t, std::uint32_t i) const
+    /** Socket @p j loses every copy (LLC and DRAM cache). */
+    static void
+    invalidate(State &t, std::uint32_t j)
+    {
+        t.llc[j] = LlcI;
+        t.llcVer[j] = 0;
+        t.dcValid[j] = 0;
+        t.dcVer[j] = 0;
+    }
+
+    /** @p i's write completes: the new version in its Modified LLC. */
+    static void
+    completeWrite(State &t, std::uint32_t i)
     {
         ++t.curVer;
         t.llc[i] = LlcM;
@@ -391,16 +347,14 @@ class Model
         // implementation invalidates it on completion.
         t.dcValid[i] = 0;
         t.dcVer[i] = 0;
-        t.dirState = 2;
-        t.owner = i;
-        t.sharers = (1u << i);
-        t.busyUpg = 0;
         t.busyReq = 0;
     }
 
     const std::uint32_t n;
     const std::uint32_t vmax;
-    const ModelVariant variant;
+    const bool writeThrough;
+    const bool dramCache;
+    DirPolicy policy;
 };
 
 } // namespace

@@ -1,15 +1,22 @@
 /**
  * @file
- * Explicit-state model checker for the abstract C3D protocol.
+ * Explicit-state model checker for the directory designs' coherence.
  *
  * The paper verifies the C3D coherence protocol with Murphi, proving
  * deadlock freedom, the Single-Writer-Multiple-Reader invariant and
- * per-location sequential consistency (§IV-C). c3dsim carries its own
- * explicit-state BFS checker over the same abstract machines: a
- * blocking global directory (Invalid/Shared/Modified with a
- * non-atomic invalidation phase), per-socket LLC (I/S/M) and clean
- * DRAM cache (I/V), with symbolic data modelled as write version
- * numbers.
+ * per-location sequential consistency (§IV-C). c3dsim checks its own
+ * protocol with an explicit-state BFS over one block on 2-3 sockets.
+ * The home side is not restated here: every directory transition is
+ * homeStep() (coherence/home_decisions.hh), the function
+ * DirectoryProtocol calls, under the design's own DirPolicy. The
+ * checker adds only the socket side -- LLC (I/S/M), a clean DRAM
+ * cache (I/V) when the design has one, symbolic data as write
+ * version numbers -- and a home that blocks while a write's
+ * invalidations are in flight.
+ *
+ * Checked designs: baseline, c3d and c3d-full-dir. full-dir and
+ * snoopy keep dirty data in the DRAM cache, which the socket side
+ * does not model.
  *
  * Checked invariants in every reachable state:
  *  - SWMR: at most one socket holds Modified; while one does, no
@@ -25,10 +32,10 @@
  *  - Deadlock freedom: every non-quiescent state has an enabled
  *    transition.
  *
- * Deliberately injectable bugs (for negative testing and to
- * demonstrate the insights' necessity): dropping the write broadcast
- * (an untracked DRAM-cache copy survives a remote write) and dropping
- * the write-through (memory goes stale under a clean-cache read).
+ * Mutations inject a known bug, for negative testing and to show
+ * each insight is needed: dropping the untracked-write broadcast (an
+ * untracked DRAM-cache copy survives a remote write) and dropping the
+ * PutX write-through (memory goes stale under a clean-cache read).
  */
 
 #ifndef C3DSIM_CHECK_MODEL_CHECKER_HH
@@ -37,24 +44,24 @@
 #include <cstdint>
 #include <string>
 
+#include "common/config.hh"
+
 namespace c3d
 {
 
-/** Which abstract protocol to check. */
-enum class ModelVariant
+/** A deliberately injected bug (negative testing). */
+enum class Mutation
 {
-    C3D,           //!< non-inclusive dir + broadcast on untracked GetX
-    C3DFullDir,    //!< inclusive tracking, no broadcasts
-    BugNoBroadcast, //!< C3D with the I-state broadcast removed
-    BugNoWriteThrough, //!< C3D with the PutX memory update removed
+    None,
+    DropBroadcast,    //!< clears the policy's broadcastOnUntrackedWrite
+    DropWriteThrough, //!< the home ignores the PutX memory write
 };
-
-const char *modelVariantName(ModelVariant v);
 
 /** Checker parameters. */
 struct CheckConfig
 {
-    ModelVariant variant = ModelVariant::C3D;
+    Design design = Design::C3D; //!< baseline, c3d or c3d-full-dir
+    Mutation mutation = Mutation::None;
     std::uint32_t numSockets = 3; //!< 2 or 3
     std::uint32_t maxVersion = 3; //!< write-depth bound (1..3)
 };

@@ -4,17 +4,15 @@ namespace c3d
 {
 
 DirectoryProtocol::DirectoryProtocol(Machine &machine, StatGroup *stats,
-                                     const char *design_name,
-                                     DirPolicy policy,
-                                     bool sparse_storage)
-    : ProtocolBase(machine, stats), designName(design_name),
-      policy(policy)
+                                     const DirDesign &design)
+    : ProtocolBase(machine, stats), designName(enumName(design.design)),
+      policy(design.policy)
 {
     const SystemConfig &c = cfg();
     dirs.reserve(c.numSockets);
     for (SocketId s = 0; s < c.numSockets; ++s) {
         const std::string nm = "dir" + std::to_string(s);
-        if (sparse_storage) {
+        if (design.sparse) {
             // Table II: sparse 2x over one LLC's blocks, 32-way,
             // socket-grain sharing vector.
             const std::uint64_t entries =
@@ -49,6 +47,35 @@ DirectoryProtocol::trackedAt(SocketId home)
     return [this, home](Addr a) {
         return dirs[home]->find(a) != nullptr;
     };
+}
+
+HomeStep
+DirectoryProtocol::decide(SocketId home, Addr addr, HomeRequest kind,
+                          SocketId req, bool private_page,
+                          bool still_held)
+{
+    DirEntry *e = dirs[home]->find(addr);
+    const DirEntry cur = e ? *e : DirEntry{};
+    if (watchingBlock(addr)) {
+        watchTrace(queueAt(home).now(), "home",
+                   "request %d req %u home %u state %d sharers %llx",
+                   static_cast<int>(kind), req, home,
+                   static_cast<int>(cur.state),
+                   static_cast<unsigned long long>(cur.sharers));
+    }
+    const HomeStep step =
+        homeStep(policy, cur, kind, req, private_page, still_held);
+    if (e) {
+        if (step.next.state == DirState::Invalid)
+            dirs[home]->erase(addr);
+        else
+            *e = step.next;
+    } else if (step.next.state != DirState::Invalid) {
+        DirRecall recall;
+        *dirs[home]->allocate(addr, recall, notBusyAt(home)) = step.next;
+        resolveRecall(home, recall, trackedAt(home));
+    }
+    return step;
 }
 
 // --------------------------------------------------------------------
@@ -97,32 +124,19 @@ void
 DirectoryProtocol::handleGetS(SocketId req, SocketId home, Addr addr,
                               ReadDone done)
 {
-    DirEntry *e = dirs[home]->find(addr);
-    if (watchingBlock(addr)) {
-        watchTrace(queueAt(home).now(), "handleGetS",
-                   "req %u home %u state %d sharers %llx", req, home,
-                   e ? static_cast<int>(e->state) : -1,
-                   e ? static_cast<unsigned long long>(e->sharers)
-                     : 0ull);
-    }
-
-    if (e && e->state == DirState::Modified && e->owner != req) {
+    const HomeStep step = decide(home, addr, HomeRequest::GetS, req);
+    if (step.race)
+        ++fwdRaces;
+    if (step.action == HomeAction::ForwardDowngrade) {
         // Slow remote hit path (§III-B Fig. 4): forward to the owner.
-        // The directory transition (M -> S with {owner, req}) happens
-        // here, at the home, at forward time: the entry cannot change
-        // underneath the in-flight probe because the block lock is
-        // held (victim selection skips busy blocks, and every other
-        // transaction for this block queues on the lock). The owner
-        // stays in the vector even on a writeback race so any
-        // DRAM-cache copy it retains remains covered by future
-        // invalidations.
-        const SocketId owner = e->owner;
+        // The directory transition happened above, at the home, at
+        // forward time: the entry cannot change underneath the
+        // in-flight probe because the block lock is held (victim
+        // selection skips busy blocks, and every other transaction
+        // for this block queues on the lock).
+        const auto owner =
+            static_cast<SocketId>(__builtin_ctzll(step.targets));
         ++fwdRequests;
-        e->state = DirState::Shared;
-        e->sharers = 0;
-        e->addSharer(owner);
-        e->addSharer(req);
-        e->owner = InvalidSocket;
         sendCtrl(home, owner, [this, req, home, owner, addr,
                                done = std::move(done)]() mutable {
             m.socket(owner).probeDowngrade(addr,
@@ -167,35 +181,6 @@ DirectoryProtocol::handleGetS(SocketId req, SocketId home, Addr addr,
         return;
     }
 
-    if (e && e->state == DirState::Shared) {
-        e->addSharer(req);
-        serveFromMemory(req, home, addr, std::move(done));
-        return;
-    }
-
-    if (e && e->state == DirState::Modified && e->owner == req) {
-        // Writeback race: the requester's PutX is still in flight.
-        // Memory semantically receives that data first; serve it.
-        ++fwdRaces;
-        e->state = DirState::Shared;
-        e->sharers = 0;
-        e->addSharer(req);
-        e->owner = InvalidSocket;
-        serveFromMemory(req, home, addr, std::move(done));
-        return;
-    }
-
-    // Untracked (Invalid): memory is fresh by the clean-cache /
-    // inclusivity invariant of every directory design.
-    if (policy.allocateOnRead) {
-        DirRecall recall;
-        DirEntry *ne = dirs[home]->allocate(addr, recall,
-                                            notBusyAt(home));
-        ne->state = DirState::Shared;
-        ne->sharers = 0;
-        ne->addSharer(req);
-        resolveRecall(home, recall, trackedAt(home));
-    }
     serveFromMemory(req, home, addr, std::move(done));
 }
 
@@ -246,28 +231,21 @@ DirectoryProtocol::handleGetX(SocketId req, SocketId home, Addr addr,
                               bool upgrade, bool private_page,
                               WriteDone done)
 {
-    DirEntry *e = dirs[home]->find(addr);
-    if (watchingBlock(addr)) {
-        watchTrace(queueAt(home).now(), "handleGetX",
-                   "req %u home %u upg %d state %d sharers %llx", req,
-                   home, upgrade ? 1 : 0,
-                   e ? static_cast<int>(e->state) : -1,
-                   e ? static_cast<unsigned long long>(e->sharers)
-                     : 0ull);
-    }
+    const HomeStep step = decide(
+        home, addr, upgrade ? HomeRequest::Upgrade : HomeRequest::GetX,
+        req, cfg().tlbPageClassification && private_page);
+    const bool with_data = step.withData;
 
-    if (e && e->state == DirState::Modified && e->owner != req) {
+    switch (step.action) {
+      case HomeAction::ForwardInvalidate: {
         // Ownership transfer: invalidate the owner; it forwards the
         // dirty block directly to the requester. As in handleGetS,
-        // the directory transition happens at the home at forward
+        // the directory transition happened at the home at forward
         // time — the block lock pins the entry until the transfer
         // completes.
-        const SocketId owner = e->owner;
+        const auto owner =
+            static_cast<SocketId>(__builtin_ctzll(step.targets));
         ++fwdRequests;
-        e->state = DirState::Modified;
-        e->owner = req;
-        e->sharers = 0;
-        e->addSharer(req);
         sendCtrl(home, owner, [this, req, home, owner, addr,
                                done = std::move(done)]() mutable {
             m.socket(owner).probeInvalidate(addr,
@@ -306,91 +284,60 @@ DirectoryProtocol::handleGetX(SocketId req, SocketId home, Addr addr,
             });
         });
         return;
-    }
+      }
 
-    if (e && e->state == DirState::Modified && e->owner == req) {
-        // PutX race: requester is re-acquiring a block whose
-        // writeback is still queued. Grant directly.
-        ++fwdRaces;
-        respondWrite(req, home, addr, /*with_data=*/!upgrade,
-                     std::move(done));
-        return;
-    }
-
-    if (e && e->state == DirState::Shared) {
-        const bool req_tracked = e->isSharer(req);
-        const SocketMask targets = sharersOf(*e, req);
-        e->state = DirState::Modified;
-        e->owner = req;
-        e->sharers = 0;
-        e->addSharer(req);
-        // The upgrade can only be a permission grant if the
-        // requester's copy is still covered by the vector.
-        const bool with_data = !(upgrade && req_tracked);
-        invalidateSockets(home, targets, addr,
+      case HomeAction::InvalidateSharers:
+        invalidateSockets(home, step.targets, addr,
                           [this, req, home, addr, with_data,
                            done = std::move(done)](bool) mutable {
             respondWrite(req, home, addr, with_data, std::move(done));
         });
         return;
-    }
 
-    // Untracked (Invalid) write.
-    DirRecall recall;
-    DirEntry *ne = dirs[home]->allocate(addr, recall,
-                                        notBusyAt(home));
-    ne->state = DirState::Modified;
-    ne->owner = req;
-    ne->sharers = 0;
-    ne->addSharer(req);
-    resolveRecall(home, recall, trackedAt(home));
-
-    const bool with_data = !upgrade;
-    if (policy.broadcastOnUntrackedWrite) {
-        const bool elide = policy.privatePagesElideBroadcast &&
-            cfg().tlbPageClassification && private_page;
-        if (!elide) {
-            // §IV-C: broadcast invalidations to every remote DRAM
-            // cache; the response leaves once both the acks have
-            // returned and the memory data (read in parallel with
-            // the probes, §V-A) is ready. The whole join lives at
-            // the home: the memory read completes here and the acks
-            // fan in here, and only when both are in does the single
-            // response (data, or a control grant for an upgrade)
-            // depart for the requester. The old join cleared its
-            // memory flag at the *requester* and could fire the
-            // write completion at the home with zero flight time
-            // when the acks were the laggard.
-            ++broadcasts;
-            auto join = slab::Shared<WriteJoin>::make(
-                req, home, addr, with_data, /*memPending=*/with_data,
-                /*acksPending=*/true, std::move(done));
-            if (with_data) {
-                ++readsFromMemory;
-                m.socket(home).memory().read(
-                    addr, req != home, [this, join] {
-                    join->memPending = false;
-                    if (!join->acksPending)
-                        finishBroadcastWrite(*join);
-                });
-            }
-            invalidateSockets(home, othersThan(req), addr,
-                              [this, join](bool saw_dirty) {
-                if (saw_dirty) {
-                    // Clean DRAM caches can never hold dirty data;
-                    // a dirty find here means an on-chip M copy
-                    // slipped out of tracking (writeback race).
-                    ++fwdRaces;
-                }
-                join->acksPending = false;
-                if (!join->memPending)
+      case HomeAction::Broadcast: {
+        // §IV-C: broadcast invalidations to every remote DRAM cache;
+        // the response leaves once both the acks have returned and
+        // the memory data (read in parallel with the probes, §V-A)
+        // is ready. The whole join lives at the home: the memory
+        // read completes here and the acks fan in here, and only
+        // when both are in does the single response (data, or a
+        // control grant for an upgrade) depart for the requester.
+        ++broadcasts;
+        auto join = slab::Shared<WriteJoin>::make(
+            req, home, addr, with_data, /*memPending=*/with_data,
+            /*acksPending=*/true, std::move(done));
+        if (with_data) {
+            ++readsFromMemory;
+            m.socket(home).memory().read(
+                addr, req != home, [this, join] {
+                join->memPending = false;
+                if (!join->acksPending)
                     finishBroadcastWrite(*join);
             });
-            return;
         }
-        ++broadcastsElided;
+        invalidateSockets(home, othersThan(req), addr,
+                          [this, join](bool saw_dirty) {
+            if (saw_dirty) {
+                // Clean DRAM caches can never hold dirty data;
+                // a dirty find here means an on-chip M copy
+                // slipped out of tracking (writeback race).
+                ++fwdRaces;
+            }
+            join->acksPending = false;
+            if (!join->memPending)
+                finishBroadcastWrite(*join);
+        });
+        return;
+      }
+
+      default: // Grant: the only other action a write gets
+        if (step.race)
+            ++fwdRaces;
+        if (step.broadcastElided)
+            ++broadcastsElided;
+        respondWrite(req, home, addr, with_data, std::move(done));
+        return;
     }
-    respondWrite(req, home, addr, with_data, std::move(done));
 }
 
 void
@@ -410,42 +357,31 @@ DirectoryProtocol::finishBroadcastWrite(WriteJoin &join)
 void
 DirectoryProtocol::putX(SocketId req, Addr addr)
 {
-    const SocketId home = m.homeOf(addr, req);
     // Sample the evictor's LLC state now, at the requester, and let
     // the packet carry it: the home-side handler must not reach into
     // another socket's cache (cross-thread under the parallel
     // kernel, and architecturally the writeback message carries the
-    // evictor's state anyway). Equivalent to the old home-side read:
-    // the block lock serializes every transaction that could change
-    // req's state for this block while the writeback is in flight.
-    const bool req_still_owner =
-        m.socket(req).llcState(addr) == CacheState::Modified;
-    sendData(req, home, [this, req, home, addr, req_still_owner] {
+    // evictor's state anyway). The block lock serializes every
+    // transaction that could change req's state for this block while
+    // the writeback is in flight.
+    writeBack(req, addr,
+              m.socket(req).llcState(addr) == CacheState::Modified);
+}
+
+void
+DirectoryProtocol::writeBack(SocketId req, Addr addr, bool still_owner)
+{
+    const SocketId home = m.homeOf(addr, req);
+    sendData(req, home, [this, req, home, addr, still_owner] {
         homeLocks[home].acquire(addr, [this, req, home, addr,
-                                       req_still_owner] {
+                                       still_owner] {
             queueAt(home).schedule(cfg().globalDirLatency,
                                    [this, req, home, addr,
-                                    req_still_owner] {
+                                    still_owner] {
                 m.socket(home).memory().write(addr,
                                               /*remote=*/req != home);
-                if (watchingBlock(addr))
-                    watchTrace(queueAt(home).now(), "putX", "from %u",
-                               req);
-                DirEntry *e = dirs[home]->find(addr);
-                if (e && e->state == DirState::Modified &&
-                    e->owner == req && !req_still_owner) {
-                    if (policy.putXKeepsSharer) {
-                        // c3d-full-dir: the evicting socket retains a
-                        // clean copy in its DRAM cache; keep it
-                        // tracked as a sharer (M -> S).
-                        e->state = DirState::Shared;
-                        e->sharers = 0;
-                        e->addSharer(req);
-                        e->owner = InvalidSocket;
-                    } else {
-                        dirs[home]->erase(addr);
-                    }
-                }
+                decide(home, addr, HomeRequest::PutX, req, false,
+                       still_owner);
                 homeLocks[home].release(addr);
             });
         });
@@ -455,103 +391,34 @@ DirectoryProtocol::putX(SocketId req, Addr addr)
 void
 DirectoryProtocol::dramCacheEvicted(SocketId req, Addr addr, bool dirty)
 {
-    const SocketId home = m.homeOf(addr, req);
-
     if (dirty) {
-        // Dirty DRAM-cache victim: write back to home memory and drop
-        // the directory entry (dirty designs only).
-        sendData(req, home, [this, req, home, addr] {
-            homeLocks[home].acquire(addr, [this, req, home, addr] {
-                queueAt(home).schedule(cfg().globalDirLatency,
-                                       [this, req, home, addr] {
-                    m.socket(home).memory().write(
-                        addr, /*remote=*/req != home);
-                    DirEntry *e = dirs[home]->find(addr);
-                    if (e && e->state == DirState::Modified &&
-                        e->owner == req) {
-                        dirs[home]->erase(addr);
-                    }
-                    homeLocks[home].release(addr);
-                });
-            });
-        });
+        // Dirty DRAM-cache victim (dirty designs only): the socket's
+        // last copy goes home exactly as a PutX does.
+        writeBack(req, addr, /*still_owner=*/false);
         return;
     }
 
     if (!policy.trackDramCacheEvictions)
         return; // silent clean eviction (sparse / snoop designs)
 
-    // Inclusive directory bookkeeping: clear the sharer bit unless
-    // the socket still holds the block on chip. As with putX, the
-    // evictor's residual LLC state is sampled here and carried by the
-    // notification packet; the block lock keeps it valid until the
-    // directory update runs.
-    const bool req_gone =
-        m.socket(req).llcState(addr) == CacheState::Invalid;
-    sendCtrl(req, home, [this, req, home, addr, req_gone] {
+    // As with putX, the evictor's residual LLC state is sampled here
+    // and carried by the notification packet; the block lock keeps it
+    // valid until the directory update runs.
+    const SocketId home = m.homeOf(addr, req);
+    const bool still_held =
+        m.socket(req).llcState(addr) != CacheState::Invalid;
+    sendCtrl(req, home, [this, req, home, addr, still_held] {
         homeLocks[home].acquire(addr, [this, req, home, addr,
-                                       req_gone] {
+                                       still_held] {
             queueAt(home).schedule(cfg().globalDirLatency,
                                    [this, req, home, addr,
-                                    req_gone] {
-                DirEntry *e = dirs[home]->find(addr);
-                if (e && e->state == DirState::Shared && req_gone) {
-                    e->removeSharer(req);
-                    if (e->sharerCount() == 0)
-                        dirs[home]->erase(addr);
-                }
+                                    still_held] {
+                decide(home, addr, HomeRequest::CleanEviction, req,
+                       false, still_held);
                 homeLocks[home].release(addr);
             });
         });
     });
-}
-
-// --------------------------------------------------------------------
-// Factories
-// --------------------------------------------------------------------
-
-std::unique_ptr<GlobalProtocol>
-makeBaselineProtocol(Machine &m, StatGroup *stats)
-{
-    DirPolicy p;
-    p.allocateOnRead = true;
-    p.broadcastOnUntrackedWrite = false;
-    return std::make_unique<DirectoryProtocol>(m, stats, "baseline", p,
-                                               /*sparse=*/true);
-}
-
-std::unique_ptr<GlobalProtocol>
-makeFullDirProtocol(Machine &m, StatGroup *stats)
-{
-    DirPolicy p;
-    p.allocateOnRead = true;
-    p.broadcastOnUntrackedWrite = false;
-    p.trackDramCacheEvictions = true;
-    return std::make_unique<DirectoryProtocol>(m, stats, "full-dir", p,
-                                               /*sparse=*/false);
-}
-
-std::unique_ptr<GlobalProtocol>
-makeC3DProtocol(Machine &m, StatGroup *stats)
-{
-    DirPolicy p;
-    p.allocateOnRead = false; // non-inclusive: reads stay untracked
-    p.broadcastOnUntrackedWrite = true;
-    p.privatePagesElideBroadcast = true;
-    return std::make_unique<DirectoryProtocol>(m, stats, "c3d", p,
-                                               /*sparse=*/true);
-}
-
-std::unique_ptr<GlobalProtocol>
-makeC3DFullDirProtocol(Machine &m, StatGroup *stats)
-{
-    DirPolicy p;
-    p.allocateOnRead = true;
-    p.broadcastOnUntrackedWrite = false; // precise vector: no bcast
-    p.putXKeepsSharer = true;            // M -> S on writeback
-    p.trackDramCacheEvictions = true;
-    return std::make_unique<DirectoryProtocol>(m, stats, "c3d-full-dir",
-                                               p, /*sparse=*/false);
 }
 
 } // namespace c3d

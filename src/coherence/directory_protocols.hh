@@ -3,16 +3,9 @@
  * Directory-based inter-socket protocols.
  *
  * DirectoryProtocol is the common MSI transaction engine used by four
- * of the five evaluated designs; the designs differ only in the
- * policy hooks (directory storage, whether reads allocate entries,
- * what happens to untracked writes, and writeback handling):
- *
- *  - baseline      sparse directory over LLCs, no DRAM cache (§V-A)
- *  - full-dir      idealized inclusive directory, dirty DRAM$ (§III-B)
- *  - c3d           sparse non-inclusive directory, clean DRAM$, write
- *                  broadcasts for untracked blocks (§IV)
- *  - c3d-full-dir  clean DRAM$ with an idealized full directory (no
- *                  broadcasts; M -> S on writeback) (§V-A)
+ * of the five evaluated designs: baseline, full-dir, c3d and
+ * c3d-full-dir. They differ only in their row of the design table
+ * (home_decisions.hh), which homeStep() reads.
  *
  * The snoopy design has no directory and lives in snoopy_protocol.hh.
  */
@@ -22,36 +15,22 @@
 
 #include <memory>
 
+#include "coherence/home_decisions.hh"
 #include "coherence/protocol_base.hh"
 
 namespace c3d
 {
 
-/** Per-design policy knobs for the directory transaction engine. */
-struct DirPolicy
-{
-    /** Reads to untracked blocks allocate a directory entry. */
-    bool allocateOnRead = true;
-    /** Writes to untracked (Invalid) blocks must broadcast
-     * invalidations to all remote DRAM caches. */
-    bool broadcastOnUntrackedWrite = false;
-    /** The §IV-D private-page hint may elide those broadcasts. */
-    bool privatePagesElideBroadcast = false;
-    /** PutX of a clean-design write-through leaves the evicting
-     * socket tracked as a sharer (c3d-full-dir keeps M -> S). */
-    bool putXKeepsSharer = false;
-    /** Clean DRAM-cache evictions notify the home directory (only
-     * meaningful for inclusive/full directories). */
-    bool trackDramCacheEvictions = false;
-};
-
-/** Common MSI directory engine. */
+/**
+ * Common MSI directory engine: the timing side of homeStep(). It owns
+ * the block locks, messages, memory accesses, joins, recall resolution
+ * and counters; every directory transition is homeStep()'s.
+ */
 class DirectoryProtocol : public ProtocolBase
 {
   public:
     DirectoryProtocol(Machine &machine, StatGroup *stats,
-                      const char *design_name, DirPolicy policy,
-                      bool sparse_storage);
+                      const DirDesign &design);
 
     void getS(SocketId req, Addr addr, ReadDone done) override;
     void getX(SocketId req, Addr addr, bool has_shared_copy,
@@ -65,6 +44,15 @@ class DirectoryProtocol : public ProtocolBase
     DirectoryStore &directory(SocketId home) { return *dirs[home]; }
 
   private:
+    /**
+     * The home's decision on @p kind for @p addr, with the entry's
+     * next value stored: allocated (any recall resolved), overwritten
+     * or erased.
+     */
+    HomeStep decide(SocketId home, Addr addr, HomeRequest kind,
+                    SocketId req, bool private_page = false,
+                    bool still_held = false);
+
     /** Runs at the home once the block lock is held. */
     void handleGetS(SocketId req, SocketId home, Addr addr,
                     ReadDone done);
@@ -97,6 +85,9 @@ class DirectoryProtocol : public ProtocolBase
     /** Send a broadcast write's response once its join is complete. */
     void finishBroadcastWrite(WriteJoin &join);
 
+    /** Memory write at the home, then the PutX decision. */
+    void writeBack(SocketId req, Addr addr, bool still_owner);
+
     /** Recall-victim filter: blocks mid-transaction are pinned. */
     DirectoryStore::Evictable notBusyAt(SocketId home);
 
@@ -111,16 +102,6 @@ class DirectoryProtocol : public ProtocolBase
     Counter readsFromOwner;
     Counter writesServedByOwner;
 };
-
-/** Factory helpers for the four directory-based designs. */
-std::unique_ptr<GlobalProtocol>
-makeBaselineProtocol(Machine &m, StatGroup *stats);
-std::unique_ptr<GlobalProtocol>
-makeFullDirProtocol(Machine &m, StatGroup *stats);
-std::unique_ptr<GlobalProtocol>
-makeC3DProtocol(Machine &m, StatGroup *stats);
-std::unique_ptr<GlobalProtocol>
-makeC3DFullDirProtocol(Machine &m, StatGroup *stats);
 
 } // namespace c3d
 

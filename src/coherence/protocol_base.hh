@@ -162,13 +162,6 @@ class ProtocolBase : public GlobalProtocol
         return exclude < 64 ? all & ~(SocketMask{1} << exclude) : all;
     }
 
-    /** Sharer-vector sockets except @p exclude. */
-    SocketMask
-    sharersOf(const DirEntry &e, SocketId exclude) const
-    {
-        return e.sharers & othersThan(exclude);
-    }
-
     /**
      * Resolve a directory recall: invalidate the victim entry's
      * holders and write dirty data back to memory. Runs under the
@@ -186,7 +179,7 @@ class ProtocolBase : public GlobalProtocol
         const SocketMask targets =
             recall.entry.state == DirState::Modified
             ? SocketMask{1} << recall.entry.owner
-            : sharersOf(recall.entry, InvalidSocket);
+            : recall.entry.sharers;
         recallInvs += __builtin_popcountll(targets);
         const Addr addr = recall.addr;
         // Serialize against any transaction in flight for the

@@ -1,9 +1,9 @@
 /**
  * @file
- * Name-keyed protocol registry.
+ * Protocol registry: snoopy, or a DirectoryProtocol built from the
+ * design's row of the directory-design table (home_decisions.hh).
  *
- * Dispatch runs through a table rather than a bare switch so an
- * out-of-range value produces a diagnostic naming the offending
+ * An out-of-range value produces a diagnostic naming the offending
  * value and the valid set. c3d_panic throws SimError, so a sweep
  * under --fail-policy=skip/retry contains a bad spec instead of
  * tearing the whole process down.
@@ -24,32 +24,14 @@ namespace c3d
 namespace
 {
 
-using ProtocolFactory =
-    std::unique_ptr<GlobalProtocol> (*)(Machine &, StatGroup *);
-
-struct DesignEntry
-{
-    Design design;
-    ProtocolFactory make;
-};
-
-const DesignEntry kDesignRegistry[] = {
-    {Design::Baseline, makeBaselineProtocol},
-    {Design::Snoopy, makeSnoopyProtocol},
-    {Design::FullDir, makeFullDirProtocol},
-    {Design::C3D, makeC3DProtocol},
-    {Design::C3DFullDir, makeC3DFullDirProtocol},
-};
-
 /** "baseline, snoopy, full-dir, ..." for diagnostics. */
 void
 validDesignSet(char *buf, std::size_t cap)
 {
     std::size_t off = 0;
-    for (const DesignEntry &e : kDesignRegistry) {
+    for (const EnumName<Design> &e : enumNames(Design{})) {
         const int n = std::snprintf(buf + off, cap - off, "%s%s",
-                                    off ? ", " : "",
-                                    designName(e.design));
+                                    off ? ", " : "", e.name);
         if (n < 0 || static_cast<std::size_t>(n) >= cap - off)
             break;
         off += static_cast<std::size_t>(n);
@@ -61,10 +43,10 @@ validDesignSet(char *buf, std::size_t cap)
 std::unique_ptr<GlobalProtocol>
 makeProtocol(Design design, Machine &machine, StatGroup *stats)
 {
-    for (const DesignEntry &e : kDesignRegistry) {
-        if (e.design == design)
-            return e.make(machine, stats);
-    }
+    if (design == Design::Snoopy)
+        return makeSnoopyProtocol(machine, stats);
+    if (const DirDesign *d = findDirDesign(design))
+        return std::make_unique<DirectoryProtocol>(machine, stats, *d);
     char valid[128];
     validDesignSet(valid, sizeof(valid));
     c3d_panic("unknown design %d (valid: %s)",

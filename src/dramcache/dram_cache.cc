@@ -29,7 +29,7 @@ DramCache::DramCache(EventQueue &eq, const SystemConfig &cfg,
     const std::string prefix =
         "socket" + std::to_string(socket) + ".dram_cache";
 
-    predictor = makePresencePredictor(cfg);
+    predictor = makeMissPredictor(cfg);
     predictor->configure(cfg, stats, prefix + ".predictor");
 
     channels.resize(cfg.dramCacheChannels);

@@ -50,7 +50,7 @@
 #include "common/config.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
-#include "dramcache/presence_predictor.hh"
+#include "dramcache/miss_predictor.hh"
 #include "interconnect/channel.hh"
 #include "sim/event_queue.hh"
 #include "sim/inline_function.hh"
@@ -325,7 +325,7 @@ class DramCache
     ZeroedArray<std::uint64_t> slots;
     bool slotsArePow2 = false;
     std::uint64_t slotMask = 0;
-    std::unique_ptr<PresencePredictor> predictor;
+    std::unique_ptr<MissPredictor> predictor;
     const bool predictorEnabled;
     const bool exactPredictor;
     const Tick predictorLatency;

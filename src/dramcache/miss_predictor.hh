@@ -1,29 +1,46 @@
 /**
  * @file
- * Region-based DRAM-cache presence predictor (Table II: 4K-entry,
- * region-based, 2-cycle), in the spirit of Qureshi & Loh's memory
- * access predictor.
+ * DRAM-cache predictor (docs/predictors.md).
  *
- * We keep a direct-mapped table of per-region block counters:
- * insertions increment, evictions/invalidations decrement. Hash
- * collisions merge regions, so a counter is the exact sum of cached
- * blocks across the aliasing regions -- the predictor may report
- * "present" for an absent block (wasted DRAM-cache probe) but never
- * "absent" for a present one. The conservative direction is required
- * for correctness in dirty-cache designs (§III-A): a dirty block must
- * never be hidden from a probe.
+ * Two orthogonal jobs live in one predictor:
+ *
+ *  - **presence filtering** (mayBePresent / onInsert / onRemove):
+ *    short-circuit probes for blocks that cannot be cached. The
+ *    contract is strict: a present block must NEVER be reported
+ *    absent, or a dirty block could be hidden from a coherence probe
+ *    (§III-A). The filter is exact (MissMap, handled by the cache
+ *    itself) or conservative (the counting region filter below).
+ *
+ *  - **admission gating** (admit / trainOnProbe): decide whether an
+ *    LLC victim is worth caching at all. This side is free to be
+ *    wrong in either direction -- a bad admission decision costs
+ *    performance, never correctness -- so it is where learned
+ *    predictors (the hashed perceptron, perceptron_predictor.hh)
+ *    plug in, overriding only the virtual members.
+ *
+ * Dirty blocks are always admitted regardless of the gate: a bypassed
+ * dirty victim would have to be written back to memory anyway, and
+ * the dirty designs rely on the DRAM cache to hold modified data.
+ *
+ * MissPredictor is the region-based filter (Table II: 4K-entry,
+ * 2-cycle), after Qureshi & Loh's memory access predictor: per-region
+ * block counters that insertions increment and removals decrement.
+ * Hash collisions merge regions, so it may report "present" for an
+ * absent block (a wasted probe) but never "absent" for a present one.
  */
 
 #ifndef C3DSIM_DRAMCACHE_MISS_PREDICTOR_HH
 #define C3DSIM_DRAMCACHE_MISS_PREDICTOR_HH
 
 #include <cstdint>
+#include <memory>
+#include <string>
 #include <vector>
 
+#include "common/config.hh"
 #include "common/log.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
-#include "dramcache/presence_predictor.hh"
 
 namespace c3d
 {
@@ -34,9 +51,11 @@ namespace c3d
  * fill policy; the perceptron predictor derives from this class to
  * reuse the presence machinery and overrides only the admission side.
  */
-class MissPredictor : public PresencePredictor
+class MissPredictor
 {
   public:
+    virtual ~MissPredictor() = default;
+
     void
     init(std::uint32_t num_entries, std::uint32_t region_bytes,
          StatGroup *stats, const std::string &name)
@@ -53,9 +72,10 @@ class MissPredictor : public PresencePredictor
                           "present predictions that probed and missed");
     }
 
-    void
+    /** Size tables and register counters under @p name. */
+    virtual void
     configure(const SystemConfig &cfg, StatGroup *stats,
-              const std::string &name) override
+              const std::string &name)
     {
         init(cfg.missPredictorEntries, cfg.missPredictorRegionBytes,
              stats, name);
@@ -63,7 +83,7 @@ class MissPredictor : public PresencePredictor
 
     /** Predict whether the block at @p addr may be cached. */
     bool
-    mayBePresent(Addr addr) override
+    mayBePresent(Addr addr)
     {
         ++queries;
         const bool present = counters[slot(addr)] > 0;
@@ -73,11 +93,11 @@ class MissPredictor : public PresencePredictor
     }
 
     /** Record that a probe made on a "present" prediction missed. */
-    void recordFalsePresent() override { ++falsePresent; }
+    void recordFalsePresent() { ++falsePresent; }
 
     /** Account a query answered exactly (MissMap mode). */
     void
-    recordExactQuery(bool present) override
+    recordExactQuery(bool present)
     {
         ++queries;
         if (!present)
@@ -85,31 +105,31 @@ class MissPredictor : public PresencePredictor
     }
 
     /** A block in this region was inserted into the DRAM cache. */
-    void onInsert(Addr addr) override { ++counters[slot(addr)]; }
+    void onInsert(Addr addr) { ++counters[slot(addr)]; }
 
     /** A block in this region left the DRAM cache. */
-    void
-    onRemove(Addr addr) override
+    virtual void
+    onRemove(Addr addr)
     {
         auto &c = counters[slot(addr)];
         c3d_assert(c > 0, "predictor counter underflow");
         --c;
     }
 
-    /** The paper's fill policy: every LLC victim is cached. */
-    bool admit(Addr, std::uint32_t) override { return true; }
-    void trainOnProbe(Addr, std::uint32_t, bool) override {}
+    /** Should the clean LLC victim at @p addr be cached? Callers must
+     * admit dirty victims unconditionally. The paper's fill policy:
+     * every LLC victim is cached. */
+    virtual bool admit(Addr, std::uint32_t) { return true; }
+    /** Online training signal: a demand probe for @p addr hit or
+     * missed the DRAM cache. */
+    virtual void trainOnProbe(Addr, std::uint32_t, bool) {}
 
-    std::uint64_t trainEvents() const override { return 0; }
-    std::uint64_t bypassEvents() const override { return 0; }
-    std::uint64_t ghostHits() const override { return 0; }
-    std::uint64_t
-    falsePresents() const override
-    {
-        return falsePresent.value();
-    }
-
-    std::uint64_t absentPredictions() const override
+    // ---- accuracy counters (surfaced per sweep row) --------------------
+    virtual std::uint64_t trainEvents() const { return 0; }
+    virtual std::uint64_t bypassEvents() const { return 0; }
+    virtual std::uint64_t ghostHits() const { return 0; }
+    std::uint64_t falsePresents() const { return falsePresent.value(); }
+    std::uint64_t absentPredictions() const
     {
         return predictedAbsent.value();
     }
@@ -130,6 +150,9 @@ class MissPredictor : public PresencePredictor
     Counter predictedAbsent;
     Counter falsePresent;
 };
+
+/** Build the predictor selected by @p cfg.predictorKind. */
+std::unique_ptr<MissPredictor> makeMissPredictor(const SystemConfig &cfg);
 
 } // namespace c3d
 

@@ -184,8 +184,8 @@ PerceptronPredictor::ghostContains(Addr addr) const
         (ghostBits[b1 / 64] >> (b1 % 64) & 1);
 }
 
-std::unique_ptr<PresencePredictor>
-makePresencePredictor(const SystemConfig &cfg)
+std::unique_ptr<MissPredictor>
+makeMissPredictor(const SystemConfig &cfg)
 {
     switch (cfg.predictorKind) {
       case PredictorKind::Region:

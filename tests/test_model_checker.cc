@@ -1,7 +1,8 @@
 /**
  * @file
- * Tests for the explicit-state protocol checker (§IV-C verification)
- * and the randomized differential harness over the snoopy-family
+ * Tests for the explicit-state protocol checker (§IV-C verification),
+ * for the home decisions it shares with DirectoryProtocol, and the
+ * randomized differential harness over the snoopy-family
  * variant state machines (docs/coherence.md): MESI, MESIF, MOESI and
  * Dragon run the same seeded random traces through an abstract
  * versioned-memory model driven by the production SnoopVariant
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "check/model_checker.hh"
+#include "coherence/home_decisions.hh"
 #include "coherence/snoopy_variants.hh"
 
 namespace c3d
@@ -28,7 +30,7 @@ namespace
 TEST(ModelChecker, C3DTwoSocketsCoherent)
 {
     CheckConfig cfg;
-    cfg.variant = ModelVariant::C3D;
+    cfg.design = Design::C3D;
     cfg.numSockets = 2;
     const CheckResult r = checkProtocol(cfg);
     EXPECT_TRUE(r.ok) << r.violation;
@@ -38,7 +40,7 @@ TEST(ModelChecker, C3DTwoSocketsCoherent)
 TEST(ModelChecker, C3DThreeSocketsCoherent)
 {
     CheckConfig cfg;
-    cfg.variant = ModelVariant::C3D;
+    cfg.design = Design::C3D;
     cfg.numSockets = 3;
     const CheckResult r = checkProtocol(cfg);
     EXPECT_TRUE(r.ok) << r.violation;
@@ -46,10 +48,21 @@ TEST(ModelChecker, C3DThreeSocketsCoherent)
     EXPECT_GT(r.statesExplored, 10000u);
 }
 
+TEST(ModelChecker, BaselineCoherent)
+{
+    for (const std::uint32_t sockets : {2u, 3u}) {
+        CheckConfig cfg;
+        cfg.design = Design::Baseline;
+        cfg.numSockets = sockets;
+        const CheckResult r = checkProtocol(cfg);
+        EXPECT_TRUE(r.ok) << sockets << " sockets: " << r.violation;
+    }
+}
+
 TEST(ModelChecker, C3DFullDirCoherent)
 {
     CheckConfig cfg;
-    cfg.variant = ModelVariant::C3DFullDir;
+    cfg.design = Design::C3DFullDir;
     cfg.numSockets = 3;
     const CheckResult r = checkProtocol(cfg);
     EXPECT_TRUE(r.ok) << r.violation;
@@ -60,11 +73,12 @@ TEST(ModelChecker, DroppingBroadcastBreaksCoherence)
     // §IV-C: writes to untracked blocks must broadcast; without it an
     // untracked DRAM-cache copy survives a remote write.
     CheckConfig cfg;
-    cfg.variant = ModelVariant::BugNoBroadcast;
+    cfg.mutation = Mutation::DropBroadcast;
     cfg.numSockets = 2;
     const CheckResult r = checkProtocol(cfg);
     EXPECT_FALSE(r.ok);
-    EXPECT_FALSE(r.violation.empty());
+    EXPECT_NE(r.violation.find("SWMR"), std::string::npos)
+        << r.violation;
 }
 
 TEST(ModelChecker, DroppingWriteThroughBreaksCleanProperty)
@@ -72,7 +86,7 @@ TEST(ModelChecker, DroppingWriteThroughBreaksCleanProperty)
     // §IV-A: without the write-through, memory goes stale while the
     // directory is untracked -- the clean-cache invariant fails.
     CheckConfig cfg;
-    cfg.variant = ModelVariant::BugNoWriteThrough;
+    cfg.mutation = Mutation::DropWriteThrough;
     cfg.numSockets = 2;
     const CheckResult r = checkProtocol(cfg);
     EXPECT_FALSE(r.ok);
@@ -83,12 +97,37 @@ TEST(ModelChecker, DroppingWriteThroughBreaksCleanProperty)
 TEST(ModelChecker, DeterministicStateCounts)
 {
     CheckConfig cfg;
-    cfg.variant = ModelVariant::C3D;
+    cfg.design = Design::C3D;
     cfg.numSockets = 2;
     const CheckResult a = checkProtocol(cfg);
     const CheckResult b = checkProtocol(cfg);
     EXPECT_EQ(a.statesExplored, b.statesExplored);
     EXPECT_EQ(a.transitionsFired, b.transitionsFired);
+}
+
+TEST(ModelChecker, C3DReachableSpaceIsPinned)
+{
+    // Literal counts of c3d's reachable space: a rule or state field
+    // that changes what the BFS explores changes these.
+    struct Pin
+    {
+        std::uint32_t sockets;
+        std::uint32_t maxVersion;
+        std::uint64_t states;
+        std::uint64_t transitions;
+    };
+    const Pin pins[] = {{2, 3, 1038, 3746}, {3, 1, 6269, 29538}};
+    for (const Pin &p : pins) {
+        CheckConfig cfg;
+        cfg.design = Design::C3D;
+        cfg.numSockets = p.sockets;
+        cfg.maxVersion = p.maxVersion;
+        const CheckResult r = checkProtocol(cfg);
+        EXPECT_TRUE(r.ok) << r.violation;
+        EXPECT_EQ(r.statesExplored, p.states) << p.sockets << " sockets";
+        EXPECT_EQ(r.transitionsFired, p.transitions)
+            << p.sockets << " sockets";
+    }
 }
 
 TEST(ModelChecker, DeeperWriteBoundExploresMore)
@@ -104,6 +143,171 @@ TEST(ModelChecker, DeeperWriteBoundExploresMore)
     EXPECT_TRUE(a.ok);
     EXPECT_TRUE(b.ok);
     EXPECT_GT(b.statesExplored, a.statesExplored);
+}
+
+// ---- the home decisions DirectoryProtocol and the checker share -----
+//
+// Entries in text: "I" untracked, "S02" Shared by sockets 0 and 2,
+// "M1" Modified at socket 1 (sharers = {owner}). A decision in text:
+// next entry, action (with the sockets it probes), "+" when the
+// response carries data, and "race" for a writeback race.
+
+std::string
+socketsText(SocketMask set)
+{
+    std::string out;
+    for (SocketId s = 0; s < 64; ++s)
+        if ((set >> s) & 1)
+            out += std::to_string(s);
+    return out;
+}
+
+std::string
+entryText(const DirEntry &e)
+{
+    switch (e.state) {
+      case DirState::Invalid:
+        return "I";
+      case DirState::Shared:
+        return "S" + socketsText(e.sharers);
+      case DirState::Modified:
+        return "M" + std::to_string(e.owner) +
+            (e.sharers == SocketMask{1} << e.owner
+                 ? "" : "/" + socketsText(e.sharers));
+    }
+    return "?";
+}
+
+DirEntry
+parseEntry(const std::string &text)
+{
+    DirEntry e;
+    if (text[0] == 'S')
+        e.state = DirState::Shared;
+    else if (text[0] == 'M')
+        e.state = DirState::Modified;
+    for (std::size_t i = 1; i < text.size(); ++i)
+        e.addSharer(static_cast<SocketId>(text[i] - '0'));
+    if (e.state == DirState::Modified)
+        e.owner = static_cast<SocketId>(text[1] - '0');
+    return e;
+}
+
+std::string
+stepText(const HomeStep &s)
+{
+    static const char *const actions[] = {"-",     "mem",   "grant",
+                                          "fwd-s", "fwd-x", "inv",
+                                          "bcast"};
+    std::string out = entryText(s.next) + " " +
+        actions[static_cast<int>(s.action)];
+    if (s.action == HomeAction::InvalidateSharers || s.targets)
+        out += "{" + socketsText(s.targets) + "}";
+    out += s.withData ? " +" : " -";
+    if (s.race)
+        out += " race";
+    return out;
+}
+
+TEST(HomeStep, EveryDesignStateRequesterAndRequest)
+{
+    // Socket 1 requests on a 3-socket machine. Its role follows from
+    // the entry: I neither; S1, S12 sharer; S02 neither; M1 owner; M2
+    // neither. PutX and CleanEviction come from a socket whose LLC no
+    // longer holds the block.
+    constexpr Design designs[] = {Design::Baseline, Design::FullDir,
+                                  Design::C3D, Design::C3DFullDir};
+    struct Case
+    {
+        const char *entry;
+        HomeRequest kind;
+        const char *want[4]; //!< baseline, full-dir, c3d, c3d-full-dir
+    };
+    using R = HomeRequest;
+    const Case cases[] = {
+        // clang-format off
+        {"I",   R::GetS, {"S1 mem +", "S1 mem +", "I mem +", "S1 mem +"}},
+        {"S1",  R::GetS, {"S1 mem +", "S1 mem +", "S1 mem +", "S1 mem +"}},
+        {"S12", R::GetS, {"S12 mem +", "S12 mem +", "S12 mem +", "S12 mem +"}},
+        {"S02", R::GetS, {"S012 mem +", "S012 mem +", "S012 mem +", "S012 mem +"}},
+        {"M1",  R::GetS, {"S1 mem + race", "S1 mem + race", "S1 mem + race", "S1 mem + race"}},
+        {"M2",  R::GetS, {"S12 fwd-s{2} +", "S12 fwd-s{2} +", "S12 fwd-s{2} +", "S12 fwd-s{2} +"}},
+
+        {"I",   R::GetX, {"M1 grant +", "M1 grant +", "M1 bcast +", "M1 grant +"}},
+        {"S1",  R::GetX, {"M1 inv{} +", "M1 inv{} +", "M1 inv{} +", "M1 inv{} +"}},
+        {"S12", R::GetX, {"M1 inv{2} +", "M1 inv{2} +", "M1 inv{2} +", "M1 inv{2} +"}},
+        {"S02", R::GetX, {"M1 inv{02} +", "M1 inv{02} +", "M1 inv{02} +", "M1 inv{02} +"}},
+        {"M1",  R::GetX, {"M1 grant + race", "M1 grant + race", "M1 grant + race", "M1 grant + race"}},
+        {"M2",  R::GetX, {"M1 fwd-x{2} +", "M1 fwd-x{2} +", "M1 fwd-x{2} +", "M1 fwd-x{2} +"}},
+
+        {"I",   R::Upgrade, {"M1 grant -", "M1 grant -", "M1 bcast -", "M1 grant -"}},
+        {"S1",  R::Upgrade, {"M1 inv{} -", "M1 inv{} -", "M1 inv{} -", "M1 inv{} -"}},
+        {"S12", R::Upgrade, {"M1 inv{2} -", "M1 inv{2} -", "M1 inv{2} -", "M1 inv{2} -"}},
+        {"S02", R::Upgrade, {"M1 inv{02} +", "M1 inv{02} +", "M1 inv{02} +", "M1 inv{02} +"}},
+        {"M1",  R::Upgrade, {"M1 grant - race", "M1 grant - race", "M1 grant - race", "M1 grant - race"}},
+        {"M2",  R::Upgrade, {"M1 fwd-x{2} +", "M1 fwd-x{2} +", "M1 fwd-x{2} +", "M1 fwd-x{2} +"}},
+
+        {"I",   R::PutX, {"I - -", "I - -", "I - -", "I - -"}},
+        {"S1",  R::PutX, {"S1 - -", "S1 - -", "S1 - -", "S1 - -"}},
+        {"S12", R::PutX, {"S12 - -", "S12 - -", "S12 - -", "S12 - -"}},
+        {"S02", R::PutX, {"S02 - -", "S02 - -", "S02 - -", "S02 - -"}},
+        {"M1",  R::PutX, {"I - -", "I - -", "I - -", "S1 - -"}},
+        {"M2",  R::PutX, {"M2 - -", "M2 - -", "M2 - -", "M2 - -"}},
+
+        {"I",   R::CleanEviction, {"I - -", "I - -", "I - -", "I - -"}},
+        {"S1",  R::CleanEviction, {"S1 - -", "I - -", "S1 - -", "I - -"}},
+        {"S12", R::CleanEviction, {"S12 - -", "S2 - -", "S12 - -", "S2 - -"}},
+        {"S02", R::CleanEviction, {"S02 - -", "S02 - -", "S02 - -", "S02 - -"}},
+        {"M1",  R::CleanEviction, {"M1 - -", "M1 - -", "M1 - -", "M1 - -"}},
+        {"M2",  R::CleanEviction, {"M2 - -", "M2 - -", "M2 - -", "M2 - -"}},
+        // clang-format on
+    };
+    for (const Case &c : cases) {
+        for (std::size_t d = 0; d < 4; ++d) {
+            const HomeStep step =
+                homeStep(findDirDesign(designs[d])->policy,
+                         parseEntry(c.entry), c.kind, /*req=*/1);
+            EXPECT_EQ(stepText(step), c.want[d])
+                << designName(designs[d]) << ", entry " << c.entry
+                << ", request " << static_cast<int>(c.kind);
+            EXPECT_FALSE(step.broadcastElided);
+        }
+    }
+}
+
+TEST(HomeStep, HintsCarriedByTheRequest)
+{
+    const DirPolicy &c3d = findDirDesign(Design::C3D)->policy;
+    // §IV-D: a private page spares c3d the untracked-write broadcast.
+    const HomeStep priv = homeStep(c3d, DirEntry{}, HomeRequest::GetX,
+                                   1, /*private_page=*/true);
+    EXPECT_EQ(stepText(priv), "M1 grant +");
+    EXPECT_TRUE(priv.broadcastElided);
+    for (const Design d :
+         {Design::Baseline, Design::FullDir, Design::C3DFullDir}) {
+        const HomeStep s = homeStep(findDirDesign(d)->policy,
+                                    DirEntry{}, HomeRequest::GetX, 1,
+                                    /*private_page=*/true);
+        EXPECT_EQ(stepText(s), "M1 grant +") << designName(d);
+        EXPECT_FALSE(s.broadcastElided) << designName(d);
+    }
+
+    // An evictor that holds the block again keeps its entry.
+    for (const Design d : {Design::Baseline, Design::FullDir,
+                           Design::C3D, Design::C3DFullDir}) {
+        const DirPolicy &p = findDirDesign(d)->policy;
+        EXPECT_EQ(stepText(homeStep(p, parseEntry("M1"),
+                                    HomeRequest::PutX, 1, false,
+                                    /*still_held=*/true)),
+                  "M1 - -")
+            << designName(d);
+        EXPECT_EQ(stepText(homeStep(p, parseEntry("S12"),
+                                    HomeRequest::CleanEviction, 1,
+                                    false, /*still_held=*/true)),
+                  "S12 - -")
+            << designName(d);
+    }
+    EXPECT_EQ(findDirDesign(Design::Snoopy), nullptr);
 }
 
 // ---- randomized snoopy-variant differential harness -----------------
@@ -387,17 +591,6 @@ TEST(SnoopVariantDifferential, StaleHomeStateIsRecovered)
         m.access(2, 0, false); // must recover v1 from memory
         EXPECT_EQ(m.firstViolation(), "") << protocolName(p);
     }
-}
-
-TEST(ModelChecker, VariantNames)
-{
-    EXPECT_STREQ(modelVariantName(ModelVariant::C3D), "c3d");
-    EXPECT_STREQ(modelVariantName(ModelVariant::C3DFullDir),
-                 "c3d-full-dir");
-    EXPECT_STREQ(modelVariantName(ModelVariant::BugNoBroadcast),
-                 "bug-no-broadcast");
-    EXPECT_STREQ(modelVariantName(ModelVariant::BugNoWriteThrough),
-                 "bug-no-write-through");
 }
 
 } // namespace
