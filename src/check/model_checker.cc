@@ -104,12 +104,10 @@ class Model
         out.clear();
 
         for (std::uint32_t i = 0; i < n; ++i) {
-            // One request per block per socket in flight: a write
-            // holds the socket until its invalidations are in. The
-            // real Socket lets a load send GetS behind another core's
-            // GetX (docs/coherence.md).
-            const bool idle = s.pending[i] == PendNone &&
-                !(s.busy() && s.busyReq == i);
+            // A socket has one request at the home at a time; a load
+            // may issue while the socket's own write waits for its
+            // invalidations.
+            const bool idle = s.pending[i] == PendNone;
             // Rule: local DRAM-cache read hit promotes into the LLC.
             if (s.llc[i] == LlcI && s.dcValid[i] && idle) {
                 State t = s;
@@ -153,7 +151,7 @@ class Model
                 State t = s;
                 t.dcValid[i] = 0;
                 t.dcVer[i] = 0;
-                t.dir = homeStep(policy, s.dir,
+                t.dir = homeStep(policy, n, s.dir,
                                  HomeRequest::CleanEviction, i, false,
                                  s.llc[i] != LlcI)
                             .next;
@@ -165,8 +163,9 @@ class Model
                 evictLlc(t, i);
                 if (writeThrough)
                     t.memVer = s.llcVer[i];
-                t.dir = homeStep(policy, s.dir, HomeRequest::PutX, i)
-                            .next;
+                t.dir =
+                    homeStep(policy, n, s.dir, HomeRequest::PutX, i)
+                        .next;
                 out.push_back(t);
             }
             // Rule: the home processes a pending request.
@@ -259,7 +258,7 @@ class Model
         State t = s;
         t.pending[i] = PendNone;
         const HomeStep step =
-            homeStep(policy, s.dir,
+            homeStep(policy, n, s.dir,
                      static_cast<HomeRequest>(s.pending[i] - 1), i);
         t.dir = step.next;
 
@@ -270,9 +269,10 @@ class Model
             t.llcVer[i] = s.memVer;
             break;
           case HomeAction::ForwardDowngrade: {
-            // The owner keeps a Shared copy and writes the block
-            // through to its DRAM cache and to memory.
-            const SocketId j = s.dir.owner;
+            // The owner (perhaps the requester itself) keeps a Shared
+            // copy and writes the block through to its DRAM cache and
+            // to memory.
+            const SocketId j = step.owner;
             c3d_assert(s.llc[j] == LlcM, "tracked owner holds M");
             t.llc[j] = LlcS;
             if (dramCache) {
@@ -287,7 +287,7 @@ class Model
           case HomeAction::ForwardInvalidate:
             // Atomic: a single target has no interleaving of
             // interest, and the write overwrites its data anyway.
-            invalidate(t, s.dir.owner);
+            invalidate(t, step.owner);
             completeWrite(t, i);
             break;
           case HomeAction::Grant:
@@ -295,12 +295,8 @@ class Model
             break;
           case HomeAction::InvalidateSharers:
           case HomeAction::Broadcast: {
-            const std::uint8_t targets = static_cast<std::uint8_t>(
-                step.action == HomeAction::Broadcast
-                    ? ((1u << n) - 1) & ~(1u << i)
-                    : step.targets);
-            if (targets) {
-                t.invMask = targets;
+            if (step.targets) {
+                t.invMask = static_cast<std::uint8_t>(step.targets);
                 t.busyReq = static_cast<std::uint8_t>(i);
             } else {
                 completeWrite(t, i);

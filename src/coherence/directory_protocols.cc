@@ -63,8 +63,8 @@ DirectoryProtocol::decide(SocketId home, Addr addr, HomeRequest kind,
                    static_cast<int>(cur.state),
                    static_cast<unsigned long long>(cur.sharers));
     }
-    const HomeStep step =
-        homeStep(policy, cur, kind, req, private_page, still_held);
+    const HomeStep step = homeStep(policy, cfg().numSockets, cur, kind,
+                                   req, private_page, still_held);
     if (e) {
         if (step.next.state == DirState::Invalid)
             dirs[home]->erase(addr);
@@ -125,17 +125,15 @@ DirectoryProtocol::handleGetS(SocketId req, SocketId home, Addr addr,
                               ReadDone done)
 {
     const HomeStep step = decide(home, addr, HomeRequest::GetS, req);
-    if (step.race)
-        ++fwdRaces;
     if (step.action == HomeAction::ForwardDowngrade) {
-        // Slow remote hit path (§III-B Fig. 4): forward to the owner.
-        // The directory transition happened above, at the home, at
-        // forward time: the entry cannot change underneath the
-        // in-flight probe because the block lock is held (victim
-        // selection skips busy blocks, and every other transaction
-        // for this block queues on the lock).
-        const auto owner =
-            static_cast<SocketId>(__builtin_ctzll(step.targets));
+        // Slow remote hit path (§III-B Fig. 4): forward to the owner,
+        // which may be the requester itself (homeStep). The directory
+        // transition happened above, at the home, at forward time:
+        // the entry cannot change underneath the in-flight probe
+        // because the block lock is held (victim selection skips busy
+        // blocks, and every other transaction for this block queues
+        // on the lock).
+        const SocketId owner = step.owner;
         ++fwdRequests;
         sendCtrl(home, owner, [this, req, home, owner, addr,
                                done = std::move(done)]() mutable {
@@ -243,8 +241,7 @@ DirectoryProtocol::handleGetX(SocketId req, SocketId home, Addr addr,
         // the directory transition happened at the home at forward
         // time — the block lock pins the entry until the transfer
         // completes.
-        const auto owner =
-            static_cast<SocketId>(__builtin_ctzll(step.targets));
+        const SocketId owner = step.owner;
         ++fwdRequests;
         sendCtrl(home, owner, [this, req, home, owner, addr,
                                done = std::move(done)]() mutable {
@@ -315,7 +312,7 @@ DirectoryProtocol::handleGetX(SocketId req, SocketId home, Addr addr,
                     finishBroadcastWrite(*join);
             });
         }
-        invalidateSockets(home, othersThan(req), addr,
+        invalidateSockets(home, step.targets, addr,
                           [this, join](bool saw_dirty) {
             if (saw_dirty) {
                 // Clean DRAM caches can never hold dirty data;
@@ -330,13 +327,17 @@ DirectoryProtocol::handleGetX(SocketId req, SocketId home, Addr addr,
         return;
       }
 
-      default: // Grant: the only other action a write gets
+      case HomeAction::Grant:
         if (step.race)
             ++fwdRaces;
         if (step.broadcastElided)
             ++broadcastsElided;
         respondWrite(req, home, addr, with_data, std::move(done));
         return;
+
+      default:
+        c3d_panic("a write got home action %d",
+                  static_cast<int>(step.action));
     }
 }
 

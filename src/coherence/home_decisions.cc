@@ -55,8 +55,9 @@ findDirDesign(Design d)
 }
 
 HomeStep
-homeStep(const DirPolicy &policy, const DirEntry &e, HomeRequest kind,
-         SocketId req, bool private_page, bool still_held)
+homeStep(const DirPolicy &policy, std::uint32_t num_sockets,
+         const DirEntry &e, HomeRequest kind, SocketId req,
+         bool private_page, bool still_held)
 {
     HomeStep s;
     s.next = e;
@@ -67,18 +68,16 @@ homeStep(const DirPolicy &policy, const DirEntry &e, HomeRequest kind,
       case HomeRequest::GetS:
         s.withData = true;
         s.action = HomeAction::ServeFromMemory;
-        if (modified && !owned_by_req) {
+        if (modified) {
             // Slow remote hit (§III-B Fig. 4). The owner stays in the
             // vector even on a writeback race, so any DRAM-cache copy
-            // it retains stays covered by future invalidations.
+            // it retains stays covered by future invalidations. The
+            // owner may be the requester: its load missed while a
+            // sibling core's GetX was outstanding, and its Modified
+            // copy is written back before memory serves anyone.
             s.next = sharedBy(bit(e.owner) | bit(req));
             s.action = HomeAction::ForwardDowngrade;
-            s.targets = bit(e.owner);
-        } else if (owned_by_req) {
-            // The requester's PutX is still in flight; memory
-            // semantically receives that data first.
-            s.race = true;
-            s.next = sharedBy(bit(req));
+            s.owner = e.owner;
         } else if (e.state == DirState::Shared) {
             s.next.addSharer(req);
         } else if (policy.allocateOnRead) {
@@ -98,7 +97,7 @@ homeStep(const DirPolicy &policy, const DirEntry &e, HomeRequest kind,
             // Ownership transfer: the owner forwards the dirty block.
             s.withData = true;
             s.action = HomeAction::ForwardInvalidate;
-            s.targets = bit(e.owner);
+            s.owner = e.owner;
         } else if (owned_by_req) {
             // The requester re-acquires a block whose writeback is
             // still queued.
@@ -112,10 +111,15 @@ homeStep(const DirPolicy &policy, const DirEntry &e, HomeRequest kind,
         } else if (policy.broadcastOnUntrackedWrite) {
             // §IV-C: an untracked block may sit in any remote DRAM
             // cache.
-            if (policy.privatePagesElideBroadcast && private_page)
+            if (policy.privatePagesElideBroadcast && private_page) {
                 s.broadcastElided = true;
-            else
+            } else {
                 s.action = HomeAction::Broadcast;
+                const SocketMask all = num_sockets >= 64
+                    ? ~SocketMask{0}
+                    : (SocketMask{1} << num_sockets) - 1;
+                s.targets = all & ~bit(req);
+            }
         }
         return s;
       }

@@ -81,13 +81,15 @@ struct HomeStep
     /** The entry afterwards; state Invalid means untracked. */
     DirEntry next;
     HomeAction action = HomeAction::None;
-    /** The sockets probed: the owner for a forward, the other
-     * sharers for InvalidateSharers (a broadcast probes every socket
-     * but the requester). */
+    /** The socket a forward probes (InvalidSocket otherwise). */
+    SocketId owner = InvalidSocket;
+    /** The sockets invalidated: the other sharers for
+     * InvalidateSharers, every socket but the requester for Broadcast.
+     */
     SocketMask targets = 0;
     /** The response carries the block (else a permission grant). */
     bool withData = false;
-    /** The requester is the tracked owner: its writeback is still in
+    /** A write from the tracked owner: its writeback is still in
      * flight. */
     bool race = false;
     /** The private-page hint skipped an untracked-write broadcast. */
@@ -96,15 +98,15 @@ struct HomeStep
 
 /**
  * Decide @p kind from @p req for a block whose entry is @p e
- * (DirEntry{} when untracked).
+ * (DirEntry{} when untracked) on a machine of @p num_sockets sockets.
  * @param private_page GetX/Upgrade: the §IV-D classification is on and
  *        marks the page private.
  * @param still_held PutX: the evictor's LLC holds the block Modified
  *        again; CleanEviction: the evictor's LLC still holds a copy.
  *        Sampled at the evictor and carried by the message.
  */
-HomeStep homeStep(const DirPolicy &policy, const DirEntry &e,
-                  HomeRequest kind, SocketId req,
+HomeStep homeStep(const DirPolicy &policy, std::uint32_t num_sockets,
+                  const DirEntry &e, HomeRequest kind, SocketId req,
                   bool private_page = false, bool still_held = false);
 
 } // namespace c3d

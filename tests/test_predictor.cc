@@ -271,7 +271,9 @@ parseCsv(const std::string &text, std::vector<std::string> &header,
 TEST(PredictorDifferential, RegionRowsMatchPrePredictorGolden)
 {
     // The golden file is the committed output of the build *before*
-    // the predictor axis existed, over this exact grid. Region rows
+    // the predictor axis existed, over this exact grid, with the
+    // three directory rows regenerated once since (a GetS from the
+    // block's owner is forwarded to the owner itself). Region rows
     // must reproduce it byte-for-byte on every shared column -- the
     // new predictor/counter columns are the only allowed delta.
     std::ifstream gf(std::string(C3D_TEST_SOURCE_DIR) +
